@@ -11,30 +11,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
 
 from . import families
-from .condense import (
-    CondensedData,
-    MinimalityError,
-    ModularizationError,
-    ResolutionError,
-    condense,
-    double_data,
-)
+from .condense import CondensedData, ResolutionError, condense, double_data
 from .formats import (
     CategoryFormatError,
+    _load,
+    category_from_doc,
     condensed_to_doc,
     doc_sha256,
     fusion_from_doc,
-    load_category,
     load_plumbing,
 )
-from .fusion import DEFAULT_TOL, FusionError, InconsistentDataError, validate_fusion
-from .modular import PremodularityError, is_modular, muger_center, verify_premodular
+from .fusion import DEFAULT_TOL, validate_fusion
+from .modular import is_modular, muger_center, verify_premodular
 from .plumbing import (
     DEFAULT_TERM_CAP,
     InvariantValue,
@@ -50,19 +43,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_TERM_CAP = 3
 
-_DATA_ERRORS = (FusionError, PremodularityError, InconsistentDataError,
-                ModularizationError, MinimalityError, ResolutionError, ValueError)
+_DATA_ERRORS = (ValueError, ResolutionError)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide knobs; ``workers`` is capped by the PREMODULAR_THREADS env var."""
+    """Run-wide settings, taken from the command line."""
 
     tolerance: float = DEFAULT_TOL
     term_cap: float = DEFAULT_TERM_CAP
     output: str = "text"
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -72,19 +63,11 @@ class RunConfig:
 
 
 def _config_from_args(args) -> RunConfig:
-    workers = os.cpu_count() or 1
-    env = os.environ.get("PREMODULAR_THREADS")
-    if env is not None:
-        env_workers = int(env)
-        if env_workers < 1:
-            raise ValueError("PREMODULAR_THREADS must be >= 1")
-        workers = min(workers, env_workers)
     return RunConfig(
         tolerance=args.tolerance,
         term_cap=args.term_cap,
         output=args.output,
         seed=args.seed,
-        workers=workers,
     )
 
 
@@ -109,9 +92,13 @@ def _load_data(args, cfg: RunConfig):
             return families.builtin(expr), {"builtin": expr}
         except ValueError as exc:
             raise CategoryFormatError(str(exc)) from None
+    return category_from_doc(_category_doc(args), tol=cfg.tolerance), {"file": args.category}
+
+
+def _category_doc(args) -> dict:
     if not args.category:
         raise CategoryFormatError("a category file or --builtin expression is required")
-    return load_category(args.category, tol=cfg.tolerance), {"file": args.category}
+    return _load(args.category)
 
 
 def _value_payload(v: InvariantValue) -> dict:
@@ -122,29 +109,28 @@ def _value_payload(v: InvariantValue) -> dict:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    try:
+    if args.builtin:
         p, src = _load_data(args, cfg)
-    except _DATA_ERRORS as exc:
-        if isinstance(exc, CategoryFormatError) or not getattr(args, "category", None):
+    else:
+        doc, src = _category_doc(args), {"file": args.category}
+        try:
+            p = category_from_doc(doc, tol=cfg.tolerance)
+        except CategoryFormatError:
             raise
-        # premodular assembly failed; still report the fusion-layer checks
-        import json as _json
-
-        with open(args.category) as fh:
-            doc = _json.load(fh)
-        fusion = fusion_from_doc(doc)
-        rv = validate_fusion(fusion)
-        lines = [str(c) for c in rv.checks] + [f"premodular assembly failed: {exc}", "verdict: FAIL"]
-        payload = {
-            "source": {"file": args.category},
-            "fusion_checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness} for c in rv.checks
-            ],
-            "error": str(exc),
-            "passed": False,
-        }
-        _emit(cfg, payload, lines)
-        return EXIT_CHECK_FAILED
+        except _DATA_ERRORS as exc:
+            # premodular assembly failed; still report the fusion-layer checks
+            rv = validate_fusion(fusion_from_doc(doc))
+            lines = [str(c) for c in rv.checks] + [f"premodular assembly failed: {exc}", "verdict: FAIL"]
+            payload = {
+                "source": src,
+                "fusion_checks": [
+                    {"name": c.name, "passed": c.passed, "witness": c.witness} for c in rv.checks
+                ],
+                "error": str(exc),
+                "passed": False,
+            }
+            _emit(cfg, payload, lines)
+            return EXIT_CHECK_FAILED
     rv = validate_fusion(p.fusion)
     rp = verify_premodular(p, tol=cfg.tolerance)
     rm = is_modular(p, tol=cfg.tolerance)

@@ -286,31 +286,40 @@ def _resolve_sheets(
     base: np.ndarray,
     unknown_positions: list[tuple[int, int]],
     sum_rules: list[tuple[list[tuple[int, float]], complex]],
-    free_rows: list[int],
-    sheet_rows: list[int],
     d_new: np.ndarray,
     theta_new: tuple,
-    names_new: tuple[str, ...],
+    labels: tuple[SheetLabel, ...],
     unit_new: int,
     accept_tol: float,
-) -> tuple[list[np.ndarray], float]:
+) -> tuple[list[PremodularData], float]:
     """Search the undetermined sheet-sheet block of the condensed S'.
 
     ``base`` holds all determined entries (zero at unknown positions).
-    Returns candidate S' matrices passing the full verification gate, plus
-    the best residual seen (diagnostic when nothing passes).
+    Returns the verified condensed data of every candidate passing the full
+    verification gate, one per class of S' matrices equal up to sheet
+    relabelling within 1e-6, plus the best residual seen (diagnostic when
+    nothing passes).
     """
     m = len(unknown_positions)
     nn = base.shape[0]
     dim = float(np.sum(d_new**2))
     pos_index = {pos: k for k, pos in enumerate(unknown_positions)}
+    sheet_rows = sorted({i for pos in unknown_positions for i in pos})
+    free_rows = [i for i in range(nn) if i not in set(sheet_rows)]
+    rows_u, cols_u = np.array(unknown_positions).T
+    eye = np.eye(nn)
 
     def assemble(x: np.ndarray) -> np.ndarray:
-        s = base.copy()
-        for (a, b), v in zip(unknown_positions, x):
-            s[a, b] = v
-            s[b, a] = v
+        # S' with the unknowns x filled in, batched over leading axes of x
+        s = np.empty(x.shape[:-1] + base.shape, dtype=complex)
+        s[...] = base
+        s[..., rows_u, cols_u] = x
+        s[..., cols_u, rows_u] = x
         return s
+
+    def gram_dev(s: np.ndarray) -> np.ndarray:
+        # S' S'^dagger / dim - 1, zero exactly when S'/sqrt(dim) is unitary
+        return s @ s.conj().swapaxes(-1, -2) / dim - eye
 
     # Real-linear system A v = rhs on v = [Re x; Im x]:
     # sum rules plus orthogonality of each known (free) row against each sheet row.
@@ -358,13 +367,15 @@ def _resolve_sheets(
     kernel = vh[null_mask.nonzero()[0]] if null_mask.any() else np.zeros((0, 2 * m))
     kdim = kernel.shape[0]
 
-    def x_of(v: np.ndarray) -> np.ndarray:
-        return v[:m] + 1j * v[m:]
+    def s_of(t: np.ndarray) -> np.ndarray:
+        # S' at kernel coordinates t (batched over leading axes of t)
+        v = v0 + t @ kernel
+        return assemble(v[..., :m] + 1j * v[..., m:])
 
     max_mag = max(
         float(d_new[a] * d_new[b]) for a, b in unknown_positions
     )
-    radius = 1.5 * max_mag + float(np.abs(x_of(v0)).max())
+    radius = 1.5 * max_mag + float(np.abs(v0[:m] + 1j * v0[m:]).max())
 
     if kdim == 0:
         seeds = [np.zeros(0)]
@@ -373,14 +384,8 @@ def _resolve_sheets(
         grids = np.meshgrid(*([axis] * kdim), indexing="ij")
         seeds_arr = np.stack([g.ravel() for g in grids], axis=1)
         # batched unitarity residual over all grid points
-        vs = v0[None, :] + seeds_arr @ kernel
-        xs = vs[:, :m] + 1j * vs[:, m:]
-        s_batch = np.broadcast_to(base, (len(xs), nn, nn)).copy()
-        for k, (a, b) in enumerate(unknown_positions):
-            s_batch[:, a, b] = xs[:, k]
-            s_batch[:, b, a] = xs[:, k]
-        gram = np.einsum("pij,pkj->pik", s_batch, s_batch.conj())
-        resid1 = np.abs(gram - dim * np.eye(nn)).reshape(len(xs), -1).max(axis=1)
+        s_batch = s_of(seeds_arr)
+        resid1 = dim * np.abs(gram_dev(s_batch)).reshape(len(seeds_arr), -1).max(axis=1)
         band = resid1 <= max(0.12 * dim, resid1.min() * 2 + 1e-12)
         idx_band = np.nonzero(band)[0]
         if idx_band.size > 4000:
@@ -403,13 +408,12 @@ def _resolve_sheets(
     else:
         return [], float("inf")
 
-    solutions: list[np.ndarray] = []
+    names_new = tuple(lab.name for lab in labels)
+    solutions: list[PremodularData] = []
     best = np.inf
-    eye = np.eye(nn)
 
     def unitarity_vec(t: np.ndarray) -> np.ndarray:
-        s = assemble(x_of(v0 + t @ kernel if t.size else v0))
-        g = s @ s.conj().T / dim - eye
+        g = gram_dev(s_of(t))
         return np.concatenate([g.real.ravel(), g.imag.ravel()])
 
     for t_seed in seeds:
@@ -418,7 +422,7 @@ def _resolve_sheets(
             t_cur = fit.x
         else:
             t_cur = t_seed
-        s_cur = assemble(x_of(v0 + t_cur @ kernel if t_cur.size else v0))
+        s_cur = s_of(t_cur)
         su = s_cur / np.sqrt(dim)
         nver = verlinde_multiplicities(su, unit_new)
         if float(np.abs(nver - np.round(nver.real)).max()) > 0.2:
@@ -428,23 +432,26 @@ def _resolve_sheets(
         if t_cur.size:
 
             def full_vec(t: np.ndarray) -> np.ndarray:
-                s = assemble(x_of(v0 + t @ kernel))
-                g = s @ s.conj().T / dim - eye
+                s = s_of(t)
+                g = gram_dev(s)
                 nv = verlinde_multiplicities(s / np.sqrt(dim), unit_new) - n_int
                 return np.concatenate(
                     [g.real.ravel(), g.imag.ravel(), nv.real.ravel(), nv.imag.ravel()]
                 )
 
             fit = least_squares(full_vec, t_cur, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            s_cur = assemble(x_of(v0 + fit.x @ kernel))
+            s_cur = s_of(fit.x)
 
         cand, resid = _finalize_candidate(
             s_cur, d_new, theta_new, names_new, unit_new, accept_tol
         )
         best = min(best, resid)
-        if cand is not None:
-            if all(np.abs(s_cur - s_prev).max() > 1e-6 for s_prev in solutions):
-                solutions.append(s_cur)
+        if cand is not None and not any(
+            np.abs(cand.sprime[np.ix_(perm, perm)] - prev.sprime).max() <= 1e-6
+            for prev in solutions
+            for perm in _sheet_permutations(labels)
+        ):
+            solutions.append(cand)
     return solutions, best
 
 
@@ -543,28 +550,9 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
             )
             sum_rules.append((list(weights.items()), value))
 
-    sheet_rows = sorted({i for pos in unknown_positions for i in pos})
-    free_rows = [i for i in range(nn) if i not in set(sheet_rows)]
-
-    sols, best = _resolve_sheets(
-        base, unknown_positions, sum_rules, free_rows, sheet_rows,
-        d_new, theta_new, names_new, unit_new, max(tol, 1e-8),
+    finals, best = _resolve_sheets(
+        base, unknown_positions, sum_rules, d_new, theta_new, labels, unit_new, max(tol, 1e-8),
     )
-
-    finals: list[PremodularData] = []
-    seen_keys: set = set()
-    for s_sol in sols:
-        cand, _ = _finalize_candidate(s_sol, d_new, theta_new, names_new, unit_new, max(tol, 1e-8))
-        if cand is None:
-            continue
-        key = min(
-            tuple(np.round(s_sol[np.ix_(perm, perm)], 6).ravel().view(float))
-            for perm in _sheet_permutations(labels)
-        )
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        finals.append(cand)
 
     status = {0: "unresolved", 1: "unique"}.get(len(finals), "multiple")
     return CondensedData(
@@ -589,8 +577,7 @@ def double_data(
     """
     from .families import product  # deferred to avoid an import cycle
 
-    if not isinstance(delta, SubcategorySelection):
-        delta = full_subcategory(hat.fusion, delta)
+    delta = full_subcategory(hat.fusion, delta)
     report = check_minimal_extension(hat, delta, tol=tol)
     if not report.passed:
         raise MinimalityError(
@@ -652,8 +639,7 @@ def fusion_support_check(
     channels lie inside and zero when none do (all-or-nothing for a minimal
     extension).
     """
-    if not isinstance(delta, SubcategorySelection):
-        delta = full_subcategory(hat.fusion, delta)
+    delta = full_subcategory(hat.fusion, delta)
     members = delta.member_set
     e = hat.fusion.index(eta)
     z = hat.fusion.index(zeta)

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .fusion import DEFAULT_TOL, InconsistentDataError, SubcategorySelection, full_subcategory
-from .modular import PremodularData, check_minimal_extension
+from .modular import PremodularData, _twist_powers, check_minimal_extension
 from .plumbing import (
     DEFAULT_TERM_CAP,
     InvariantValue,
@@ -60,8 +60,7 @@ def pairing_bracket(
     entry is ``d(lambda) d(mu) / dim_hat`` on full support and zero off
     support (all-or-nothing by the weighted fusion-support identity).
     """
-    if not isinstance(delta, SubcategorySelection):
-        delta = full_subcategory(hat.fusion, delta)
+    delta = full_subcategory(hat.fusion, delta)
     if check_minimality and not check_minimal_extension(hat, delta, tol=tol).passed:
         raise InconsistentDataError("pairing bracket requires a minimal extension")
     n = hat.rank
@@ -70,8 +69,8 @@ def pairing_bracket(
     weights = np.zeros(n)
     weights[members] = hat.dims[members]
     table = np.einsum("abc,c->ab", hat.fusion.tensor[:, dual, :].astype(float), weights)
+    support = table > 0
     table /= hat.total_dim
-    support = np.einsum("abc,c->ab", hat.fusion.tensor[:, dual, :].astype(float), weights) > 0
 
     dev_sym = float(np.abs(table - table.T).max())
     if dev_sym > tol:
@@ -106,23 +105,18 @@ def tau_double(
     terms = float(hat.rank) ** (2 * g.n)
     if terms > term_cap:
         raise TermCapExceeded(terms, term_cap)
-    if not isinstance(delta, SubcategorySelection):
-        delta = full_subcategory(hat.fusion, delta)
     pb = pairing_bracket(hat, delta, tol=tol)
 
-    pairs = [(a, b) for a in range(hat.rank) for b in range(hat.rank) if pb.support[a, b]]
-    pair_weight = np.array([pb.table[a, b] for a, b in pairs])
-    d_pair = np.array([hat.dims[a] * hat.dims[b] for a, b in pairs])
-    ia = [a for a, _ in pairs]
-    ib = [b for _, b in pairs]
+    ia, ib = np.nonzero(pb.support)
+    pair_weight = pb.table[ia, ib]
+    d_pair = hat.dims[ia] * hat.dims[ib]
     edge = hat.sprime[np.ix_(ia, ia)] * hat.sprime.conj()[np.ix_(ib, ib)]
 
     weights = {}
     for v, m in g.vertices:
-        tw = np.array(
-            [hat.theta[a].power(m) * np.conj(hat.theta[b].power(m)) for a, b in pairs]
-        )
-        weights[v] = pair_weight * tw * d_pair.astype(complex) ** (1 - g.degrees[v])
+        tw = _twist_powers(hat, m)
+        tw_pair = tw[ia] * np.conj(tw[ib])
+        weights[v] = pair_weight * tw_pair * d_pair.astype(complex) ** (1 - g.degrees[v])
     value = _contract_forest(g, weights, edge) / pb.dim_sub
     return InvariantValue(value=value, tolerance=tol)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .condense import CondensedData
 from .fusion import FusionData
-from .modular import PremodularData, Twist, premodular_from_twists
+from .modular import PremodularData, PremodularityError, Twist, premodular_from_twists
 from .plumbing import PlumbingGraph
 
 __all__ = [
@@ -94,34 +94,43 @@ def fusion_from_doc(doc: dict) -> FusionData:
         return FusionData.from_entries(labels, doc["unit"], doc["dual"], doc["N"])
     except KeyError as exc:
         raise CategoryFormatError(f"missing category field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CategoryFormatError(f"malformed fusion data: {exc}") from None
 
 
 def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
     fusion = fusion_from_doc(doc)
     labels = list(fusion.names)
 
-    theta_doc = doc.get("theta", {})
-    twists = []
-    for name in labels:
-        entry = theta_doc.get(name, {"rational": [0, 1]})
-        if "rational" in entry:
-            pq = entry["rational"]
-            twists.append(Twist.from_turns(Fraction(int(pq[0]), int(pq[1]))))
-        elif "complex" in entry:
-            twists.append(
-                Twist.from_complex(complex(entry["complex"][0], entry["complex"][1]), tol=tol)
-            )
-        else:
-            raise CategoryFormatError(f"twist for {name!r} must be rational or complex")
+    try:
+        theta_doc = doc.get("theta", {})
+        twists = []
+        for name in labels:
+            entry = theta_doc.get(name, {"rational": [0, 1]})
+            if "rational" in entry:
+                pq = entry["rational"]
+                twists.append(Twist.from_turns(Fraction(int(pq[0]), int(pq[1]))))
+            elif "complex" in entry:
+                twists.append(
+                    Twist.from_complex(complex(entry["complex"][0], entry["complex"][1]), tol=tol)
+                )
+            else:
+                raise CategoryFormatError(f"twist for {name!r} must be rational or complex")
 
-    dims = None
-    if "dims" in doc and doc["dims"]:
-        dims = np.array([float(doc["dims"][name]) for name in labels])
-    sprime = None
-    if "sprime" in doc and doc["sprime"]:
-        sprime = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["sprime"]]
-        )
+        dims = None
+        if "dims" in doc and doc["dims"]:
+            dims = np.array([float(doc["dims"][name]) for name in labels])
+        sprime = None
+        if "sprime" in doc and doc["sprime"]:
+            sprime = np.array(
+                [[complex(re, im) for re, im in row] for row in doc["sprime"]]
+            )
+    except (CategoryFormatError, PremodularityError):
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CategoryFormatError(
+            f"malformed category document ({type(exc).__name__}: {exc})"
+        ) from None
     return premodular_from_twists(fusion, twists, dims=dims, sprime=sprime, tol=tol)
 
 

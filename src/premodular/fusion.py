@@ -180,10 +180,12 @@ class FusionData:
             entries = [(a, b, c, m) for (a, b, c), m in entries.items()]
         tensor = np.zeros((len(names),) * 3, dtype=int)
         for a, b, c, m in entries:
-            m = int(m)
-            if m < 0:
+            mult = int(m)
+            if mult != m:
+                raise FusionError(f"multiplicity {m!r} at ({a}, {b}, {c}) is not an integer")
+            if mult < 0:
                 raise FusionError(f"negative multiplicity at ({a}, {b}, {c})")
-            tensor[resolve(a), resolve(b), resolve(c)] = m
+            tensor[resolve(a), resolve(b), resolve(c)] = mult
         return cls(names=names, unit=resolve(unit), dual=tuple(dual_idx), tensor=tensor)
 
     # -- basic queries ------------------------------------------------------
@@ -392,13 +394,15 @@ class SubcategorySelection:
         )
 
 
-def full_subcategory(f: FusionData, members: Iterable) -> SubcategorySelection:
+def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) -> SubcategorySelection:
     """Select a label subset after verifying it is a full fusion subcategory.
 
     The subset must contain the unit, be closed under duals, and be closed
     under fusion; a closure violation raises :class:`ClosureError` carrying
-    the offending triple ``(a, b, c)``.
+    the offending triple ``(a, b, c)``.  A selection passes through unchanged.
     """
+    if isinstance(members, SubcategorySelection):
+        return members
     idx = sorted({f.index(x) for x in members})
     mset = set(idx)
     if f.unit not in mset:

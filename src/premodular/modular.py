@@ -14,6 +14,7 @@ Gauss sum phase.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -179,6 +180,15 @@ class PremodularData:
         return v
 
     @cached_property
+    def _twist_table(self) -> tuple[tuple[int, ...], int, tuple[tuple[int, complex], ...]]:
+        # rational twists as integer turns over one common denominator (0 for
+        # complex twists), and the complex twists by index
+        denom = math.lcm(*(t.turns.denominator for t in self.theta if t.turns is not None))
+        nums = tuple(0 if t.turns is None else int(t.turns * denom) for t in self.theta)
+        approx = tuple((i, t.approx) for i, t in enumerate(self.theta) if t.turns is None)
+        return nums, denom, approx
+
+    @cached_property
     def total_dim(self) -> float:
         return global_dim(self.fusion, self.dims)
 
@@ -214,8 +224,7 @@ class PremodularData:
 
     def restrict(self, members: Iterable | SubcategorySelection) -> "PremodularData":
         """Restriction to a full fusion subcategory (validates closure)."""
-        if not isinstance(members, SubcategorySelection):
-            members = full_subcategory(self.fusion, members)
+        members = full_subcategory(self.fusion, members)
         idx = list(members.members)
         return PremodularData(
             fusion=members.restricted(),
@@ -242,7 +251,26 @@ class PremodularData:
         )
 
 
+def _twist_powers(p: PremodularData, m: int) -> np.ndarray:
+    """``theta_a**m`` for every label, reducing rational turns exactly before the exponential."""
+    nums, denom, approx = p._twist_table
+    out = np.exp(2j * np.pi * (np.array([(n * m) % denom for n in nums]) / denom))
+    for i, z in approx:
+        out[i] = z**m
+    return out
+
+
 # -- S' construction ----------------------------------------------------------
+
+
+def _balanced_sprime(t: np.ndarray, dual: list[int], th: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The balancing identity on a float multiplicity tensor ``t``."""
+    return np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th)
+
+
+def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """``S'(a,b) S'(a,c) / d_a - sum_e N[b,c,e] S'(a,e)``, indexed ``(a, b, c)``."""
+    return sp[:, :, None] * sp[:, None, :] / d[:, None, None] - np.einsum("bce,ae->abc", t, sp)
 
 
 def sprime_from_balancing(
@@ -263,12 +291,10 @@ def sprime_from_balancing(
         raise PremodularityError("unit twist must be 1")
     th = np.array([t.value for t in theta])
     d = np.asarray(dims, dtype=float)
-    dual = list(f.dual)
-    sp = np.einsum("abc,c->ab", f.tensor[dual].astype(float), th * d) / np.outer(th, th)
+    t = f.tensor.astype(float)
+    sp = _balanced_sprime(t, list(f.dual), th, d)
     if validate:
-        lhs = sp[:, :, None] * sp[:, None, :] / d[:, None, None]
-        rhs = np.einsum("bce,ae->abc", f.tensor.astype(float), sp)
-        resid = float(np.abs(lhs - rhs).max())
+        resid = float(np.abs(_row_multiplicativity_dev(t, d, sp)).max())
         if resid > tol * max(1.0, float(np.abs(sp).max()) ** 2):
             raise PremodularityError(
                 f"row multiplicativity fails (residual {resid:.3g}): "
@@ -315,7 +341,6 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     entry.  The Gauss-sum identities apply only to modular data and are
     reported as skipped when S' is singular.
     """
-    n = p.rank
     d, th, sp = p.dims, p.theta_values, p.sprime
     nm = p.names
     dual = list(p.fusion.dual)
@@ -344,12 +369,8 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     entry("sprime:unit_row", sp[p.unit] - d, 1)
     entry("sprime:conjugate_row", sp[dual, :] - sp.conj(), 2)
 
-    lhs = sp[:, :, None] * sp[:, None, :] / d[:, None, None]
-    rhs = np.einsum("bce,ae->abc", t, sp)
-    entry("sprime:row_multiplicative", lhs - rhs, 3)
-
-    balanced = np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th)
-    entry("sprime:balancing", sp - balanced, 2)
+    entry("sprime:row_multiplicative", _row_multiplicativity_dev(t, d, sp), 3)
+    entry("sprime:balancing", sp - _balanced_sprime(t, dual, th, d), 2)
 
     g = p.gauss_sums()
     if p.sprime_invertible(tol=tol):
@@ -490,8 +511,7 @@ def centralizer(
     On modular input the dimension law ``dim(centralizer) = dim/dim(sub)`` is
     asserted; failure means the numerical data is inconsistent.
     """
-    if not isinstance(sub, SubcategorySelection):
-        sub = full_subcategory(p.fusion, sub)
+    sub = full_subcategory(p.fusion, sub)
     cols = list(sub.members)
     dev = np.abs(
         p.sprime[:, cols] - np.outer(p.dims, p.dims[cols])
@@ -543,8 +563,7 @@ def check_minimal_extension(
     pointedness of the transparent part are reported alongside since the
     condensation pipeline requires them.
     """
-    if not isinstance(delta, SubcategorySelection):
-        delta = full_subcategory(hat.fusion, delta)
+    delta = full_subcategory(hat.fusion, delta)
     members = list(delta.members)
     restricted = hat.restrict(delta)
     sub_center = muger_center(restricted, tol=tol)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .fusion import DEFAULT_TOL
 from .condense import CondensedData
-from .modular import PremodularData
+from .modular import PremodularData, _twist_powers
 
 __all__ = [
     "PlumbingError",
@@ -247,8 +247,7 @@ def signature(m: np.ndarray) -> int:
 def _vertex_weight(p: PremodularData, framing: int, degree: int) -> np.ndarray:
     # per-color weight d^(2-deg) theta^framing: the coloring's own d factor
     # is folded in with the 1-deg exponent of the framed-link rule
-    th_pow = np.array([t.power(framing) for t in p.theta])
-    return th_pow * p.dims.astype(complex) ** (2 - degree)
+    return _twist_powers(p, framing) * p.dims.astype(complex) ** (2 - degree)
 
 
 def _contract_forest(
@@ -310,7 +309,7 @@ def colored_invariant(
     value = 1.0 + 0.0j
     for v, m in g.vertices:
         a = color[v]
-        value *= p.theta[a].power(m) * p.dims[a] ** (1 - g.degrees[v])
+        value *= _twist_powers(p, m)[a] * p.dims[a] ** (1 - g.degrees[v])
     for u, v in g.edges:
         value *= p.sprime[color[u], color[v]]
     return InvariantValue(value=value, tolerance=tol)

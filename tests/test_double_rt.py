@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from premodular import families
-from premodular.condense import double_data
+from premodular.condense import double_data, fusion_support_check
 from premodular.double_rt import factorization_check, pairing_bracket, tau_double
-from premodular.fusion import InconsistentDataError
+from premodular.fusion import InconsistentDataError, full_subcategory
+from premodular.modular import centralizer, check_minimal_extension
 from premodular.plumbing import (
     TermCapExceeded,
     kirby_moves,
@@ -127,3 +128,22 @@ class TestSecondExtension:
             for h in kirby_moves(g):
                 dev = abs(tau_double(hat, evens, h).value - base)
                 assert dev <= 1e-8 * max(1.0, abs(base))
+
+
+SUBCATEGORY_ENTRY_POINTS = {
+    "restrict": lambda p, sub: p.restrict(sub).sprime,
+    "centralizer": lambda p, sub: centralizer(p, sub),
+    "check_minimal_extension": lambda p, sub: vars(check_minimal_extension(p, sub)),
+    "pairing_bracket": lambda p, sub: vars(pairing_bracket(p, sub)),
+    "tau_double": lambda p, sub: tau_double(p, sub, HOPF).value,
+    "double_data": lambda p, sub: [s.sprime for s in double_data(p, sub).solutions],
+    "fusion_support_check": lambda p, sub: fusion_support_check(p, sub, 1, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SUBCATEGORY_ENTRY_POINTS))
+def test_label_list_and_selection_give_identical_results(su2_4, entry):
+    fn = SUBCATEGORY_ENTRY_POINTS[entry]
+    selection = full_subcategory(su2_4.fusion, [0, 2, 4])
+    assert full_subcategory(su2_4.fusion, selection) is selection
+    np.testing.assert_equal(fn(su2_4, selection), fn(su2_4, [0, 2, 4]))

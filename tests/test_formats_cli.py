@@ -118,6 +118,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "axiom:associativity: FAIL" in out and "witness" in out
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["theta"].update(sigma={"rational": [1, 0]}),
+            lambda doc: doc["dims"].pop("sigma"),
+            lambda doc: doc.update(labels=5),
+            lambda doc: doc["theta"].update(sigma={"complex": "abc"}),
+            lambda doc: doc.update(N=[e[:3] + [1.5] if e[3] == 1 else e for e in doc["N"]]),
+        ],
+        ids=["zero-denominator", "dims-missing-label", "labels-not-list",
+             "complex-string", "fractional-multiplicity"],
+    )
+    def test_malformed_document_exits_2(self, tmp_path, capsys, mutate):
+        doc = category_to_doc(families.ising())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         assert main(["verify", "/no/such/file.json"]) == 2
 

@@ -103,6 +103,8 @@ class TestValidateFusion:
             FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "w", 1)])
         with pytest.raises(FusionError, match="negative"):
             FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "0", -1)])
+        with pytest.raises(FusionError, match="not an integer"):
+            FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "0", 1.5)])
 
 
 class TestPerronFrobenius:

@@ -1,14 +1,17 @@
 """Property-based checks over randomly generated inputs."""
 
+import cmath
 import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from premodular import families
-from premodular.modular import Twist, is_modular, verify_premodular
+from premodular.modular import Twist, _twist_powers, is_modular, verify_premodular
 from premodular.plumbing import bracket, plumbing, random_forest, signature
 
 
@@ -70,3 +73,27 @@ def test_twist_powers_track_complex_arithmetic(turns, m):
     t = Twist.from_turns(turns)
     assert abs(t.power(m) - t.value**m) < 1e-10
     assert abs((t * t.conjugate()).value - 1.0) < 1e-12
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.fractions(min_value=-4, max_value=4, max_denominator=48),
+            st.floats(min_value=-1, max_value=1),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(min_value=-60, max_value=60),
+)
+@settings(max_examples=80, deadline=None)
+def test_twist_table_matches_scalar_powers(turns, m):
+    # mixed exact and floating twists; the table must agree with Twist.power
+    theta = tuple(
+        Twist.from_turns(x) if isinstance(x, Fraction)
+        else Twist.from_complex(cmath.exp(2j * cmath.pi * x))
+        for x in turns
+    )
+    p = replace(families.pointed_cyclic(len(theta), 0), theta=theta)
+    expect = np.array([t.power(m) for t in theta])
+    assert np.abs(_twist_powers(p, m) - expect).max() < 1e-12
