@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -182,8 +183,12 @@ def cmd_center(args, cfg: RunConfig) -> int:
 
 def _write_condensed(c: CondensedData, out_path: str, cfg: RunConfig, src: dict) -> int:
     if not c.solutions:
-        _emit(cfg, {"source": src, "resolution": c.status, "best_residual": c.best_residual},
-              [f"resolution: {c.status} (best residual {c.best_residual:.3g})"])
+        # strict JSON has no Infinity: a residual that was never measured is null
+        residual = c.best_residual if math.isfinite(c.best_residual) else None
+        _emit(cfg, {"source": src, "resolution": c.status, "best_residual": residual,
+                    "reason": c.reason},
+              [f"resolution: {c.status} (best residual {c.best_residual:.3g})",
+               f"reason: {c.reason}"])
         return EXIT_CHECK_FAILED
     doc = condensed_to_doc(c)
     with open(out_path, "w") as fh:
@@ -244,6 +249,9 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         raise CategoryFormatError("--delta is required for --mode double")
     p, src = _load_data(args, cfg)
     tol = max(cfg.tolerance, 1e-8)
+    if args.mode == "double":
+        delta = [s.strip() for s in args.delta.split(",")]
+        double = double_data(p, delta, tol=cfg.tolerance).data
     results = []
     all_ok = True
     for path in args.plumbing:
@@ -257,12 +265,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
             )
             all_ok &= r.passed
         else:
-            delta = [s.strip() for s in args.delta.split(",")]
             lhs = tau_double(p, delta, g, term_cap=cfg.term_cap, tol=tol).value
-            rhs = rt_invariant(
-                double_data(p, delta, tol=cfg.tolerance).data, g,
-                term_cap=cfg.term_cap, tol=tol,
-            ).value
+            rhs = rt_invariant(double, g, term_cap=cfg.term_cap, tol=tol).value
             ok = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
             results.append(
                 {"plumbing": path, "passed": ok,

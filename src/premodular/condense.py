@@ -5,10 +5,13 @@ finite abelian group ``G`` acting on the label set by fusion.  Condensation
 keeps one label per free orbit and splits each orbit with a nontrivial
 stabilizer into ``|stab|`` sheets of equal dimension.  S' entries descend on
 free orbits and split equally between a free label and the sheets of a fixed
-one; entries between sheets are not determined by ``(N, d, theta, S')`` alone
-and are found by a constrained search (linear unitarity constraints first,
-then a lattice scan over the remaining degrees of freedom, least-squares
-polish, and exact verification).  All inequivalent solutions are returned.
+one.  Entries between sheets are not determined by ``(N, d, theta, S')``
+alone; they are given by the fixed-point resolution (Fuchs-Schellekens-
+Schweigert, hep-th/9601078; Muger, Adv. Math. 150 (2000)), implemented for a
+single fixed orbit whose stabilizer has order 2.  Other fixed-orbit shapes
+are reported as unresolved, with the reason.  Every result is rebuilt from
+its S' (fusion via the Verlinde formula) and must pass the premodular and
+modularity gates.
 
 ``double_data`` assembles quantum-double data for a minimal non-degenerate
 extension: product with the conjugate copy, diagonal embedding of the
@@ -17,12 +20,10 @@ transparent part, centralizer, restriction, condensation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .fusion import (
     DEFAULT_TOL,
@@ -56,13 +57,6 @@ __all__ = [
     "SupportCheck",
     "fusion_support_check",
 ]
-
-# Resolution search parameters.  The kernel of the linear constraint system is
-# scanned on a per-axis grid; anything beyond _MAX_KERNEL real dimensions is
-# reported as unresolved rather than searched.
-_MAX_KERNEL = 4
-_GRID_PER_AXIS = {1: 2001, 2: 241, 3: 61, 4: 27}
-
 
 class ModularizationError(ValueError):
     """The transparent subcategory is not condensable (not even or not pointed)."""
@@ -109,7 +103,9 @@ class SheetLabel:
 
 @dataclass(frozen=True, eq=False)
 class CondensedData:
-    """Result of modularization, including all inequivalent sheet resolutions."""
+    """Result of modularization: the verified sheet resolutions and, when there
+    is none, the reason (the fixed-orbit shape or the gate that rejected the
+    candidate)."""
 
     source: PremodularData
     decomposition: OrbitDecomposition
@@ -117,6 +113,7 @@ class CondensedData:
     solutions: tuple[PremodularData, ...]
     status: str  # 'unique' | 'multiple' | 'unresolved'
     best_residual: float
+    reason: str = ""
 
     @property
     def group_order(self) -> int:
@@ -132,6 +129,7 @@ class CondensedData:
             raise ResolutionError(
                 f"resolution is {self.status} ({self.n_solutions} solutions, "
                 f"best residual {self.best_residual:.3g})"
+                + (f": {self.reason}" if self.reason else "")
             )
         return self.solutions[0]
 
@@ -222,24 +220,6 @@ def orbit_decomposition(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Orbit
 # -- sheet resolution ----------------------------------------------------------
 
 
-def _sheet_permutations(labels: tuple[SheetLabel, ...]):
-    """All label permutations that permute sheets within each fixed orbit."""
-    groups: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(lab.source, []).append(i)
-    sheet_groups = [idx for idx in groups.values() if len(idx) > 1]
-    base = list(range(len(labels)))
-    if not sheet_groups:
-        yield base
-        return
-    for perms in itertools.product(*(itertools.permutations(g) for g in sheet_groups)):
-        perm = base.copy()
-        for g, pg in zip(sheet_groups, perms):
-            for slot, src in zip(g, pg):
-                perm[slot] = src
-        yield perm
-
-
 def _finalize_candidate(
     sprime_new: np.ndarray,
     d_new: np.ndarray,
@@ -247,212 +227,56 @@ def _finalize_candidate(
     names_new: tuple[str, ...],
     unit_new: int,
     accept_tol: float,
-) -> tuple[PremodularData | None, float]:
+) -> tuple[PremodularData | None, float, str]:
     """Reconstruct fusion data via Verlinde and run the full verification gate.
 
-    Returns the verified data and its worst residual, or ``(None, residual)``
-    when the candidate fails integrality, positivity, or the premodular and
-    modularity checks.
+    Returns the verified data, its worst residual and ``""``, or
+    ``(None, residual, gate)`` naming the gate that rejected the candidate:
+    Verlinde integrality, positivity, the dual pairing, fusion assembly, the
+    premodular checks or modularity.
     """
     dim = float(np.sum(d_new**2))
     s = sprime_new / np.sqrt(dim)
     nver = verlinde_multiplicities(s, unit_new)
     int_err = float(np.abs(nver - np.round(nver.real)).max())
     if int_err > 1e-6:
-        return None, int_err
+        return None, int_err, "Verlinde integrality"
     n_int = np.round(nver.real).astype(int)
     if n_int.min() < 0:
-        return None, float(n_int.min())
+        return None, float(n_int.min()), "positivity"
     pairing = n_int[:, :, unit_new]
     if not (np.all(pairing.sum(axis=0) == 1) and np.all(pairing.sum(axis=1) == 1)):
-        return None, 1.0
+        return None, 1.0, "dual pairing"
     dual_new = tuple(int(np.argmax(pairing[a])) for a in range(len(names_new)))
     try:
         fus = FusionData(names=names_new, unit=unit_new, dual=dual_new, tensor=n_int)
         cand = PremodularData(fusion=fus, dims=d_new, theta=theta_new, sprime=sprime_new)
-    except ValueError:
-        return None, 1.0
+    except ValueError as exc:
+        return None, 1.0, f"fusion assembly ({exc})"
     report = verify_premodular(cand, tol=accept_tol)
     resid = max((c.residual for c in report.checks), default=0.0)
     if not report.passed:
-        return None, resid
+        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        return None, resid, f"premodular checks ({failed})"
     mod = is_modular(cand, tol=accept_tol)
     if not mod.modular:
-        return None, max(resid, mod.residual)
-    return cand, max(resid, mod.residual)
+        return None, max(resid, mod.residual), "modularity"
+    return cand, max(resid, mod.residual), ""
 
 
-def _resolve_sheets(
-    base: np.ndarray,
-    unknown_positions: list[tuple[int, int]],
-    sum_rules: list[tuple[list[tuple[int, float]], complex]],
-    d_new: np.ndarray,
-    theta_new: tuple,
-    labels: tuple[SheetLabel, ...],
-    unit_new: int,
-    accept_tol: float,
-) -> tuple[list[PremodularData], float]:
-    """Search the undetermined sheet-sheet block of the condensed S'.
+def _fixed_point_block(p: PremodularData, f: int, dim_new: float) -> np.ndarray:
+    """S' block between the two sheets of a fixed orbit with stabilizer Z_2.
 
-    ``base`` holds all determined entries (zero at unknown positions).
-    Returns the verified condensed data of every candidate passing the full
-    verification gate, one per class of S' matrices equal up to sheet
-    relabelling within 1e-6, plus the best residual seen (diagnostic when
-    nothing passes).
+    The block is ``(S'_ff * ones + x * eps eps^T) / 4``, where ``eps = (1, -1)``
+    is the stabilizer's nontrivial character: the sum rule fixes the ``S'_ff``
+    part, unitarity fixes ``|x|^2 = 4 dim_new``, and the fixed-point relation
+    ``(S^J T^J)^3 = (S^J)^2`` with ``T^J = zeta theta_f``, ``zeta^3 = delta_+ / |delta_+|``
+    fixes the phase of ``x`` (Fuchs-Schellekens-Schweigert, hep-th/9601078).
     """
-    m = len(unknown_positions)
-    nn = base.shape[0]
-    dim = float(np.sum(d_new**2))
-    pos_index = {pos: k for k, pos in enumerate(unknown_positions)}
-    sheet_rows = sorted({i for pos in unknown_positions for i in pos})
-    free_rows = [i for i in range(nn) if i not in set(sheet_rows)]
-    rows_u, cols_u = np.array(unknown_positions).T
-    eye = np.eye(nn)
-
-    def assemble(x: np.ndarray) -> np.ndarray:
-        # S' with the unknowns x filled in, batched over leading axes of x
-        s = np.empty(x.shape[:-1] + base.shape, dtype=complex)
-        s[...] = base
-        s[..., rows_u, cols_u] = x
-        s[..., cols_u, rows_u] = x
-        return s
-
-    def gram_dev(s: np.ndarray) -> np.ndarray:
-        # S' S'^dagger / dim - 1, zero exactly when S'/sqrt(dim) is unitary
-        return s @ s.conj().swapaxes(-1, -2) / dim - eye
-
-    # Real-linear system A v = rhs on v = [Re x; Im x]:
-    # sum rules plus orthogonality of each known (free) row against each sheet row.
-    rows_a: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add_complex_row(coeffs: dict[int, complex], value: complex):
-        re = np.zeros(2 * m)
-        im = np.zeros(2 * m)
-        for k, co in coeffs.items():
-            re[k] += co.real
-            re[m + k] += -co.imag
-            im[k] += co.imag
-            im[m + k] += co.real
-        rows_a.extend([re, im])
-        rhs.extend([value.real, value.imag])
-
-    for terms, value in sum_rules:
-        add_complex_row({k: complex(w) for k, w in terms}, value)
-
-    for r in free_rows:
-        for alpha in sheet_rows:
-            # sum_beta S[r, beta] * conj(S[alpha, beta]) = 0; conjugated so it
-            # is linear in the unknowns.
-            const = 0.0 + 0.0j
-            coeffs: dict[int, complex] = {}
-            for beta in range(nn):
-                key = (alpha, beta) if (alpha, beta) in pos_index else (beta, alpha)
-                if key in pos_index:
-                    k = pos_index[key]
-                    coeffs[k] = coeffs.get(k, 0.0) + np.conj(base[r, beta])
-                else:
-                    const += np.conj(base[r, beta]) * base[alpha, beta]
-            add_complex_row(coeffs, -const)
-
-    a_mat = np.array(rows_a)
-    rhs_vec = np.array(rhs)
-    v0, *_ = np.linalg.lstsq(a_mat, rhs_vec, rcond=None)
-    lin_resid = float(np.abs(a_mat @ v0 - rhs_vec).max())
-    if lin_resid > 1e-6 * max(1.0, dim):
-        return [], lin_resid
-
-    _, sv, vh = np.linalg.svd(a_mat)
-    null_mask = np.concatenate([sv, np.zeros(2 * m - len(sv))]) <= 1e-9 * max(1.0, sv[0])
-    kernel = vh[null_mask.nonzero()[0]] if null_mask.any() else np.zeros((0, 2 * m))
-    kdim = kernel.shape[0]
-
-    def s_of(t: np.ndarray) -> np.ndarray:
-        # S' at kernel coordinates t (batched over leading axes of t)
-        v = v0 + t @ kernel
-        return assemble(v[..., :m] + 1j * v[..., m:])
-
-    max_mag = max(
-        float(d_new[a] * d_new[b]) for a, b in unknown_positions
-    )
-    radius = 1.5 * max_mag + float(np.abs(v0[:m] + 1j * v0[m:]).max())
-
-    if kdim == 0:
-        seeds = [np.zeros(0)]
-    elif kdim <= _MAX_KERNEL:
-        axis = np.linspace(-radius, radius, _GRID_PER_AXIS[kdim])
-        grids = np.meshgrid(*([axis] * kdim), indexing="ij")
-        seeds_arr = np.stack([g.ravel() for g in grids], axis=1)
-        # batched unitarity residual over all grid points
-        s_batch = s_of(seeds_arr)
-        resid1 = dim * np.abs(gram_dev(s_batch)).reshape(len(seeds_arr), -1).max(axis=1)
-        band = resid1 <= max(0.12 * dim, resid1.min() * 2 + 1e-12)
-        idx_band = np.nonzero(band)[0]
-        if idx_band.size > 4000:
-            idx_band = idx_band[np.argsort(resid1[idx_band])[:4000]]
-        if idx_band.size == 0:
-            return [], float(resid1.min())
-        sb = s_batch[idx_band] / np.sqrt(dim)
-        nver = np.einsum("pax,pbx,pcx,px->pabc", sb, sb, sb.conj(), 1.0 / sb[:, unit_new, :])
-        ierr = np.abs(nver - np.round(nver.real)).reshape(idx_band.size, -1).max(axis=1)
-        keep = np.nonzero(ierr < 0.35)[0]
-        if keep.size == 0:
-            return [], float(ierr.min())
-        spacing = 2 * radius / (_GRID_PER_AXIS[kdim] - 1)
-        chosen: list[np.ndarray] = []
-        for p_i in keep[np.argsort(ierr[keep])]:
-            t = seeds_arr[idx_band[p_i]]
-            if all(np.abs(t - c).max() > 2.5 * spacing for c in chosen):
-                chosen.append(t)
-        seeds = chosen
-    else:
-        return [], float("inf")
-
-    names_new = tuple(lab.name for lab in labels)
-    solutions: list[PremodularData] = []
-    best = np.inf
-
-    def unitarity_vec(t: np.ndarray) -> np.ndarray:
-        g = gram_dev(s_of(t))
-        return np.concatenate([g.real.ravel(), g.imag.ravel()])
-
-    for t_seed in seeds:
-        if t_seed.size:
-            fit = least_squares(unitarity_vec, t_seed, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-            t_cur = fit.x
-        else:
-            t_cur = t_seed
-        s_cur = s_of(t_cur)
-        su = s_cur / np.sqrt(dim)
-        nver = verlinde_multiplicities(su, unit_new)
-        if float(np.abs(nver - np.round(nver.real)).max()) > 0.2:
-            continue
-        n_int = np.round(nver.real)
-
-        if t_cur.size:
-
-            def full_vec(t: np.ndarray) -> np.ndarray:
-                s = s_of(t)
-                g = gram_dev(s)
-                nv = verlinde_multiplicities(s / np.sqrt(dim), unit_new) - n_int
-                return np.concatenate(
-                    [g.real.ravel(), g.imag.ravel(), nv.real.ravel(), nv.imag.ravel()]
-                )
-
-            fit = least_squares(full_vec, t_cur, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            s_cur = s_of(fit.x)
-
-        cand, resid = _finalize_candidate(
-            s_cur, d_new, theta_new, names_new, unit_new, accept_tol
-        )
-        best = min(best, resid)
-        if cand is not None and not any(
-            np.abs(cand.sprime[np.ix_(perm, perm)] - prev.sprime).max() <= 1e-6
-            for prev in solutions
-            for perm in _sheet_permutations(labels)
-        ):
-            solutions.append(cand)
-    return solutions, best
+    delta = p.gauss_sums().delta_plus
+    x = 2.0 * np.sqrt(dim_new) * np.conj(p.theta_values[f]) ** 3 * abs(delta) / delta
+    s_ff = p.sprime[f, f]
+    return np.array([[s_ff + x, s_ff - x], [s_ff - x, s_ff + x]]) / 4
 
 
 def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
@@ -462,7 +286,8 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
     split into ``|stab|`` sheets of dimension ``d/|stab|``.  The result is
     rebuilt from the resolved S' (fusion via the Verlinde formula) and must
     pass the premodular and modularity gates; the global dimension drops by
-    the group order.
+    the group order.  Sheets are resolved for at most one fixed orbit, whose
+    stabilizer has order 2; any other shape is ``unresolved``.
     """
     dec = orbit_decomposition(p, tol=tol)
     g_order = dec.group_order
@@ -501,64 +326,39 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
             f"deviates from {p.total_dim:.12g}"
         )
 
-    base = np.zeros((nn, nn), dtype=complex)
-    unknown_positions: list[tuple[int, int]] = []
-    for i, la in enumerate(labels):
-        for j, lb in enumerate(labels):
-            if j < i:
-                continue
-            sa, sb = stab[i], stab[j]
-            if sa == 1 and sb == 1:
-                base[i, j] = base[j, i] = p.sprime[la.source, lb.source]
-            elif sa == 1 or sb == 1:
-                val = p.sprime[la.source, lb.source] / max(sa, sb)
-                base[i, j] = base[j, i] = val
-            else:
-                unknown_positions.append((i, j))
-
-    if not unknown_positions:
-        cand, resid = _finalize_candidate(base, d_new, theta_new, names_new, unit_new, max(tol, 1e-8))
-        if cand is None:
-            return CondensedData(
-                source=p, decomposition=dec, labels=labels,
-                solutions=(), status="unresolved", best_residual=resid,
-            )
+    def unresolved(residual: float, reason: str) -> CondensedData:
         return CondensedData(
-            source=p, decomposition=dec, labels=labels,
-            solutions=(cand,), status="unique", best_residual=resid,
+            source=p, decomposition=dec, labels=labels, solutions=(),
+            status="unresolved", best_residual=residual, reason=reason,
         )
 
-    # Sum rules: the image of each fixed-orbit pair keeps its source S' value.
-    pos_index = {pos: k for k, pos in enumerate(unknown_positions)}
-    fixed_orbits = [o for o in dec.orbits if o.sheet_count > 1]
-    label_slots = {
-        o.representative: [i for i, lab in enumerate(labels) if lab.source == o.representative]
-        for o in fixed_orbits
-    }
-    sum_rules = []
-    for oi in range(len(fixed_orbits)):
-        for oj in range(oi, len(fixed_orbits)):
-            slots_i = label_slots[fixed_orbits[oi].representative]
-            slots_j = label_slots[fixed_orbits[oj].representative]
-            weights: dict[int, float] = {}
-            for a in slots_i:
-                for b in slots_j:
-                    key = (min(a, b), max(a, b))
-                    weights[pos_index[key]] = weights.get(pos_index[key], 0.0) + 1.0
-            value = complex(
-                p.sprime[fixed_orbits[oi].representative, fixed_orbits[oj].representative]
-            )
-            sum_rules.append((list(weights.items()), value))
+    fixed = [o for o in dec.orbits if o.sheet_count > 1]
+    if len(fixed) > 1 or (fixed and fixed[0].sheet_count != 2):
+        orders = ", ".join(str(o.sheet_count) for o in fixed)
+        return unresolved(
+            float("inf"),
+            f"fixed orbits: {len(fixed)}, stabilizer orders: {orders}; sheets are "
+            "resolved only for a single fixed orbit with stabilizer order 2",
+        )
 
-    finals, best = _resolve_sheets(
-        base, unknown_positions, sum_rules, d_new, theta_new, labels, unit_new, max(tol, 1e-8),
+    sprime_new = np.empty((nn, nn), dtype=complex)
+    for i, la in enumerate(labels):
+        for j in range(i, nn):
+            val = p.sprime[la.source, labels[j].source] / max(stab[i], stab[j])
+            sprime_new[i, j] = sprime_new[j, i] = val
+    if fixed:
+        f = fixed[0].representative
+        sheets = [i for i, lab in enumerate(labels) if lab.source == f]
+        sprime_new[np.ix_(sheets, sheets)] = _fixed_point_block(p, f, dim_new)
+
+    cand, resid, gate = _finalize_candidate(
+        sprime_new, d_new, theta_new, names_new, unit_new, max(tol, 1e-8)
     )
-
-    status = {0: "unresolved", 1: "unique"}.get(len(finals), "multiple")
+    if cand is None:
+        return unresolved(resid, f"candidate rejected by the {gate} gate")
     return CondensedData(
         source=p, decomposition=dec, labels=labels,
-        solutions=tuple(finals), status=status,
-        best_residual=0.0 if finals else best,
+        solutions=(cand,), status="unique", best_residual=resid,
     )
 
 

@@ -1,12 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import premodular
 from premodular import families
 from premodular.condense import (
     MinimalityError,
     ModularizationError,
+    ResolutionError,
     condense,
     degenerate_group,
     double_data,
@@ -14,6 +21,10 @@ from premodular.condense import (
     orbit_decomposition,
 )
 from premodular.modular import is_modular, premodular_from_twists, verify_premodular
+
+
+def _even(k):
+    return families.su2(k).restrict(range(0, k + 1, 2))
 
 
 def equivalent_up_to_relabelling(a, b, tol=1e-8):
@@ -125,6 +136,54 @@ class TestCondense:
         fib_bar = families.conjugate(families.fibonacci())
         assert equivalent_up_to_relabelling(c.data, families.product(fib_bar, fib_bar))
 
+    @pytest.mark.parametrize(
+        "build",
+        [pytest.param(lambda k=k: _even(k), id=f"even(su2:{k})") for k in range(4, 41, 4)]
+        + [pytest.param(lambda k=k: _even(k).conjugate(), id=f"conj(even(su2:{k}))")
+           for k in range(4, 41, 4)]
+        + [pytest.param(lambda f=f: families.product(_even(4), families.builtin(f)),
+                        id=f"prod(even(su2:4),{f})")
+           for f in ("pointed:2:0", "pointed:3:0")],
+    )
+    def test_fixed_point_resolution(self, build):
+        p = build()
+        c = condense(p)
+        assert c.status == "unique" and c.reason == ""
+        d = c.data
+        assert verify_premodular(d).passed
+        assert is_modular(d).modular
+        assert d.total_dim * c.group_order == pytest.approx(p.total_dim, rel=1e-10)
+        if c.group_order > 2:
+            assert equivalent_up_to_relabelling(d, families.pointed_cyclic(3, 2))
+
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: families.product(_even(4), families.fibonacci()), "fixed orbits: 2, stabilizer orders: 2, 2"),
+            (lambda: families.product(_even(8), families.su2(1)), "fixed orbits: 2, stabilizer orders: 2, 2"),
+            (lambda: families.product(_even(4), _even(4)), "fixed orbits: 3, stabilizer orders: 2, 2, 4"),
+        ],
+        ids=["even(su2:4)xfibonacci", "even(su2:8)xsu2:1", "even(su2:4)xeven(su2:4)"],
+    )
+    def test_unresolved_shape_gives_reason(self, build, shape):
+        c = condense(build())
+        assert c.status == "unresolved" and c.solutions == ()
+        assert c.best_residual == float("inf")
+        assert c.reason.startswith(shape)
+        with pytest.raises(ResolutionError, match=shape):
+            c.data
+
+    def test_rejecting_gate_is_named(self, even_su2_4, monkeypatch):
+        # the package re-exports the function ``condense``, which shadows the module
+        cmod = sys.modules["premodular.condense"]
+        rejected = types.SimpleNamespace(modular=False, residual=0.5)
+        monkeypatch.setattr(cmod, "is_modular", lambda p, tol: rejected)
+        c = condense(even_su2_4)
+        assert c.status == "unresolved"
+        assert c.reason == "candidate rejected by the modularity gate"
+        with pytest.raises(ResolutionError, match="modularity gate"):
+            c.data
+
     def test_orbit_map(self, even_su2_4):
         c = condense(even_su2_4)
         assert c.orbit_map() == {"0": "0", "4": "0", "2": ["2#1", "2#2"]}
@@ -149,6 +208,12 @@ class TestDoubleData:
         assert all(
             abs(a.value - b.value) < 1e-15 for a, b in zip(dd.data.theta, prod.theta)
         )
+
+    def test_su2_12_integer_spins(self):
+        dd = double_data(families.su2(12), range(0, 13, 2))
+        assert dd.status == "unique"
+        assert dd.data.total_dim == pytest.approx(_even(12).total_dim ** 2, rel=1e-10)
+        assert is_modular(dd.data).modular
 
     def test_unit_only_subcategory_rejected(self, su2_4):
         with pytest.raises(MinimalityError, match="not minimal"):
@@ -220,3 +285,11 @@ class TestSecondMinimalExtension:
         for eta in range(9):
             for zeta in range(9):
                 assert fusion_support_check(hat, evens, eta, zeta).passed
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, premodular; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(premodular.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import pytest
 
 from premodular import families
 from premodular.cli import main
-from premodular.condense import condense
+from premodular.condense import condense, double_data
 from premodular.formats import (
     CategoryFormatError,
     category_from_doc,
@@ -168,6 +168,22 @@ class TestCLI:
         save_category(tmp_path / "bad.json", families.su2(2).restrict([0, 2]))
         assert main(["condense", str(tmp_path / "bad.json"), "-o", str(tmp_path / "o.json")]) == 1
 
+    def test_unresolved_condense_output(self, tmp_path, capsys):
+        even = families.su2(4).restrict([0, 2, 4])
+        save_category(tmp_path / "zz.json", families.product(even, even))
+        args = ["condense", str(tmp_path / "zz.json"), "-o", str(tmp_path / "o.json")]
+        assert main(args + ["--output", "json"]) == 1
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["resolution"] == "unresolved"
+        assert payload["best_residual"] is None
+        assert payload["reason"].startswith("fixed orbits: 3")
+        assert main(args) == 1
+        assert "reason: fixed orbits: 3" in capsys.readouterr().out
+
     def test_double_pipeline(self, workdir, capsys):
         out_path = workdir / "double.json"
         assert main(["double", str(workdir / "su2_4.json"), "--delta", "0,2,4",
@@ -197,6 +213,21 @@ class TestCLI:
     def test_compare_double_mode(self, workdir):
         assert main(["compare", str(workdir / "su2_4.json"), "--mode", "double",
                      "--delta", "0,2,4", "-g", str(workdir / "hopf.json")]) == 0
+
+    def test_compare_double_mode_builds_the_double_once(self, workdir, monkeypatch):
+        import premodular.cli as cli
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return double_data(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "double_data", counting)
+        assert main(["compare", str(workdir / "su2_4.json"), "--mode", "double",
+                     "--delta", "0,2,4", "-g", str(workdir / "hopf.json"),
+                     "-g", str(workdir / "lens5.json")]) == 0
+        assert len(calls) == 1
 
     def test_double_rt_value(self, workdir, capsys):
         assert main(["double-rt", str(workdir / "su2_4.json"), "--delta", "0,2,4",
