@@ -6,6 +6,12 @@ implements modularization by condensing the even pointed transparent
 subcategory, quantum-double data for minimal non-degenerate extensions, and
 Reshetikhin-Turaev invariants of plumbed 3-manifolds, including the
 factorized evaluation of the double's invariant from extension data alone.
+
+Two public functions share the name of their module: ``premodular.condense``
+and ``premodular.plumbing`` are the functions ``condense`` and ``plumbing``,
+not the modules, and so is ``import premodular.condense as m``.  Reach a
+module's other names with ``from premodular.condense import double_data``,
+or the module itself as ``sys.modules["premodular.condense"]``.
 """
 
 from .fusion import (

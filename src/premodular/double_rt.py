@@ -24,7 +24,7 @@ from .plumbing import (
     DEFAULT_TERM_CAP,
     InvariantValue,
     PlumbingGraph,
-    TermCapExceeded,
+    _check_term_cap,
     _contract_forest,
     rt_invariant,
 )
@@ -102,9 +102,7 @@ def tau_double(
     ``[lambda, mu] * (theta_lambda * conj(theta_mu))^m * (d_lambda d_mu)^(1 - deg)``
     and per-edge weight ``S'(lambda, lambda') * conj(S'(mu, mu'))``.
     """
-    terms = float(hat.rank) ** (2 * g.n)
-    if terms > term_cap:
-        raise TermCapExceeded(terms, term_cap)
+    _check_term_cap(hat.rank, 2 * g.n, term_cap)
     pb = pairing_bracket(hat, delta, tol=tol)
 
     ia, ib = np.nonzero(pb.support)

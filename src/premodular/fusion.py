@@ -296,20 +296,39 @@ def validate_fusion(f: FusionData) -> ValidationReport:
         frob_wit = (f.names[a], f.names[b], f.names[c])
     checks.append(CheckResult("axiom:frobenius_reciprocity", frob_ok, witness=frob_wit))
 
-    # associativity: sum_e N[a,b,e] N[e,c,d] = sum_f N[b,c,f] N[a,f,d]
-    lhs = np.einsum("abe,ecd->abcd", t, t)
-    rhs = np.einsum("bcf,afd->abcd", t, t)
-    dev = np.abs(lhs - rhs)
-    assoc_ok = not dev.any()
-    assoc_wit = None
-    if not assoc_ok:
-        a, b, c, d = np.unravel_index(int(dev.argmax()), dev.shape)
-        assoc_wit = (f.names[a], f.names[b], f.names[c], f.names[d])
+    residual, worst = _associativity_deviation(t)
+    assoc_wit = None if worst is None else tuple(f.names[i] for i in worst)
     checks.append(
-        CheckResult("axiom:associativity", assoc_ok, witness=assoc_wit, residual=float(dev.max()))
+        CheckResult("axiom:associativity", worst is None, witness=assoc_wit, residual=residual)
     )
 
     return ValidationReport(tuple(checks))
+
+
+def _associativity_deviation(t: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Largest ``|sum_e N[a,b,e] N[e,c,d] - sum_f N[b,c,f] N[a,f,d]|`` and its first index.
+
+    Evaluated one label ``a`` at a time as ``N_a N_b = sum_e N[a,b,e] N_e``,
+    two matrix products of n^4 multiply-adds per label in n^3 memory.  Float64 products
+    are exact integers while ``n * max|N|^2 < 2**53``; beyond that the same
+    loop runs in int64.  The index is the first maximum in ``(a, b, c, d)``
+    order, or None when the ring is associative.
+    """
+    n = t.shape[0]
+    big = max(int(t.max()), -int(t.min()))
+    tt = t.astype(float if n * big * big < 2**53 else np.int64)
+    rows = tt.reshape(n, n * n)
+    pairs = tt.reshape(n * n, n)
+    residual, worst = 0, None
+    for a in range(n):
+        dev = tt[a] @ rows
+        dev -= (pairs @ tt[a]).reshape(n, n * n)
+        np.abs(dev, out=dev)
+        i = int(dev.argmax())
+        if dev.flat[i] > residual:
+            residual = dev.flat[i]
+            worst = (a, *np.unravel_index(i, (n, n, n)))
+    return float(residual), worst
 
 
 # -- quantum dimensions ------------------------------------------------------

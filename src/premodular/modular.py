@@ -270,7 +270,9 @@ def _balanced_sprime(t: np.ndarray, dual: list[int], th: np.ndarray, d: np.ndarr
 
 def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> np.ndarray:
     """``S'(a,b) S'(a,c) / d_a - sum_e N[b,c,e] S'(a,e)``, indexed ``(a, b, c)``."""
-    return sp[:, :, None] * sp[:, None, :] / d[:, None, None] - np.einsum("bce,ae->abc", t, sp)
+    n = len(d)
+    fused = (t.reshape(n * n, n) @ sp.T).reshape(n, n, n).transpose(2, 0, 1)
+    return sp[:, :, None] * sp[:, None, :] / d[:, None, None] - fused
 
 
 def sprime_from_balancing(

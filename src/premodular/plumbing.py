@@ -15,6 +15,7 @@ enforced as the term cap.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,19 @@ class TermCapExceeded(RuntimeError):
         super().__init__(f"coloring space holds {terms:.3g} terms, beyond the cap {cap:.3g}")
         self.terms = terms
         self.cap = cap
+
+
+def _check_term_cap(rank: int, n: int, cap: float) -> None:
+    """Refuse a coloring space of ``rank**n`` terms beyond ``cap``.
+
+    A count too large for a float is infinite, so only an infinite cap admits it.
+    """
+    try:
+        terms = float(rank) ** n
+    except OverflowError:
+        terms = math.inf
+    if terms > cap:
+        raise TermCapExceeded(terms, cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +337,7 @@ def bracket(
     tol: float = DEFAULT_TOL,
 ) -> InvariantValue:
     """Sum of ``prod_v d(c(v)) * F(g; c)`` over all colorings of the forest."""
-    terms = float(p.rank) ** g.n
-    if terms > term_cap:
-        raise TermCapExceeded(terms, term_cap)
+    _check_term_cap(p.rank, g.n, term_cap)
     weights = {v: _vertex_weight(p, m, g.degrees[v]) for v, m in g.vertices}
     return InvariantValue(value=_contract_forest(g, weights, p.sprime), tolerance=tol)
 

@@ -72,6 +72,14 @@ class TestTauDouble:
         with pytest.raises(TermCapExceeded):
             tau_double(su2_4, [0, 2, 4], chain([0, 0, 0]), term_cap=100)
 
+    def test_term_cap_refuses_a_count_beyond_float_range(self, su2_4):
+        # 5**(2 * 221) overflows a float; 220 vertices still give a finite count
+        with pytest.raises(TermCapExceeded, match="inf terms"):
+            tau_double(su2_4, [0, 2, 4], chain([-2] * 221))
+        with pytest.raises(TermCapExceeded) as err:
+            tau_double(su2_4, [0, 2, 4], chain([-2] * 220))
+        assert err.value.terms == pytest.approx(5.0**440)
+
 
 class TestFactorization:
     @pytest.mark.parametrize("p_framing", range(1, 8))

@@ -116,7 +116,7 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "axiom:associativity: FAIL" in out and "witness" in out
+        assert "axiom:associativity: FAIL witness=('eps', 'sigma', 'sigma', '1') residual=1\n" in out
 
     @pytest.mark.parametrize(
         "mutate",
@@ -242,6 +242,15 @@ class TestCLI:
     def test_term_cap_exit_code(self, workdir):
         assert main(["rt", "--builtin", "su2:8", "-g", str(workdir / "hopf.json"),
                      "--term-cap", "10"]) == 3
+
+    @pytest.mark.parametrize("command", ["rt", "double-rt"])
+    def test_term_cap_exit_code_beyond_float_range(self, tmp_path, capsys, command):
+        # 450 vertices at rank 5: the coloring count overflows a float
+        save_plumbing(tmp_path / "long.json", plumbing([(f"v{i}", -2) for i in range(450)],
+                                                       [(f"v{i}", f"v{i + 1}") for i in range(449)]))
+        delta = ["--delta", "0,2,4"] if command == "double-rt" else []
+        assert main([command, "--builtin", "su2:4", *delta, "-g", str(tmp_path / "long.json")]) == 3
+        assert "inf terms" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["rt", "--builtin", "su2:3"]) == 2  # missing -g

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,18 @@ class TestValidateFusion:
         )
         assert brute_associativity(f) is None
         assert validate_fusion(f)["axiom:associativity"].passed
+
+    def test_rank_81_memory_stays_cubic(self):
+        # dense n^4 tensors of both bracketings would take 1.3 GB at rank 81
+        f = families.builtin("prod(su2:8,conj(su2:8))").fusion
+        tracemalloc.start()
+        try:
+            report = validate_fusion(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 64 * 2**20
 
     def test_frobenius_failure(self):
         f = FusionData.from_entries(

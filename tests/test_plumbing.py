@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 
 import numpy as np
@@ -32,6 +34,16 @@ def chain(framings):
     verts = [(f"c{i}", m) for i, m in enumerate(framings)]
     edges = [(f"c{i}", f"c{i+1}") for i in range(len(framings) - 1)]
     return plumbing(verts, edges)
+
+
+def star_sum(framings, copies):
+    """Disjoint union of ``copies`` 3-vertex stars: a connected sum of 3-manifolds."""
+    a, b, c = framings
+    vertices, edges = [], []
+    for k in range(copies):
+        vertices += [(f"c{k}", a), (f"l{k}", b), (f"r{k}", c)]
+        edges += [(f"c{k}", f"l{k}"), (f"c{k}", f"r{k}")]
+    return plumbing(vertices, edges)
 
 
 HOPF = plumbing([("u", 0), ("v", 0)], [("u", "v")])
@@ -153,6 +165,12 @@ class TestBracket:
             bracket(p, chain([0, 0, 0]), term_cap=100)
         assert err.value.terms == pytest.approx(9**3)
 
+    def test_term_cap_refuses_a_count_beyond_float_range(self):
+        # 5**450 overflows a float; the count is infinite, not an OverflowError
+        with pytest.raises(TermCapExceeded, match="inf terms") as err:
+            bracket(families.su2(4), star_sum((-2, -1, -3), 150))
+        assert err.value.terms == math.inf
+
     def test_matches_direct_enumeration(self):
         # oracle: literal sum over all colorings
         p = families.ising()
@@ -196,6 +214,16 @@ class TestRTInvariant:
             t_x = rt_invariant(p, plumbing([2])).value
             t_y = rt_invariant(p, plumbing([3])).value
             assert abs(t_pair - d * t_x * t_y) < 1e-10
+
+    def test_connected_sum_beyond_float_count(self):
+        # tau(G_1 + ... + G_k) = D^(k-1) prod tau(G_i), compared in log space
+        p = families.su2(4)
+        star = rt_invariant(p, star_sum((-2, -1, -3), 1)).value
+        total = rt_invariant(p, star_sum((-2, -1, -3), 150), term_cap=math.inf).value
+        expected = 149 * math.log(p.gauss_sums().total) + 150 * cmath.log(star)
+        diff = cmath.log(total) - expected
+        assert abs(diff.real) < 1e-8 * abs(expected.real)
+        assert abs(math.remainder(diff.imag, 2 * math.pi)) < 1e-8
 
 
 class TestKirbyMoves:

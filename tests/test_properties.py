@@ -5,13 +5,16 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from premodular import families
-from premodular.modular import Twist, _twist_powers, is_modular, verify_premodular
+from premodular.fusion import FusionData, validate_fusion
+from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
 from premodular.plumbing import bracket, plumbing, random_forest, signature
 
 
@@ -97,3 +100,40 @@ def test_twist_table_matches_scalar_powers(turns, m):
     p = replace(families.pointed_cyclic(len(theta), 0), theta=theta)
     expect = np.array([t.power(m) for t in theta])
     assert np.abs(_twist_powers(p, m) - expect).max() < 1e-12
+
+
+@cache
+def suite_rings():
+    return dict(families.builtin_suite())
+
+
+def dense_associativity(f):
+    """Oracle: the n^4 tensors of both bracketings, first maximum in (a, b, c, d) order."""
+    t = f.tensor
+    dev = np.abs(np.einsum("abe,ecd->abcd", t, t) - np.einsum("bcf,afd->abcd", t, t))
+    witness = None
+    if dev.any():
+        witness = tuple(f.names[i] for i in np.unravel_index(int(dev.argmax()), dev.shape))
+    return not dev.any(), witness, float(dev.max())
+
+
+@given(st.sampled_from(sorted(suite_rings())), st.data())
+@settings(max_examples=80, deadline=None)
+def test_associativity_check_matches_dense_oracle(name, data):
+    f = suite_rings()[name].fusion
+    t = f.tensor.copy()
+    index = st.integers(min_value=0, max_value=f.rank - 1)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        t[data.draw(st.tuples(index, index, index))] += data.draw(st.sampled_from([1, 2]))
+    raised = FusionData(names=f.names, unit=f.unit, dual=f.dual, tensor=t)
+    check = validate_fusion(raised)["axiom:associativity"]
+    assert (check.passed, check.witness, check.residual) == dense_associativity(raised)
+
+
+@pytest.mark.parametrize("name", [*sorted(suite_rings()), "prod(su2:4,conj(su2:4))"])
+def test_row_multiplicativity_matches_einsum(name):
+    p = families.builtin(name)
+    t, d, sp = p.fusion.tensor.astype(float), p.dims, p.sprime
+    expect = sp[:, :, None] * sp[:, None, :] / d[:, None, None] - np.einsum("bce,ae->abc", t, sp)
+    got = _row_multiplicativity_dev(t, d, sp)
+    assert np.abs(got - expect).max() <= 1e-12 * max(1.0, float(np.abs(expect).max()))
