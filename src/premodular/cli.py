@@ -27,7 +27,7 @@ from .formats import (
     fusion_from_doc,
     load_plumbing,
 )
-from .fusion import DEFAULT_TOL, validate_fusion
+from .fusion import DEFAULT_TOL, ConvergenceError, validate_fusion
 from .modular import is_modular, muger_center, verify_premodular
 from .plumbing import (
     DEFAULT_TERM_CAP,
@@ -44,7 +44,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_TERM_CAP = 3
 
-_DATA_ERRORS = (ValueError, ResolutionError)
+# data the checks reject; a fusion matrix sum without a Perron-Frobenius limit is one
+_DATA_ERRORS = (ValueError, ResolutionError, ConvergenceError)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +107,11 @@ def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
         for name in labels:
             entry = theta_doc.get(name, {"rational": [0, 1]})
             if "rational" in entry:
-                pq = entry["rational"]
-                twists.append(Twist.from_turns(Fraction(int(pq[0]), int(pq[1]))))
+                num, den = entry["rational"]
+                twists.append(Twist.from_turns(int(num), int(den)))
             elif "complex" in entry:
-                twists.append(
-                    Twist.from_complex(complex(entry["complex"][0], entry["complex"][1]), tol=tol)
-                )
+                re, im = entry["complex"]
+                twists.append(Twist.from_complex(complex(re, im), tol=tol))
             else:
                 raise CategoryFormatError(f"twist for {name!r} must be rational or complex")
 
@@ -127,7 +125,9 @@ def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
             )
     except (CategoryFormatError, PremodularityError):
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
         raise CategoryFormatError(
             f"malformed category document ({type(exc).__name__}: {exc})"
         ) from None

@@ -115,6 +115,24 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _as_int(x, what: str) -> int:
+    """``x`` as an integer that fits int64, or a FusionError naming ``what``."""
+    try:
+        i = int(x)
+    except (OverflowError, ValueError):
+        raise FusionError(f"{what} {x!r} is not a finite integer") from None
+    if i != x:
+        raise FusionError(f"{what} {x!r} is not an integer")
+    if not -(2**63) <= i < 2**63:
+        raise FusionError(f"{what} {x!r} does not fit in int64")
+    return i
+
+
+def _cell_names(names: tuple[str, ...], cell: int) -> tuple[str, ...]:
+    n = len(names)
+    return tuple(names[i] for i in np.unravel_index(int(cell), (n, n, n)))
+
+
 @dataclass(frozen=True, eq=False)
 class FusionData:
     """A fusion ring on an ordered label set.
@@ -156,8 +174,13 @@ class FusionData:
         dual: Mapping | Sequence,
         entries: Mapping[tuple, int] | Iterable[tuple],
     ) -> "FusionData":
-        """Build from a sparse list of ``(a, b, c, m)`` entries (labels by name or index)."""
+        """Build from a sparse list of ``(a, b, c, m)`` entries (labels by name or index).
+
+        A label index must be an integer in range, a multiplicity a
+        non-negative integer that fits int64, and no ``(a, b, c)`` may repeat.
+        """
         names = tuple(str(x) for x in names)
+        n = len(names)
         index = {nm: i for i, nm in enumerate(names)}
 
         def resolve(x) -> int:
@@ -165,27 +188,44 @@ class FusionData:
                 if x not in index:
                     raise FusionError(f"unknown label {x!r}")
                 return index[x]
-            i = int(x)
-            if not (0 <= i < len(names)):
+            i = _as_int(x, "label index")
+            if not (0 <= i < n):
                 raise FusionError(f"label index {i} out of range")
             return i
 
         if isinstance(dual, Mapping):
-            dual_idx = list(range(len(names)))
+            dual_idx = list(range(n))
             for k, v in dual.items():
                 dual_idx[resolve(k)] = resolve(v)
         else:
             dual_idx = [resolve(x) for x in dual]
         if isinstance(entries, Mapping):
             entries = [(a, b, c, m) for (a, b, c), m in entries.items()]
-        tensor = np.zeros((len(names),) * 3, dtype=int)
+        # known names by one dict lookup each; indices and unknown names through resolve
+        get = index.get
+        cells, mults = [], []
         for a, b, c, m in entries:
-            mult = int(m)
-            if mult != m:
-                raise FusionError(f"multiplicity {m!r} at ({a}, {b}, {c}) is not an integer")
-            if mult < 0:
-                raise FusionError(f"negative multiplicity at ({a}, {b}, {c})")
-            tensor[resolve(a), resolve(b), resolve(c)] = mult
+            ia, ib, ic = get(a), get(b), get(c)
+            if ia is None:
+                ia = resolve(a)
+            if ib is None:
+                ib = resolve(b)
+            if ic is None:
+                ic = resolve(c)
+            cells.append((ia * n + ib) * n + ic)
+            mults.append(m)
+        cells = np.array(cells, dtype=np.intp)
+        mult = np.array(mults)
+        if mult.dtype.kind != "i" or mult.ndim != 1:
+            mult = np.array([_as_int(m, "multiplicity") for m in mults], dtype=np.int64)
+        if (mult < 0).any():
+            raise FusionError(f"negative multiplicity at {_cell_names(names, cells[mult.argmin()])}")
+        ordered = np.sort(cells)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise FusionError(f"repeated entry for {_cell_names(names, repeated[0])}")
+        tensor = np.zeros((n, n, n), dtype=int)
+        tensor.flat[cells] = mult
         return cls(names=names, unit=resolve(unit), dual=tuple(dual_idx), tensor=tensor)
 
     # -- basic queries ------------------------------------------------------
@@ -305,18 +345,36 @@ def validate_fusion(f: FusionData) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+def _exact_dtype(t: np.ndarray) -> type:
+    """Narrowest dtype in which both bracketings of ``t`` and their difference are exact.
+
+    Each entry of ``N_a N_b`` is a sum of n products of magnitude at most
+    ``max|N|**2``, so every partial sum is an integer of magnitude at most
+    ``n * max|N|**2``; a negative entry can give the two bracketings opposite
+    signs, which doubles the bound for their difference.  Float32 holds every
+    integer up to ``2**24``, float64 up to ``2**53``.
+    """
+    lo, hi = int(t.min()), int(t.max())
+    big = max(hi, -lo)
+    reach = t.shape[0] * big * big * (2 if lo < 0 else 1)
+    if reach < 2**24:
+        return np.float32
+    if reach < 2**53:
+        return np.float64
+    return np.int64
+
+
 def _associativity_deviation(t: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     """Largest ``|sum_e N[a,b,e] N[e,c,d] - sum_f N[b,c,f] N[a,f,d]|`` and its first index.
 
     Evaluated one label ``a`` at a time as ``N_a N_b = sum_e N[a,b,e] N_e``,
-    two matrix products of n^4 multiply-adds per label in n^3 memory.  Float64 products
-    are exact integers while ``n * max|N|^2 < 2**53``; beyond that the same
-    loop runs in int64.  The index is the first maximum in ``(a, b, c, d)``
-    order, or None when the ring is associative.
+    two matrix products of n^4 multiply-adds per label in n^3 memory, in the
+    narrowest dtype that keeps every value an exact integer (`_exact_dtype`).
+    The index is the first maximum in ``(a, b, c, d)`` order, or None when
+    the ring is associative.
     """
     n = t.shape[0]
-    big = max(int(t.max()), -int(t.min()))
-    tt = t.astype(float if n * big * big < 2**53 else np.int64)
+    tt = t.astype(_exact_dtype(t))
     rows = tt.reshape(n, n * n)
     pairs = tt.reshape(n * n, n)
     residual, worst = 0, None

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from premodular import families
 from premodular.cli import main
@@ -126,9 +131,16 @@ class TestCLI:
             lambda doc: doc.update(labels=5),
             lambda doc: doc["theta"].update(sigma={"complex": "abc"}),
             lambda doc: doc.update(N=[e[:3] + [1.5] if e[3] == 1 else e for e in doc["N"]]),
+            lambda doc: doc["N"].append(doc["N"][0]),
+            lambda doc: doc["N"][0].__setitem__(0, 0.5),
+            lambda doc: doc["N"][0].__setitem__(3, 10**30),
+            lambda doc: doc["N"][0].__setitem__(3, math.inf),
+            lambda doc: doc["theta"].update(sigma={"complex": [1]}),
         ],
         ids=["zero-denominator", "dims-missing-label", "labels-not-list",
-             "complex-string", "fractional-multiplicity"],
+             "complex-string", "fractional-multiplicity", "repeated-triple",
+             "fractional-label-index", "multiplicity-beyond-int64", "infinite-multiplicity",
+             "complex-one-number"],
     )
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate):
         doc = category_to_doc(families.ising())
@@ -261,3 +273,91 @@ class TestCLI:
 
     def test_invalid_tolerance_exits_2(self, workdir):
         assert main(["verify", "--builtin", "ising", "--tolerance", "-1"]) == 2
+
+
+# -- mutation fuzz of category documents -----------------------------------------
+
+_FUZZ_BASES = ("ising", "fibonacci", "pointed:3:2", "su2:2")
+_DELETE = "<delete>"  # a mutation value that removes the node instead of replacing it
+_FUZZ_KEYS = (
+    "format", "labels", "unit", "dual", "N", "theta", "dims", "sprime",
+    "rational", "complex", "1", "eps", "sigma", "tau", "0", "2",
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs():
+    return {name: json.dumps(category_to_doc(families.builtin(name))) for name in _FUZZ_BASES}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([10**30, 10**400, -(2**63), 2**63, 0.5, "", *_FUZZ_KEYS]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+_mutations = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 30) | st.sampled_from(_FUZZ_KEYS), min_size=1, max_size=4)
+        .map(tuple),
+        _json_values | st.just(_DELETE),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(doc, path, value):
+    """Replace (or delete) the node that ``path`` selects.
+
+    A string step is a dict key, new or not; an integer step picks a child
+    of a dict or list modulo its size, so most paths reach an existing node.
+    """
+    parent = key = None
+    node = doc
+    for step in path:
+        if isinstance(node, dict) and isinstance(step, str):
+            key = step
+        elif isinstance(node, (dict, list)) and node and isinstance(step, int):
+            key = sorted(node)[step % len(node)] if isinstance(node, dict) else step % len(node)
+        else:
+            break
+        parent, node = node, node.get(key) if isinstance(node, dict) else node[key]
+    if parent is None:
+        return
+    if value != _DELETE:
+        parent[key] = value
+    elif isinstance(parent, dict):
+        parent.pop(key, None)
+    else:
+        del parent[key]
+
+
+@given(base=st.sampled_from(_FUZZ_BASES), mutations=_mutations)
+@example(base="ising", mutations=[(("N", 1), ["1", "1", "1", 1])])
+@example(base="ising", mutations=[(("N", 0, 0), 0.5)])
+@example(base="ising", mutations=[(("N", 0, 3), 10**30)])
+@example(base="ising", mutations=[(("N", 0, 3), math.inf)])
+@example(base="ising", mutations=[(("theta", "sigma"), {"complex": [1]})])
+@example(base="ising", mutations=[(("dims", "sigma"), 10**400)])
+@example(  # no dims, and sum_a N_a = [[0, 1], [2, 0]] has no Perron-Frobenius limit
+    base="fibonacci",
+    mutations=[(("dims",), {}), (("N",), [["1", "1", "tau", 1], ["1", "tau", "1", 2]])],
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_document_keeps_the_exit_code_contract(fuzz_docs, fuzz_path, base, mutations):
+    doc = json.loads(fuzz_docs[base])
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    fuzz_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(fuzz_path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

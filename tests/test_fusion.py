@@ -119,6 +119,14 @@ class TestValidateFusion:
             FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "0", -1)])
         with pytest.raises(FusionError, match="not an integer"):
             FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "0", 1.5)])
+        with pytest.raises(FusionError, match="label index 0.5 is not an integer"):
+            FusionData.from_entries(["0"], "0", {"0": "0"}, [(0.5, "0", "0", 1)])
+        with pytest.raises(FusionError, match="repeated entry"):
+            FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "0", 1)] * 2)
+        with pytest.raises(FusionError, match="not a finite integer"):
+            FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "0", float("inf"))])
+        with pytest.raises(FusionError, match="int64"):
+            FusionData.from_entries(["0"], "0", {"0": "0"}, [("0", "0", "0", 2**63)])
 
 
 class TestPerronFrobenius:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from premodular import families
-from premodular.fusion import FusionData, validate_fusion
+from premodular.fusion import FusionData, _exact_dtype, validate_fusion
 from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
 from premodular.plumbing import bracket, plumbing, random_forest, signature
 
@@ -137,3 +138,97 @@ def test_row_multiplicativity_matches_einsum(name):
     expect = sp[:, :, None] * sp[:, None, :] / d[:, None, None] - np.einsum("bce,ae->abc", t, sp)
     got = _row_multiplicativity_dev(t, d, sp)
     assert np.abs(got - expect).max() <= 1e-12 * max(1.0, float(np.abs(expect).max()))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("negative", [False, True], ids=["nonnegative", "signed"])
+@pytest.mark.parametrize(
+    "limit, below, above",
+    [(2**24, np.float32, np.float64), (2**53, np.float64, np.int64)],
+    ids=["2**24", "2**53"],
+)
+def test_each_dtype_tier_matches_dense_oracle(limit, below, above, negative, seed):
+    # n * max|N|^2 just below and just above each limit (halved for signed
+    # entries, whose bracketings can differ by twice as much); entries near
+    # max|N| so that the sums reach the limit
+    n = 3
+    big = math.isqrt((limit - 1) // (n * (2 if negative else 1)))
+    for m, dtype in ((big, below), (big + 1, above)):
+        rng = np.random.default_rng(seed)
+        t = rng.integers(m - 64, m + 1, size=(n, n, n))
+        if negative:
+            t *= rng.choice([-1, 1], size=t.shape)
+        t[0, 0, 0] = m
+        f = FusionData(names=("a", "b", "c"), unit=0, dual=(0, 1, 2), tensor=t)
+        assert _exact_dtype(f.tensor) is dtype
+        check = validate_fusion(f)["axiom:associativity"]
+        assert (check.passed, check.witness, check.residual) == dense_associativity(f)
+
+
+def modularity_per_root(p, tol=1e-9):
+    """Oracle: every S, T relation evaluated for each of the three cube roots."""
+    n = p.rank
+    c = np.zeros((n, n))
+    c[np.arange(n), list(p.fusion.dual)] = 1.0
+    _, sv, vh = np.linalg.svd(p.sprime)
+    ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    if ratio <= tol:
+        return False, float("inf"), -1, ratio, vh[-1].conj()
+    g = p.gauss_sums()
+    s = p.sprime / g.total
+    phase = g.delta_plus / abs(g.delta_plus)
+    eye = np.eye(n)
+    best = None
+    for j in range(3):
+        zeta = phase ** (1.0 / 3.0) * cmath.exp(2j * cmath.pi * j / 3)
+        t = zeta * np.diag(p.theta_values)
+        st_ = s @ t
+        resid = max(
+            float(np.abs(s @ s - c).max()),
+            float(np.abs(st_ @ st_ @ st_ - c).max()),
+            float(np.abs(t @ c - c @ t).max()),
+            float(np.abs(s @ s.conj().T - eye).max()),
+            float(np.abs(t @ t.conj().T - eye).max()),
+        )
+        if best is None or resid < best[0]:
+            best = (resid, j)
+    resid, j = best
+    return resid <= tol * max(1.0, g.total), resid, j, ratio, None
+
+
+@cache
+def modularity_inputs():
+    rings = dict(suite_rings())
+    rings.update({f"conj({name})": p.conjugate() for name, p in suite_rings().items()})
+    for k in range(2, 17):
+        rings[f"even(su2:{k})"] = families.su2(k).restrict(range(0, k + 1, 2))
+    return rings
+
+
+@pytest.mark.parametrize("name", sorted(modularity_inputs()))
+def test_is_modular_matches_per_root_oracle(name):
+    p = modularity_inputs()[name]
+    r = is_modular(p)
+    modular, residual, root, ratio, kernel = modularity_per_root(p)
+    got = (r.modular, r.residual, r.root_index, r.singular_ratio)
+    assert got == (modular, residual, root, ratio)
+    assert (r.kernel is None) == (kernel is None)
+    if kernel is not None:
+        assert r.kernel.tobytes() == kernel.tobytes()
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@given(
+    st.integers(min_value=-(10**15), max_value=10**15),
+    st.integers(min_value=-(10**9), max_value=10**9).filter(bool),
+)
+@settings(max_examples=300, deadline=None)
+def test_twist_from_turns_is_bitwise_the_fraction_formula(p, q):
+    turns = Fraction(p, q) % 1
+    expect = _bits(cmath.exp(2j * cmath.pi * turns))
+    for tw in (Twist.from_turns(p, q), Twist.from_turns(Fraction(p, q))):
+        assert tw.turns == turns
+        assert _bits(tw.approx) == expect
