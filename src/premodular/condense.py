@@ -172,26 +172,22 @@ def orbit_decomposition(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Orbit
     rows agree across each orbit on the centralizer of the group labels.
     """
     group, table = degenerate_group(p, tol=tol)
-    n = p.rank
-    act = {}
-    for g in group:
-        row_targets = []
-        for x in range(n):
-            targets = p.fusion.product_labels(g, x)
-            if len(targets) != 1 or p.fusion.multiplicity(g, x, targets[0]) != 1:
-                raise InconsistentDataError(
-                    f"invertible label {p.names[g]} does not permute the label set"
-                )
-            row_targets.append(targets[0])
-        act[g] = row_targets
+    # row x of tensor[g] is the product g x: a permutation row has one nonzero entry, 1
+    rows = p.fusion.tensor[list(group)]
+    permutes = ((rows != 0).sum(-1) == 1) & (rows.sum(-1) == 1)
+    if not permutes.all():
+        g = group[int(permutes.all(1).argmin())]
+        raise InconsistentDataError(
+            f"invertible label {p.names[g]} does not permute the label set"
+        )
 
     seen: set[int] = set()
     orbits: list[Orbit] = []
-    for x in range(n):
+    for x, targets in enumerate(rows.argmax(-1).T.tolist()):
         if x in seen:
             continue
-        members = sorted({act[g][x] for g in group})
-        stab = tuple(g for g in group if act[g][x] == x)
+        members = sorted(set(targets))
+        stab = tuple(g for g, y in zip(group, targets) if y == x)
         if len(members) * len(stab) != len(group):
             raise InconsistentDataError(
                 f"orbit of {p.names[x]} has size {len(members)} with stabilizer "
@@ -200,20 +196,20 @@ def orbit_decomposition(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Orbit
         seen.update(members)
         orbits.append(Orbit(representative=members[0], members=tuple(members), stabilizer=stab))
 
-    scale = max(1.0, p.total_dim)
-    cent_cols = list(centralizer(p, full_subcategory(p.fusion, group), tol=tol))
-    for orb in orbits:
-        r = orb.representative
-        for m in orb.members:
-            if abs(p.theta_values[m] - p.theta_values[r]) > tol:
-                raise InconsistentDataError(
-                    f"twist not constant on the orbit of {p.names[r]}"
-                )
-            dev = float(np.abs(p.sprime[m, cent_cols] - p.sprime[r, cent_cols]).max())
-            if dev > tol * scale:
-                raise InconsistentDataError(
-                    f"S' rows differ across the orbit of {p.names[r]} (deviation {dev:.3g})"
-                )
+    # every member against its representative, in orbit order; the first failure is reported
+    members = [m for orb in orbits for m in orb.members]
+    reps = [orb.representative for orb in orbits for _ in orb.members]
+    sp_cent = p.sprime[:, list(centralizer(p, full_subcategory(p.fusion, group), tol=tol))]
+    twist_off = np.abs(p.theta_values[members] - p.theta_values[reps]) > tol
+    dev = np.abs(sp_cent[members] - sp_cent[reps]).max(1)
+    bad = twist_off | (dev > tol * max(1.0, p.total_dim))
+    if bad.any():
+        i = int(bad.argmax())
+        if twist_off[i]:
+            raise InconsistentDataError(f"twist not constant on the orbit of {p.names[reps[i]]}")
+        raise InconsistentDataError(
+            f"S' rows differ across the orbit of {p.names[reps[i]]} (deviation {dev[i]:.3g})"
+        )
     return OrbitDecomposition(group_labels=group, group_table=table, orbits=tuple(orbits))
 
 
@@ -247,7 +243,7 @@ def _finalize_candidate(
     pairing = n_int[:, :, unit_new]
     if not (np.all(pairing.sum(axis=0) == 1) and np.all(pairing.sum(axis=1) == 1)):
         return None, 1.0, "dual pairing"
-    dual_new = tuple(int(np.argmax(pairing[a])) for a in range(len(names_new)))
+    dual_new = tuple(pairing.argmax(1).tolist())
     try:
         fus = FusionData(names=names_new, unit=unit_new, dual=dual_new, tensor=n_int)
         cand = PremodularData(fusion=fus, dims=d_new, theta=theta_new, sprime=sprime_new)
@@ -303,6 +299,7 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
         )
 
     labels: list[SheetLabel] = []
+    stab: list[int] = []  # the sheet count of each label's orbit
     for orb in dec.orbits:
         s = orb.sheet_count
         nm = p.names[orb.representative]
@@ -310,14 +307,13 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
             labels.append(SheetLabel(orb.representative, 1, nm))
         else:
             labels.extend(SheetLabel(orb.representative, i + 1, f"{nm}#{i + 1}") for i in range(s))
+        stab += [s] * s
     labels = tuple(labels)
-    nn = len(labels)
     names_new = tuple(lab.name for lab in labels)
-    orbit_index = {o.representative: j for j, o in enumerate(dec.orbits)}
-    stab = {lab_i: dec.orbits[orbit_index[lab.source]].sheet_count for lab_i, lab in enumerate(labels)}
-    d_new = np.array([p.dims[lab.source] / stab[i] for i, lab in enumerate(labels)])
-    theta_new = tuple(p.theta[lab.source] for lab in labels)
-    unit_new = next(i for i, lab in enumerate(labels) if lab.source == p.unit)
+    src = [lab.source for lab in labels]
+    d_new = p.dims[src] / stab
+    theta_new = tuple(p.theta[i] for i in src)
+    unit_new = src.index(p.unit)
 
     dim_new = float(np.sum(d_new**2))
     if abs(dim_new * g_order - p.total_dim) > 1e-8 * max(1.0, p.total_dim):
@@ -341,11 +337,9 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
             "resolved only for a single fixed orbit with stabilizer order 2",
         )
 
-    sprime_new = np.empty((nn, nn), dtype=complex)
-    for i, la in enumerate(labels):
-        for j in range(i, nn):
-            val = p.sprime[la.source, labels[j].source] / max(stab[i], stab[j])
-            sprime_new[i, j] = sprime_new[j, i] = val
+    sprime_new = p.sprime[np.ix_(src, src)] / np.maximum.outer(stab, stab)
+    # mirror the upper triangle: a balanced S' is symmetric only up to rounding
+    sprime_new = np.where(np.tri(len(src), k=-1, dtype=bool), sprime_new.T, sprime_new)
     if fixed:
         f = fixed[0].representative
         sheets = [i for i, lab in enumerate(labels) if lab.source == f]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .condense import CondensedData
-from .fusion import FusionData
+from .fusion import FusionData, _as_int
 from .modular import PremodularData, PremodularityError, Twist, premodular_from_twists
 from .plumbing import PlumbingGraph
 
@@ -61,24 +61,22 @@ def doc_sha256(doc: dict) -> str:
 
 
 def category_to_doc(p: PremodularData, *, provenance: dict | None = None) -> dict:
+    names = p.names
     theta: dict[str, dict] = {}
-    for name, tw in zip(p.names, p.theta):
+    for name, tw in zip(names, p.theta):
         if tw.turns is not None:
             theta[name] = {"rational": [tw.turns.numerator, tw.turns.denominator]}
         else:
             theta[name] = {"complex": [tw.approx.real, tw.approx.imag]}
     doc = {
         "format": FORMAT_VERSION,
-        "labels": list(p.names),
-        "unit": p.names[p.unit],
-        "dual": {p.names[i]: p.names[d] for i, d in enumerate(p.fusion.dual)},
-        "N": [
-            [p.names[a], p.names[b], p.names[c], m]
-            for (a, b, c), m in p.fusion.nonzero()
-        ],
+        "labels": list(names),
+        "unit": names[p.unit],
+        "dual": {names[i]: names[d] for i, d in enumerate(p.fusion.dual)},
+        "N": [[names[a], names[b], names[c], m] for (a, b, c), m in p.fusion.nonzero()],
         "theta": theta,
-        "dims": {name: float(d) for name, d in zip(p.names, p.dims)},
-        "sprime": [[[float(z.real), float(z.imag)] for z in row] for row in p.sprime],
+        "dims": dict(zip(names, p.dims.tolist())),
+        "sprime": np.stack((p.sprime.real, p.sprime.imag), -1).tolist(),
     }
     if provenance is not None:
         doc["provenance"] = provenance
@@ -97,6 +95,12 @@ def fusion_from_doc(doc: dict) -> FusionData:
         raise CategoryFormatError(f"malformed fusion data: {exc}") from None
 
 
+def _finite(values, field: str):
+    if not np.isfinite(values).all():
+        raise CategoryFormatError(f"{field} must be finite")
+    return values
+
+
 def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
     fusion = fusion_from_doc(doc)
     labels = list(fusion.names)
@@ -111,17 +115,18 @@ def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
                 twists.append(Twist.from_turns(int(num), int(den)))
             elif "complex" in entry:
                 re, im = entry["complex"]
-                twists.append(Twist.from_complex(complex(re, im), tol=tol))
+                z = _finite(complex(re, im), f"theta of {name!r}")
+                twists.append(Twist.from_complex(z, tol=tol))
             else:
                 raise CategoryFormatError(f"twist for {name!r} must be rational or complex")
 
         dims = None
         if "dims" in doc and doc["dims"]:
-            dims = np.array([float(doc["dims"][name]) for name in labels])
+            dims = _finite(np.array([float(doc["dims"][name]) for name in labels]), "dims")
         sprime = None
         if "sprime" in doc and doc["sprime"]:
-            sprime = np.array(
-                [[complex(re, im) for re, im in row] for row in doc["sprime"]]
+            sprime = _finite(
+                np.array([[complex(re, im) for re, im in row] for row in doc["sprime"]]), "sprime"
             )
     except (CategoryFormatError, PremodularityError):
         raise
@@ -160,9 +165,9 @@ def plumbing_to_doc(g: PlumbingGraph) -> dict:
 def plumbing_from_doc(doc: dict) -> PlumbingGraph:
     _require_version(doc, "plumbing")
     try:
-        vertices = tuple((str(v["id"]), int(v["framing"])) for v in doc["vertices"])
+        vertices = tuple((str(v["id"]), _as_int(v["framing"], "framing")) for v in doc["vertices"])
         edges = tuple((str(u), str(v)) for u, v in doc.get("edges", []))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CategoryFormatError(f"malformed plumbing document: {exc}") from None
     return PlumbingGraph(vertices, edges)
 

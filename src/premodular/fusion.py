@@ -259,9 +259,9 @@ class FusionData:
         return int(self.tensor[self.index(a), self.index(b), self.index(c)])
 
     def nonzero(self) -> Iterable[tuple[tuple[int, int, int], int]]:
-        """Sparse view of the multiplicity tensor."""
-        for a, b, c in zip(*np.nonzero(self.tensor)):
-            yield (int(a), int(b), int(c)), int(self.tensor[a, b, c])
+        """Sparse view of the multiplicity tensor, in row-major ``(a, b, c)`` order."""
+        cells = np.nonzero(self.tensor)
+        return zip(zip(*(i.tolist() for i in cells)), self.tensor[cells].tolist())
 
     def fusion_matrix(self, a) -> np.ndarray:
         """The matrix ``(N_a)[b, c] = N[a, b, c]``."""
@@ -352,7 +352,8 @@ def _exact_dtype(t: np.ndarray) -> type:
     ``max|N|**2``, so every partial sum is an integer of magnitude at most
     ``n * max|N|**2``; a negative entry can give the two bracketings opposite
     signs, which doubles the bound for their difference.  Float32 holds every
-    integer up to ``2**24``, float64 up to ``2**53``.
+    integer up to ``2**24``, float64 up to ``2**53``, int64 below ``2**63``;
+    beyond that the products run on Python integers (object dtype).
     """
     lo, hi = int(t.min()), int(t.max())
     big = max(hi, -lo)
@@ -361,7 +362,9 @@ def _exact_dtype(t: np.ndarray) -> type:
         return np.float32
     if reach < 2**53:
         return np.float64
-    return np.int64
+    if reach < 2**63:
+        return np.int64
+    return object
 
 
 def _associativity_deviation(t: np.ndarray) -> tuple[float, tuple[int, ...] | None]:

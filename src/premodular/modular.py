@@ -332,7 +332,7 @@ def premodular_from_twists(
     if sprime is not None:
         given = np.asarray(sprime, dtype=complex)
         dev = float(np.abs(given - sp).max())
-        if dev > tol * max(1.0, float(np.abs(sp).max())):
+        if not dev <= tol * max(1.0, float(np.abs(sp).max())):
             raise PremodularityError(
                 f"supplied S' deviates from the balancing identity by {dev:.3g}"
             )
@@ -492,21 +492,18 @@ def muger_center(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CenterReport
     is_pointed = all(abs(p.dims[a] - 1.0) <= tol for a in deg)
     table = None
     if is_pointed:
-        pos = {a: i for i, a in enumerate(deg)}
-        table = np.zeros((len(deg), len(deg)), dtype=int)
-        for a in deg:
-            for b in deg:
-                prods = p.fusion.product_labels(a, b)
-                if (
-                    len(prods) != 1
-                    or prods[0] not in pos
-                    or p.fusion.multiplicity(a, b, prods[0]) != 1
-                ):
-                    raise InconsistentDataError(
-                        "pointed degenerate labels do not fuse like a group at "
-                        f"({p.names[a]}, {p.names[b]})"
-                    )
-                table[pos[a], pos[b]] = pos[prods[0]]
+        # a ⊗ b must be a single label of multiplicity 1 that is itself degenerate
+        idx = list(deg)
+        prods = p.fusion.tensor[idx][:, idx]
+        inside = prods[..., idx]
+        group_like = ((prods != 0).sum(-1) == 1) & (inside.sum(-1) == 1)
+        if not group_like.all():
+            a, b = (deg[i] for i in np.argwhere(~group_like)[0])
+            raise InconsistentDataError(
+                "pointed degenerate labels do not fuse like a group at "
+                f"({p.names[a]}, {p.names[b]})"
+            )
+        table = inside @ np.arange(len(deg))
     return CenterReport(
         degenerate=deg, is_even=is_even, is_pointed=is_pointed, group_table=table
     )

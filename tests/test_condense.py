@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import premodular
 from premodular import families
@@ -20,7 +22,17 @@ from premodular.condense import (
     fusion_support_check,
     orbit_decomposition,
 )
-from premodular.modular import is_modular, premodular_from_twists, verify_premodular
+from premodular.fusion import FusionData, InconsistentDataError, full_subcategory
+from premodular.modular import (
+    PremodularData,
+    Twist,
+    _degenerate_labels,
+    centralizer,
+    is_modular,
+    muger_center,
+    premodular_from_twists,
+    verify_premodular,
+)
 
 
 def _even(k):
@@ -90,6 +102,200 @@ class TestOrbitDecomposition:
         # restricted labels 0..4 stand for source labels 0,2,4,6,8
         shapes = [(o.members, len(o.stabilizer)) for o in dec.orbits]
         assert shapes == [((0, 4), 1), ((1, 3), 1), ((2,), 2)]
+
+
+def muger_center_per_entry(p, tol=1e-9):
+    """Oracle: the center's group table read one product at a time."""
+    deg = _degenerate_labels(p, tol)
+    is_even = all(abs(p.theta_values[a] - 1.0) <= tol for a in deg)
+    is_pointed = all(abs(p.dims[a] - 1.0) <= tol for a in deg)
+    table = None
+    if is_pointed:
+        pos = {a: i for i, a in enumerate(deg)}
+        table = np.zeros((len(deg), len(deg)), dtype=int)
+        for a in deg:
+            for b in deg:
+                prods = p.fusion.product_labels(a, b)
+                if (
+                    len(prods) != 1
+                    or prods[0] not in pos
+                    or p.fusion.multiplicity(a, b, prods[0]) != 1
+                ):
+                    raise InconsistentDataError(
+                        "pointed degenerate labels do not fuse like a group at "
+                        f"({p.names[a]}, {p.names[b]})"
+                    )
+                table[pos[a], pos[b]] = pos[prods[0]]
+    return deg, is_even, is_pointed, _table(table)
+
+
+def _table(table):
+    return None if table is None else (table.tolist(), table.dtype.str)
+
+
+def _center(p):
+    c = muger_center(p)
+    return c.degenerate, c.is_even, c.is_pointed, _table(c.group_table)
+
+
+def _orbits(p):
+    return [(o.representative, o.members, o.stabilizer) for o in orbit_decomposition(p).orbits]
+
+
+def orbits_per_entry(p, tol=1e-9):
+    """Oracle: the group action read one product at a time, and the twist and
+    S' rows compared one orbit member at a time."""
+    group, _ = degenerate_group(p, tol=tol)
+    act = {}
+    for g in group:
+        row_targets = []
+        for x in range(p.rank):
+            targets = p.fusion.product_labels(g, x)
+            if len(targets) != 1 or p.fusion.multiplicity(g, x, targets[0]) != 1:
+                raise InconsistentDataError(
+                    f"invertible label {p.names[g]} does not permute the label set"
+                )
+            row_targets.append(targets[0])
+        act[g] = row_targets
+    seen, orbits = set(), []
+    for x in range(p.rank):
+        if x in seen:
+            continue
+        members = sorted({act[g][x] for g in group})
+        stab = tuple(g for g in group if act[g][x] == x)
+        if len(members) * len(stab) != len(group):
+            raise InconsistentDataError(
+                f"orbit of {p.names[x]} has size {len(members)} with stabilizer "
+                f"{len(stab)} in a group of order {len(group)}"
+            )
+        seen.update(members)
+        orbits.append((members[0], tuple(members), stab))
+    cent_cols = list(centralizer(p, full_subcategory(p.fusion, group), tol=tol))
+    for r, members, _ in orbits:
+        for m in members:
+            if abs(p.theta_values[m] - p.theta_values[r]) > tol:
+                raise InconsistentDataError(f"twist not constant on the orbit of {p.names[r]}")
+            dev = float(np.abs(p.sprime[m, cent_cols] - p.sprime[r, cent_cols]).max())
+            if dev > tol * max(1.0, p.total_dim):
+                raise InconsistentDataError(
+                    f"S' rows differ across the orbit of {p.names[r]} (deviation {dev:.3g})"
+                )
+    return orbits
+
+
+def _outcome(fn, p):
+    """What ``fn(p)`` returns, or the type and text of what it raises."""
+    try:
+        return fn(p)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _oracle_inputs():
+    even4 = _even(4)
+    yield from ((f"even(su2:{k})", _even(k)) for k in range(2, 17))
+    yield from families.builtin_suite()
+    for expr in ("pointed:6:0", "pointed:6:3", "pointed:8:4", "prod(pointed:2:0,ising)",
+                 "prod(pointed:4:0,su2:2)", "prod(su2:4,pointed:3:0)"):
+        yield expr, families.builtin(expr)
+    yield "prod(even(su2:4),even(su2:4))", families.product(even4, even4)
+    yield "prod(even(su2:8),su2:1)", families.product(_even(8), families.su2(1))
+
+
+def test_orbits_and_group_table_match_per_entry_oracle():
+    for name, p in _oracle_inputs():
+        assert _outcome(_orbits, p) == _outcome(orbits_per_entry, p), name
+        assert _outcome(_center, p) == _outcome(muger_center_per_entry, p), name
+
+
+def _mutated(p, *, cells=(), twists=(), sprime=()):
+    """``p`` with tensor cells and twists replaced and S' entries shifted, unchecked."""
+    t, theta, sp = p.fusion.tensor.copy(), list(p.theta), p.sprime.copy()
+    for cell, m in cells:
+        t[cell] = m
+    for i, tw in twists:
+        theta[i] = tw
+    for cell, z in sprime:
+        sp[cell] += z
+    f = FusionData(names=p.names, unit=p.unit, dual=p.fusion.dual, tensor=t)
+    return PremodularData(fusion=f, dims=p.dims, theta=tuple(theta), sprime=sp)
+
+
+_NOT_A_GROUP = "pointed degenerate labels do not fuse like a group at (4, 4)"
+
+
+# even(su2:4) has labels 0, 2, 4 and the group {0, 4}; even(su2:8) has labels
+# 0, 2, ..., 8, the group {0, 8} and the free orbit {2, 6}
+@pytest.mark.parametrize(
+    "k, change, text",
+    [
+        (4, {"cells": [((2, 1, 0), 1)]}, "invertible label 4 does not permute the label set"),
+        (4, {"cells": [((2, 1, 1), 2)]}, "invertible label 4 does not permute the label set"),
+        (8, {"twists": [(3, Twist.from_turns(1, 3))]}, "twist not constant on the orbit of 2"),
+        (8, {"sprime": [((3, 1), 0.5)]}, "S' rows differ across the orbit of 2 (deviation 0.5)"),
+        (4, {"cells": [((2, 2, 1), 1)]}, _NOT_A_GROUP),
+        (4, {"cells": [((2, 2, 0), 0), ((2, 2, 1), 1)]}, _NOT_A_GROUP),
+    ],
+    ids=["two-targets", "multiplicity-2", "twist", "sprime", "two-products", "leaves-the-group"],
+)
+def test_inconsistent_orbit_data_keeps_its_error(k, change, text):
+    p = _mutated(_even(k), **change)
+    with pytest.raises(InconsistentDataError) as err:
+        orbit_decomposition(p)
+    assert str(err.value) == text
+    assert _outcome(_orbits, p) == _outcome(orbits_per_entry, p)
+
+
+_ORBIT_BASES = {
+    "even(su2:4)": _even(4),
+    "even(su2:8)": _even(8),
+    "even(su2:12)": _even(12),
+    "pointed:4:0": families.builtin("pointed:4:0"),
+    "prod(pointed:2:0,ising)": families.builtin("prod(pointed:2:0,ising)"),
+    "prod(even(su2:4),even(su2:4))": families.product(_even(4), _even(4)),
+}
+
+
+@given(st.sampled_from(sorted(_ORBIT_BASES)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_mutated_orbit_data_raises_what_the_oracle_raises(name, data):
+    p = _ORBIT_BASES[name]
+    label = st.integers(0, p.rank - 1)
+    cell = st.tuples(label, label, label)
+    twist = st.integers(0, 5).map(lambda j: Twist.from_turns(j, 6))
+    shift = st.sampled_from([0.0, 1.0, -2.5, 1j])
+    change = data.draw(st.fixed_dictionaries({}, optional={
+        "cells": st.lists(st.tuples(cell, st.integers(-1, 2)), max_size=2),
+        "twists": st.lists(st.tuples(label, twist), max_size=2),
+        "sprime": st.lists(st.tuples(st.tuples(label, label), shift), max_size=2),
+    }))
+    q = _mutated(p, **change)
+    assert _outcome(_orbits, q) == _outcome(orbits_per_entry, q)
+    assert _outcome(_center, q) == _outcome(muger_center_per_entry, q)
+
+
+def condensed_sprime_per_entry(c):
+    """Oracle: the condensed S' filled one upper-triangle entry at a time, with
+    the sheet block of a fixed orbit taken from the result."""
+    p, labels = c.source, c.labels
+    sheets = {o.representative: o.sheet_count for o in c.decomposition.orbits}
+    out = np.empty((len(labels), len(labels)), dtype=complex)
+    for i, la in enumerate(labels):
+        for j in range(i, len(labels)):
+            a, b = la.source, labels[j].source
+            out[i, j] = out[j, i] = p.sprime[a, b] / max(sheets[a], sheets[b])
+    split = [i for i, lab in enumerate(labels) if sheets[lab.source] > 1]
+    out[np.ix_(split, split)] = c.solutions[0].sprime[np.ix_(split, split)]
+    return out
+
+
+@pytest.mark.parametrize("source", [4, 8, 12, 16, 20, "pointed:4:0", "prod(pointed:2:0,ising)",
+                                    "prod(pointed:4:0,su2:2)"])  # an integer k is even(su2:k)
+def test_condensed_sprime_matches_per_entry_oracle(source):
+    p = _even(source) if isinstance(source, int) else families.builtin(source)
+    c = condense(p)
+    assert c.status == "unique"
+    assert c.solutions[0].sprime.tobytes() == condensed_sprime_per_entry(c).tobytes()
 
 
 class TestCondense:

@@ -23,7 +23,7 @@ from premodular.formats import (
     save_category,
     save_plumbing,
 )
-from premodular.modular import PremodularityError, verify_premodular
+from premodular.modular import PremodularityError, premodular_from_twists, verify_premodular
 from premodular.plumbing import plumbing
 
 
@@ -76,6 +76,67 @@ class TestCategoryFormat:
         assert len(prov["source_sha256"]) == 64
         back = category_from_doc(doc)
         assert verify_premodular(back).passed
+
+
+    def test_source_hash_is_pinned(self):
+        # the canonical JSON of the source must keep its bytes across serialization changes
+        c = condense(families.su2(8).restrict(range(0, 9, 2)))
+        assert condensed_to_doc(c)["provenance"]["source_sha256"] == (
+            "c95cfd23193d069819ae61c1a7aeb800004c5f666153a4f38b312a55bd54b8ae"
+        )
+
+    def test_non_finite_sprime_rejected_by_the_balancing_comparison(self):
+        p = families.ising()
+        sp = p.sprime.copy()
+        sp[1, 1] = np.nan
+        with pytest.raises(PremodularityError, match="deviates"):
+            premodular_from_twists(p.fusion, p.theta, dims=p.dims, sprime=sp)
+
+
+def category_doc_per_entry(p):
+    """Oracle: the document built by one scalar read per tensor, dims and S' entry."""
+    theta = {}
+    for name, tw in zip(p.names, p.theta):
+        if tw.turns is not None:
+            theta[name] = {"rational": [tw.turns.numerator, tw.turns.denominator]}
+        else:
+            theta[name] = {"complex": [tw.approx.real, tw.approx.imag]}
+    t = p.fusion.tensor
+    return {
+        "format": 1,
+        "labels": list(p.names),
+        "unit": p.names[p.unit],
+        "dual": {p.names[i]: p.names[d] for i, d in enumerate(p.fusion.dual)},
+        "N": [
+            [p.names[a], p.names[b], p.names[c], int(t[a, b, c])]
+            for a, b, c in zip(*np.nonzero(t))
+        ],
+        "theta": theta,
+        "dims": {name: float(d) for name, d in zip(p.names, p.dims)},
+        "sprime": [[[float(z.real), float(z.imag)] for z in row] for row in p.sprime],
+    }
+
+
+def _serialization_inputs():
+    suite = families.builtin_suite()
+    yield from suite
+    yield from ((f"conj({name})", families.conjugate(p)) for name, p in suite)
+    rng = np.random.default_rng(5)
+    partners = [families.builtin(x) for x in ("fibonacci", "ising", "pointed:3:2", "conj(su2:8)")]
+    for name, p in suite:
+        for q in partners:
+            if p.rank * q.rank <= 81:
+                prod = families.product(p, q)
+                yield f"prod({name},...)", prod.relabelled(rng.permutation(prod.rank))
+    complex_twists = families.ising()
+    yield "complex twists", premodular_from_twists(
+        complex_twists.fusion, [t.value for t in complex_twists.theta], dims=complex_twists.dims
+    )
+
+
+def test_category_to_doc_matches_per_entry_oracle():
+    for name, p in _serialization_inputs():
+        assert json.dumps(category_to_doc(p)) == json.dumps(category_doc_per_entry(p)), name
 
 
 class TestPlumbingFormat:
@@ -149,6 +210,35 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, mutate",
+        [
+            ("dims", lambda doc: doc["dims"].update(sigma=math.nan)),
+            ("dims", lambda doc: doc["dims"].update(sigma=-math.inf)),
+            ("sprime", lambda doc: doc["sprime"][1][1].__setitem__(0, math.nan)),
+            ("sprime", lambda doc: doc["sprime"][0][2].__setitem__(1, math.inf)),
+            ("theta of 'sigma'", lambda doc: doc["theta"].update(sigma={"complex": [math.nan, 0]})),
+            ("theta of 'eps'", lambda doc: doc["theta"].update(eps={"complex": [-1, math.inf]})),
+        ],
+        ids=["dims-nan", "dims-inf", "sprime-nan", "sprime-inf", "twist-nan", "twist-inf"],
+    )
+    def test_non_finite_number_exits_2_naming_the_field(self, tmp_path, capsys, field, mutate):
+        doc = category_to_doc(families.ising())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "framing", ["abc", math.inf, 10**400], ids=["string", "infinity", "beyond-int64"]
+    )
+    def test_malformed_framing_exits_2(self, tmp_path, capsys, framing):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"format": 1, "vertices": [{"id": "u", "framing": framing}]}))
+        assert main(["rt", "--builtin", "su2:2", "-g", str(path)]) == 2
+        assert "framing" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self):
         assert main(["verify", "/no/such/file.json"]) == 2
@@ -295,22 +385,24 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.sampled_from([10**30, 10**400, -(2**63), 2**63, 0.5, "", *_FUZZ_KEYS]),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3),
-    max_leaves=8,
-)
-_mutations = st.lists(
-    st.tuples(
-        st.lists(st.integers(0, 30) | st.sampled_from(_FUZZ_KEYS), min_size=1, max_size=4)
-        .map(tuple),
-        _json_values | st.just(_DELETE),
-    ),
-    min_size=1,
-    max_size=3,
-)
+def _mutations(keys):
+    """Up to three (path, value) pairs; paths and values draw on ``keys``."""
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.sampled_from([10**30, 10**400, -(2**63), 2**63, 0.5, "", *keys]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(keys), inner, max_size=3),
+        max_leaves=8,
+    )
+    return st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 30) | st.sampled_from(keys), min_size=1, max_size=4)
+            .map(tuple),
+            json_values | st.just(_DELETE),
+        ),
+        min_size=1,
+        max_size=3,
+    )
 
 
 def _mutate(doc, path, value):
@@ -339,7 +431,7 @@ def _mutate(doc, path, value):
         del parent[key]
 
 
-@given(base=st.sampled_from(_FUZZ_BASES), mutations=_mutations)
+@given(base=st.sampled_from(_FUZZ_BASES), mutations=_mutations(_FUZZ_KEYS))
 @example(base="ising", mutations=[(("N", 1), ["1", "1", "1", 1])])
 @example(base="ising", mutations=[(("N", 0, 0), 0.5)])
 @example(base="ising", mutations=[(("N", 0, 3), 10**30)])
@@ -356,8 +448,38 @@ def test_mutated_document_keeps_the_exit_code_contract(fuzz_docs, fuzz_path, bas
     for path, value in mutations:
         _mutate(doc, path, value)
     fuzz_path.write_text(json.dumps(doc))
+    # kirby-test reads no plumbing document, so its document boundary is this one
+    for command in (["verify"], ["kirby-test", "--count", "2", "--max-vertices", "3"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command, str(fuzz_path)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+
+# -- mutation fuzz of plumbing documents -----------------------------------------
+
+_PLUMBING_KEYS = ("format", "vertices", "edges", "id", "framing", "u", "v", "w")
+_PLUMBING_COMMANDS = (
+    ["rt", "--builtin", "su2:2"],
+    ["double-rt", "--builtin", "su2:2"],
+    ["compare", "--builtin", "su2:2"],
+    ["compare", "--builtin", "su2:4", "--mode", "double", "--delta", "0,2,4"],
+)
+
+
+@given(command=st.sampled_from(_PLUMBING_COMMANDS), mutations=_mutations(_PLUMBING_KEYS))
+@example(command=_PLUMBING_COMMANDS[0], mutations=[(("vertices", 0, "framing"), "abc")])
+@example(command=_PLUMBING_COMMANDS[0], mutations=[(("vertices", 0, "framing"), math.inf)])
+@example(command=_PLUMBING_COMMANDS[0], mutations=[(("vertices", 0, "framing"), 10**400)])
+@settings(max_examples=150, deadline=None)
+def test_mutated_plumbing_keeps_the_exit_code_contract(fuzz_path, command, mutations):
+    doc = plumbing_to_doc(plumbing([("u", -2), ("v", 1), ("w", 3)], [("u", "v"), ("v", "w")]))
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    fuzz_path.write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["verify", str(fuzz_path)])
+        code = main([*command, "-g", str(fuzz_path)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
