@@ -58,9 +58,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.term_cap <= 0:
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be a positive finite number")
+        if not self.term_cap > 0:  # NaN fails; an infinite cap turns the cap off
             raise ValueError("term cap must be positive")
 
 

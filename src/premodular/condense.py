@@ -34,6 +34,7 @@ from .fusion import (
 )
 from .modular import (
     PremodularData,
+    _require_transparent_unit,
     centralizer,
     check_minimal_extension,
     is_modular,
@@ -150,6 +151,7 @@ class CondensedData:
 def degenerate_group(p: PremodularData, *, tol: float = DEFAULT_TOL):
     """Group structure on the transparent labels; rejects non-even or non-pointed centers."""
     center = muger_center(p, tol=tol)
+    _require_transparent_unit(p, center)
     if not center.is_even:
         bad = [p.names[a] for a in center.degenerate if abs(p.theta_values[a] - 1) > tol]
         raise ModularizationError(

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .condense import CondensedData
-from .fusion import FusionData, _as_int
-from .modular import PremodularData, PremodularityError, Twist, premodular_from_twists
+from .fusion import FusionData
+from .modular import PremodularData, Twist, premodular_from_twists
 from .plumbing import PlumbingGraph
 
 __all__ = [
@@ -86,56 +86,55 @@ def category_to_doc(p: PremodularData, *, provenance: dict | None = None) -> dic
 def fusion_from_doc(doc: dict) -> FusionData:
     """Just the fusion-ring layer of a category document."""
     _require_version(doc, "category")
+    if not isinstance(doc.get("labels"), list):
+        raise CategoryFormatError("labels must be a JSON list")
     try:
-        labels = [str(x) for x in doc["labels"]]
-        return FusionData.from_entries(labels, doc["unit"], doc["dual"], doc["N"])
+        return FusionData.from_entries(doc["labels"], doc["unit"], doc["dual"], doc["N"])
     except KeyError as exc:
         raise CategoryFormatError(f"missing category field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CategoryFormatError(f"malformed fusion data: {exc}") from None
 
 
-def _finite(values, field: str):
-    if not np.isfinite(values).all():
+def _numbers(values, field: str, shape: tuple, integral: bool = False) -> np.ndarray:
+    """JSON numbers as a float64 array of ``shape``, or int64 when ``integral``.
+
+    Strings, nulls, ragged rows, integers beyond int64 and all-boolean fields are
+    rejected, not coerced.  An integral float must lie below 2**53, where it is
+    exact, so that no integer in its array was rounded to a float.
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged rows
+        a = np.asarray(None)
+    if a.dtype.kind not in "if" or a.shape != shape:
+        raise CategoryFormatError(f"{field} must be numbers of shape {shape}")
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise CategoryFormatError(f"{field} must be finite")
-    return values
+    if integral and a.dtype.kind == "f" and not ((a == np.trunc(a)) & (abs(a) < 2**53)).all():
+        raise CategoryFormatError(f"{field} must be integers")
+    return a.astype(np.int64 if integral else float, copy=False)
 
 
 def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
     fusion = fusion_from_doc(doc)
-    labels = list(fusion.names)
-
-    try:
-        theta_doc = doc.get("theta", {})
-        twists = []
-        for name in labels:
-            entry = theta_doc.get(name, {"rational": [0, 1]})
-            if "rational" in entry:
-                num, den = entry["rational"]
-                twists.append(Twist.from_turns(int(num), int(den)))
-            elif "complex" in entry:
-                re, im = entry["complex"]
-                z = _finite(complex(re, im), f"theta of {name!r}")
-                twists.append(Twist.from_complex(z, tol=tol))
-            else:
-                raise CategoryFormatError(f"twist for {name!r} must be rational or complex")
-
-        dims = None
-        if "dims" in doc and doc["dims"]:
-            dims = _finite(np.array([float(doc["dims"][name]) for name in labels]), "dims")
-        sprime = None
-        if "sprime" in doc and doc["sprime"]:
-            sprime = _finite(
-                np.array([[complex(re, im) for re, im in row] for row in doc["sprime"]]), "sprime"
-            )
-    except (CategoryFormatError, PremodularityError):
-        raise
-    except (
-        AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError
-    ) as exc:
-        raise CategoryFormatError(
-            f"malformed category document ({type(exc).__name__}: {exc})"
-        ) from None
+    labels, n = fusion.names, fusion.rank
+    theta_doc, dims_doc = doc.get("theta", {}), doc.get("dims") or {}
+    if not (isinstance(theta_doc, dict) and isinstance(dims_doc, dict)
+            and all(isinstance(entry, dict) for entry in theta_doc.values())):
+        raise CategoryFormatError("theta, its twists and dims must be JSON objects")
+    twists = []
+    for name in labels:
+        entry, field = theta_doc.get(name, {"rational": [0, 1]}), f"theta of {name!r}"
+        rational = "rational" in entry  # [p, q] for exp(2 pi i p/q), else "complex": [re, im]
+        x, y = _numbers(entry.get("rational" if rational else "complex"), field, (2,), rational).tolist()
+        if rational and y == 0:
+            raise CategoryFormatError(f"{field} has denominator 0")
+        twists.append(Twist.from_turns(x, y) if rational else Twist.from_complex(complex(x, y), tol=tol))
+    dims = _numbers([dims_doc.get(name) for name in labels], "dims", (n,)) if dims_doc else None
+    sprime = doc.get("sprime") or None
+    if sprime is not None:
+        sprime = _numbers(sprime, "sprime", (n, n, 2)).view(complex)[..., 0]
     return premodular_from_twists(fusion, twists, dims=dims, sprime=sprime, tol=tol)
 
 
@@ -165,11 +164,12 @@ def plumbing_to_doc(g: PlumbingGraph) -> dict:
 def plumbing_from_doc(doc: dict) -> PlumbingGraph:
     _require_version(doc, "plumbing")
     try:
-        vertices = tuple((str(v["id"]), _as_int(v["framing"], "framing")) for v in doc["vertices"])
+        ids = [str(v["id"]) for v in doc["vertices"]]
+        framings = _numbers([v["framing"] for v in doc["vertices"]], "framing", (len(ids),), integral=True)
         edges = tuple((str(u), str(v)) for u, v in doc.get("edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryFormatError(f"malformed plumbing document: {exc}") from None
-    return PlumbingGraph(vertices, edges)
+    return PlumbingGraph(tuple(zip(ids, framings.tolist())), edges)
 
 
 def _load(path) -> dict:

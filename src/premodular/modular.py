@@ -207,12 +207,13 @@ class PremodularData:
         )
 
     @cached_property
-    def _min_singular_ratio(self) -> float:
-        sv = np.linalg.svd(self.sprime, compute_uv=False)
-        return float(sv[-1] / sv[0])
+    def _svd(self) -> tuple[float, np.ndarray]:
+        """One SVD of S': the smallest-to-largest singular value ratio (0 for a zero S'), and V^H."""
+        _, sv, vh = np.linalg.svd(self.sprime)
+        return (float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0), vh
 
     def sprime_invertible(self, *, tol: float = DEFAULT_TOL) -> bool:
-        return self._min_singular_ratio > tol
+        return self._svd[0] > tol
 
     # -- derived data ---------------------------------------------------------
 
@@ -277,7 +278,8 @@ def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> n
     fused = (t.reshape(n * n, n) @ sp.T).reshape(n, n, n).transpose(2, 0, 1)
     # in place: two fewer complex n^3 temporaries, the same operations per entry
     dev = sp[:, :, None] * sp[:, None, :]
-    dev /= d[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero dimension fails the check
+        dev /= d[:, None, None]
     dev -= fused
     return dev
 
@@ -304,7 +306,7 @@ def sprime_from_balancing(
     sp = _balanced_sprime(t, list(f.dual), th, d)
     if validate:
         resid = float(np.abs(_row_multiplicativity_dev(t, d, sp)).max())
-        if resid > tol * max(1.0, float(np.abs(sp).max()) ** 2):
+        if not resid <= tol * max(1.0, float(np.abs(sp).max()) ** 2):  # NaN fails too
             raise PremodularityError(
                 f"row multiplicativity fails (residual {resid:.3g}): "
                 "twists are not realisable on this fusion ring"
@@ -419,8 +421,7 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
     for a in range(n):
         c[a, p.fusion.dual[a]] = 1.0
 
-    u_, sv, vh = np.linalg.svd(p.sprime)
-    ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    ratio, vh = p._svd
     if ratio <= tol:
         kernel = vh[-1].conj()
         return ModularityReport(
@@ -509,6 +510,14 @@ def muger_center(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CenterReport
     )
 
 
+def _require_transparent_unit(p: PremodularData, center: CenterReport):
+    if p.unit not in center.degenerate:
+        raise InconsistentDataError(
+            f"the unit {p.names[p.unit]!r} is not transparent (its dimension is "
+            f"{p.dims[p.unit]:.6g}): S' and the dimensions are inconsistent"
+        )
+
+
 def centralizer(
     p: PremodularData,
     sub: SubcategorySelection | Iterable,
@@ -576,6 +585,7 @@ def check_minimal_extension(
     members = list(delta.members)
     restricted = hat.restrict(delta)
     sub_center = muger_center(restricted, tol=tol)
+    _require_transparent_unit(restricted, sub_center)
     deg_parent = tuple(members[i] for i in sub_center.degenerate)
     cent = centralizer(hat, delta, tol=tol)
     dim_total = hat.total_dim

@@ -71,7 +71,7 @@ def _check_term_cap(rank: int, n: int, cap: float) -> None:
         terms = float(rank) ** n
     except OverflowError:
         terms = math.inf
-    if terms > cap:
+    if not terms <= cap:  # a NaN cap refuses
         raise TermCapExceeded(terms, cap)
 
 

@@ -85,6 +85,14 @@ class TestCategoryFormat:
             "c95cfd23193d069819ae61c1a7aeb800004c5f666153a4f38b312a55bd54b8ae"
         )
 
+    def test_integral_float_rational_parts_are_read_as_integers(self):
+        p = families.ising()
+        doc = category_to_doc(p)
+        doc["theta"]["sigma"] = {"rational": [1.0, 16.0]}
+        back = category_from_doc(json.loads(json.dumps(doc)))
+        assert [t.turns for t in back.theta] == [t.turns for t in p.theta]
+        assert back.sprime.tobytes() == p.sprime.tobytes()
+
     def test_non_finite_sprime_rejected_by_the_balancing_comparison(self):
         p = families.ising()
         sp = p.sprime.copy()
@@ -139,6 +147,32 @@ def test_category_to_doc_matches_per_entry_oracle():
         assert json.dumps(category_to_doc(p)) == json.dumps(category_doc_per_entry(p)), name
 
 
+def _round_trip_inputs():
+    suite = families.builtin_suite()
+    yield from suite
+    yield from ((f"conj({name})", families.conjugate(p)) for name, p in suite)
+    for k in range(2, 17, 2):
+        yield f"even(su2:{k})", families.su2(k).restrict(range(0, k + 1, 2))
+    for expr in ("prod(su2:4,conj(su2:4))", "prod(su2:6,conj(su2:6))", "prod(ising,pointed:5:2)",
+                 "prod(fibonacci,conj(su2:5))"):
+        yield expr, families.builtin(expr)
+    for k in (4, 8, 12, 16):
+        yield f"condense(even(su2:{k}))", condense(families.su2(k).restrict(range(0, k + 1, 2))).data
+    yield "double(su2:4)", double_data(families.su2(4), [0, 2, 4]).data
+
+
+def test_document_round_trip_is_bitwise():
+    # signed zeros count: conjugate documents carry -0.0 imaginary parts
+    def twists(p):
+        return [(t.turns, t.approx.real.hex(), t.approx.imag.hex()) for t in p.theta]
+
+    for name, p in _round_trip_inputs():
+        back = category_from_doc(json.loads(json.dumps(category_to_doc(p))))
+        assert back.dims.tobytes() == p.dims.tobytes(), name
+        assert back.sprime.tobytes() == p.sprime.tobytes(), name
+        assert twists(back) == twists(p), name
+
+
 class TestPlumbingFormat:
     def test_round_trip(self):
         g = plumbing([("u", 2), ("v", -3)], [("u", "v")])
@@ -148,6 +182,18 @@ class TestPlumbingFormat:
     def test_malformed_rejected(self):
         with pytest.raises(CategoryFormatError):
             plumbing_from_doc({"format": 1, "vertices": [{"id": "a"}]})
+
+    def test_integral_float_framing_is_read_as_an_integer(self):
+        g = plumbing_from_doc({"format": 1, "vertices": [{"id": "u", "framing": 3.0},
+                                                         {"id": "v", "framing": -2}]})
+        assert g.vertices == (("u", 3), ("v", -2))
+        assert all(type(m) is int for _, m in g.vertices)
+
+
+def _labels_as_one_string(doc):
+    """Ising with one-character labels, given as the string "1se" instead of a list."""
+    renamed = json.loads(json.dumps(doc).replace('"sigma"', '"s"').replace('"eps"', '"e"'))
+    doc.update(renamed, labels="1se")
 
 
 @pytest.fixture()
@@ -197,11 +243,19 @@ class TestCLI:
             lambda doc: doc["N"][0].__setitem__(3, 10**30),
             lambda doc: doc["N"][0].__setitem__(3, math.inf),
             lambda doc: doc["theta"].update(sigma={"complex": [1]}),
+            lambda doc: doc["theta"].update(sigma={"rational": [0.5, 1]}),
+            lambda doc: doc["theta"].update(sigma={"rational": ["1", "16"]}),
+            lambda doc: doc["dims"].update(eps="1.0"),
+            lambda doc: doc.update(sprime=[row[:2] for row in doc["sprime"][:2]]),
+            lambda doc: doc["sprime"][1].pop(),
+            _labels_as_one_string,
         ],
         ids=["zero-denominator", "dims-missing-label", "labels-not-list",
              "complex-string", "fractional-multiplicity", "repeated-triple",
              "fractional-label-index", "multiplicity-beyond-int64", "infinite-multiplicity",
-             "complex-one-number"],
+             "complex-one-number", "fractional-rational-part", "string-rational-parts",
+             "string-dimension", "sprime-2x2-for-rank-3", "ragged-sprime-rows",
+             "labels-as-string"],
     )
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate):
         doc = category_to_doc(families.ising())
@@ -363,6 +417,36 @@ class TestCLI:
 
     def test_invalid_tolerance_exits_2(self, workdir):
         assert main(["verify", "--builtin", "ising", "--tolerance", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "option", [["--term-cap", "nan"], ["--tolerance", "nan"], ["--tolerance", "inf"]],
+        ids=["nan-term-cap", "nan-tolerance", "infinite-tolerance"],
+    )
+    def test_non_finite_run_setting_exits_2(self, tmp_path, capsys, option):
+        # su2:8 on a 12-vertex chain has 9**12 = 2.8e11 colorings, which a NaN cap let through
+        save_plumbing(tmp_path / "chain.json", plumbing([(f"v{i}", -2) for i in range(12)],
+                                                        [(f"v{i}", f"v{i + 1}") for i in range(11)]))
+        assert main(["rt", "--builtin", "su2:8", "-g", str(tmp_path / "chain.json"), *option]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_infinite_term_cap_turns_the_cap_off(self, workdir):
+        assert main(["rt", "--builtin", "su2:8", "-g", str(workdir / "hopf.json"),
+                     "--term-cap", "inf"]) == 0
+
+    def test_non_transparent_unit_is_named(self, tmp_path, capsys):
+        # every dimension doubled and no S': the balanced S' leaves the unit non-transparent
+        doc = category_to_doc(families.su2(4).restrict([0, 2, 4]))
+        doc["dims"] = {name: 2 * d for name, d in doc["dims"].items()}
+        doc["sprime"] = []
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(doc))
+        for command in (["condense"], ["double", "--delta", "0,2,4"]):
+            assert main([*command, str(path), "-o", str(tmp_path / "o.json")]) == 1
+            assert "error: the unit '0' is not transparent" in capsys.readouterr().err
+        assert main(["center", str(path)]) == 0
+        assert capsys.readouterr().out == "center: {}\neven: True  pointed: True\n"
+        assert main(["verify", str(path)]) == 1
+        assert "dims:unit: FAIL" in capsys.readouterr().out
 
 
 # -- mutation fuzz of category documents -----------------------------------------

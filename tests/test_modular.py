@@ -6,6 +6,7 @@ import pytest
 from premodular import families
 from premodular.fusion import full_subcategory
 from premodular.modular import (
+    PremodularData,
     PremodularityError,
     Twist,
     centralizer,
@@ -68,6 +69,13 @@ class TestBalancing:
         with pytest.raises(PremodularityError):
             sprime_from_balancing(z2, np.ones(2), [Twist.one(), Twist.from_turns(1, 6)])
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_dimensions_fail_row_multiplicativity(self):
+        # 0/0 in the check must reject the data, not pass a NaN residual with a warning
+        p = families.ising()
+        with pytest.raises(PremodularityError, match="row multiplicativity"):
+            sprime_from_balancing(p.fusion, np.zeros(3), p.theta)
+
     def test_explicit_sprime_cross_validated(self):
         p = families.su2(2)
         ok = premodular_from_twists(p.fusion, p.theta, dims=p.dims, sprime=p.sprime)
@@ -117,6 +125,25 @@ class TestIsModular:
         # rank 2: rows of the unit and the simple current coincide
         sv = np.linalg.svd(even_su2_4.sprime, compute_uv=False)
         assert sv[2] < 1e-9 * sv[0] and sv[1] > 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_sprime_is_singular_without_a_warning(self):
+        p = families.ising()
+        zero = PremodularData(fusion=p.fusion, dims=p.dims, theta=p.theta, sprime=np.zeros((3, 3)))
+        assert not zero.sprime_invertible()
+        r = is_modular(zero)
+        assert not r.modular and r.singular_ratio == 0.0
+
+    @pytest.mark.parametrize("labels", [None, [0, 2, 4]], ids=["modular", "degenerate"])
+    def test_verify_and_is_modular_share_one_svd(self, monkeypatch, labels):
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        p = families.su2(4).restrict(labels if labels else range(5))  # a fresh instance
+        verify_premodular(p)
+        r = is_modular(p)
+        centralizer(p, [0])
+        assert len(calls) == 1
+        assert r.modular == (labels is None)
 
     def test_trivial_category(self):
         r = is_modular(families.trivial())

@@ -165,6 +165,10 @@ class TestBracket:
             bracket(p, chain([0, 0, 0]), term_cap=100)
         assert err.value.terms == pytest.approx(9**3)
 
+    def test_nan_term_cap_refuses(self):
+        with pytest.raises(TermCapExceeded):
+            bracket(families.su2(8), chain([0, 0, 0]), term_cap=math.nan)
+
     def test_term_cap_refuses_a_count_beyond_float_range(self):
         # 5**450 overflows a float; the count is infinite, not an OverflowError
         with pytest.raises(TermCapExceeded, match="inf terms") as err:
