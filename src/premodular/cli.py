@@ -27,7 +27,7 @@ from .formats import (
     fusion_from_doc,
     load_plumbing,
 )
-from .fusion import DEFAULT_TOL, ConvergenceError, validate_fusion
+from .fusion import DEFAULT_TOL, ConvergenceError, FusionError, validate_fusion
 from .modular import is_modular, muger_center, verify_premodular
 from .plumbing import (
     DEFAULT_TERM_CAP,
@@ -218,30 +218,46 @@ def cmd_condense(args, cfg: RunConfig) -> int:
     return _write_condensed(condense(p, tol=cfg.tolerance), args.out, cfg, src)
 
 
+def _delta(args, p) -> list[int]:
+    """The ``--delta`` labels as indices of ``p`` (the whole category when omitted).
+
+    An unknown label is a parse error; whether the labels form a
+    subcategory is checked by the computation.
+    """
+    if args.delta is None:
+        return list(range(p.rank))
+    try:
+        return [p.fusion.index(s.strip()) for s in args.delta.split(",")]
+    except FusionError as exc:
+        raise CategoryFormatError(f"--delta: {exc}") from None
+
+
+def _plumbing_path(args) -> str:
+    if len(args.plumbing) > 1:
+        raise CategoryFormatError(f"{args.command} takes one -g/--plumbing file")
+    return args.plumbing[0]
+
+
 def cmd_double(args, cfg: RunConfig) -> int:
     p, src = _load_data(args, cfg)
-    delta = [s.strip() for s in args.delta.split(",")]
-    return _write_condensed(double_data(p, delta, tol=cfg.tolerance), args.out, cfg, src)
+    return _write_condensed(double_data(p, _delta(args, p), tol=cfg.tolerance), args.out, cfg, src)
 
 
 def cmd_rt(args, cfg: RunConfig) -> int:
+    path = _plumbing_path(args)
     p, src = _load_data(args, cfg)
-    g = load_plumbing(args.plumbing[0])
+    g = load_plumbing(path)
     v = rt_invariant(p, g, term_cap=cfg.term_cap, tol=cfg.tolerance)
-    _emit(cfg, {"source": src, "plumbing": args.plumbing[0], "value": _value_payload(v)}, [str(v)])
+    _emit(cfg, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
     return EXIT_OK
 
 
 def cmd_double_rt(args, cfg: RunConfig) -> int:
+    path = _plumbing_path(args)
     p, src = _load_data(args, cfg)
-    g = load_plumbing(args.plumbing[0])
-    delta = (
-        [s.strip() for s in args.delta.split(",")]
-        if args.delta
-        else list(range(p.rank))
-    )
-    v = tau_double(p, delta, g, term_cap=cfg.term_cap, tol=cfg.tolerance)
-    _emit(cfg, {"source": src, "plumbing": args.plumbing[0], "value": _value_payload(v)}, [str(v)])
+    g = load_plumbing(path)
+    v = tau_double(p, _delta(args, p), g, term_cap=cfg.term_cap, tol=cfg.tolerance)
+    _emit(cfg, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
     return EXIT_OK
 
 
@@ -251,7 +267,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     p, src = _load_data(args, cfg)
     tol = max(cfg.tolerance, 1e-8)
     if args.mode == "double":
-        delta = [s.strip() for s in args.delta.split(",")]
+        delta = _delta(args, p)
         double = double_data(p, delta, tol=cfg.tolerance).data
     results = []
     all_ok = True
@@ -348,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_double)
 
     sp = subs.add_parser("rt", parents=[common], help="Reshetikhin-Turaev invariant of a plumbing")
-    sp.add_argument("-g", "--plumbing", action="append", required=True, help="plumbing file (JSON)")
+    sp.add_argument("-g", "--plumbing", action="append", required=True, help="one plumbing file (JSON)")
     sp.set_defaults(func=cmd_rt)
 
     sp = subs.add_parser(
         "double-rt", parents=[common], help="factorized double invariant of a plumbing"
     )
-    sp.add_argument("-g", "--plumbing", action="append", required=True, help="plumbing file (JSON)")
+    sp.add_argument("-g", "--plumbing", action="append", required=True, help="one plumbing file (JSON)")
     sp.add_argument(
         "--delta", default=None,
         help="comma-separated subcategory labels (default: the whole category)",

@@ -25,6 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .families import product
 from .fusion import (
     DEFAULT_TOL,
     FusionData,
@@ -371,8 +372,6 @@ def double_data(
     The resulting global dimension must equal the squared dimension of the
     subcategory.
     """
-    from .families import product  # deferred to avoid an import cycle
-
     delta = full_subcategory(hat.fusion, delta)
     report = check_minimal_extension(hat, delta, tol=tol)
     if not report.passed:

@@ -52,7 +52,6 @@ def pairing_bracket(
     delta: SubcategorySelection | Iterable,
     *,
     tol: float = DEFAULT_TOL,
-    check_minimality: bool = True,
 ) -> PairingBracket:
     """The pairing table, with its invariants asserted.
 
@@ -61,7 +60,7 @@ def pairing_bracket(
     support (all-or-nothing by the weighted fusion-support identity).
     """
     delta = full_subcategory(hat.fusion, delta)
-    if check_minimality and not check_minimal_extension(hat, delta, tol=tol).passed:
+    if not check_minimal_extension(hat, delta, tol=tol).passed:
         raise InconsistentDataError("pairing bracket requires a minimal extension")
     n = hat.rank
     dual = list(hat.fusion.dual)

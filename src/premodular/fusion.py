@@ -9,7 +9,7 @@ condensation, surgery invariants) is built on this data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -128,6 +128,19 @@ def _as_int(x, what: str) -> int:
     return i
 
 
+def _resolve(index: Mapping[str, int], n: int, x) -> int:
+    """A label as an index: a name in ``index``, or an integer in ``range(n)`` by `_as_int`'s rule."""
+    if isinstance(x, str):
+        i = index.get(x)
+        if i is None:
+            raise FusionError(f"unknown label {x!r}")
+        return i
+    i = _as_int(x, "label index")
+    if not 0 <= i < n:
+        raise FusionError(f"label index {i} out of range")
+    return i
+
+
 def _cell_names(names: tuple[str, ...], cell: int) -> tuple[str, ...]:
     n = len(names)
     return tuple(names[i] for i in np.unravel_index(int(cell), (n, n, n)))
@@ -151,8 +164,10 @@ class FusionData:
         n = len(self.names)
         if n == 0:
             raise FusionError("label set is empty")
-        if len(set(self.names)) != n:
+        positions = {nm: i for i, nm in enumerate(self.names)}
+        if len(positions) != n:
             raise FusionError("duplicate label names")
+        object.__setattr__(self, "_positions", positions)
         if not (0 <= self.unit < n):
             raise FusionError(f"unit index {self.unit} out of range")
         if len(self.dual) != n or any(not (0 <= d < n) for d in self.dual):
@@ -161,9 +176,10 @@ class FusionData:
         if t.shape != (n, n, n):
             raise FusionError(f"multiplicity tensor has shape {t.shape}, expected {(n, n, n)}")
         if not np.issubdtype(t.dtype, np.integer):
-            if not np.all(t == np.round(t)):
-                raise FusionError("multiplicities must be integers")
-            t = np.round(t).astype(int)
+            # `_as_int`'s rule: integral and within int64 (NaN and inf fail both)
+            bad = ~((t == np.round(t)) & (t >= -(2.0**63)) & (t < 2.0**63))
+            if bad.any():
+                _as_int(t.flat[bad.argmax()].item(), "multiplicity")  # raises
         object.__setattr__(self, "tensor", _readonly(t.astype(int)))
 
     @classmethod
@@ -183,16 +199,7 @@ class FusionData:
         n = len(names)
         index = {nm: i for i, nm in enumerate(names)}
 
-        def resolve(x) -> int:
-            if isinstance(x, str):
-                if x not in index:
-                    raise FusionError(f"unknown label {x!r}")
-                return index[x]
-            i = _as_int(x, "label index")
-            if not (0 <= i < n):
-                raise FusionError(f"label index {i} out of range")
-            return i
-
+        resolve = partial(_resolve, index, n)
         if isinstance(dual, Mapping):
             dual_idx = list(range(n))
             for k, v in dual.items():
@@ -201,7 +208,7 @@ class FusionData:
             dual_idx = [resolve(x) for x in dual]
         if isinstance(entries, Mapping):
             entries = [(a, b, c, m) for (a, b, c), m in entries.items()]
-        # known names by one dict lookup each; indices and unknown names through resolve
+        # known names by one dict lookup each; indices and unknown names through _resolve
         get = index.get
         cells, mults = [], []
         for a, b, c, m in entries:
@@ -242,18 +249,10 @@ class FusionData:
         return Label(i, self.names[i])
 
     def index(self, x) -> int:
-        """Resolve a label given as index, name, or Label."""
+        """Resolve a label given as a name, an integer index, or a Label."""
         if isinstance(x, Label):
             return x.index
-        if isinstance(x, str):
-            try:
-                return self.names.index(x)
-            except ValueError:
-                raise FusionError(f"unknown label {x!r}") from None
-        i = int(x)
-        if not (0 <= i < self.rank):
-            raise FusionError(f"label index {i} out of range")
-        return i
+        return _resolve(self._positions, self.rank, x)
 
     def multiplicity(self, a, b, c) -> int:
         return int(self.tensor[self.index(a), self.index(b), self.index(c)])
@@ -451,6 +450,20 @@ def deligne_product(a: FusionData, b: FusionData) -> FusionData:
     return FusionData(names=names, unit=a.unit * nb + b.unit, dual=dual, tensor=tensor)
 
 
+def _take(f: FusionData, idx: Sequence[int]) -> FusionData:
+    """The ring on the labels ``idx`` of ``f``, new label ``i`` being old label ``idx[i]``.
+
+    ``idx`` is a checked selection or a permutation: it holds the unit and is closed.
+    """
+    pos = {x: i for i, x in enumerate(idx)}
+    return FusionData(
+        names=tuple(f.names[i] for i in idx),
+        unit=pos[f.unit],
+        dual=tuple(pos[f.dual[i]] for i in idx),
+        tensor=f.tensor[np.ix_(idx, idx, idx)],
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SubcategorySelection:
     """A fusion-closed label subset of a parent ring."""
@@ -464,14 +477,7 @@ class SubcategorySelection:
 
     def restricted(self) -> FusionData:
         """The induced fusion ring on the selected labels, re-indexed."""
-        idx = list(self.members)
-        pos = {x: i for i, x in enumerate(idx)}
-        return FusionData(
-            names=tuple(self.parent.names[i] for i in idx),
-            unit=pos[self.parent.unit],
-            dual=tuple(pos[self.parent.dual[i]] for i in idx),
-            tensor=self.parent.tensor[np.ix_(idx, idx, idx)],
-        )
+        return _take(self.parent, self.members)
 
 
 def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) -> SubcategorySelection:
@@ -479,27 +485,29 @@ def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) ->
 
     The subset must contain the unit, be closed under duals, and be closed
     under fusion; a closure violation raises :class:`ClosureError` carrying
-    the offending triple ``(a, b, c)``.  A selection passes through unchanged.
+    the first offending triple ``(a, b, c)``.  A selection of ``f`` passes
+    through unchanged; a selection of another ring is checked again by index.
     """
     if isinstance(members, SubcategorySelection):
-        return members
+        if members.parent is f:
+            return members
+        members = members.members
     idx = sorted({f.index(x) for x in members})
-    mset = set(idx)
-    if f.unit not in mset:
+    inside = np.zeros(f.rank, dtype=bool)
+    inside[idx] = True
+    if not inside[f.unit]:
         raise ClosureError("subset does not contain the unit", (f.names[f.unit],))
     for a in idx:
-        if f.dual[a] not in mset:
+        if not inside[f.dual[a]]:
             raise ClosureError(
                 f"subset not closed under duals at {f.names[a]}",
                 (f.names[a], f.names[f.dual[a]]),
             )
-    for a in idx:
-        for b in idx:
-            for c in np.nonzero(f.tensor[a, b])[0]:
-                if int(c) not in mset:
-                    raise ClosureError(
-                        "subset not closed under fusion at "
-                        f"({f.names[a]}, {f.names[b]}, {f.names[c]})",
-                        (f.names[a], f.names[b], f.names[int(c)]),
-                    )
+    # the channels of member pairs that leave the subset, in (a, b, c) order
+    outside = np.flatnonzero(~inside)
+    leaks = f.tensor[np.ix_(idx, idx, outside)] != 0
+    if leaks.any():
+        i, j, k = np.unravel_index(int(leaks.argmax()), leaks.shape)
+        a, b, c = f.names[idx[i]], f.names[idx[j]], f.names[outside[k]]
+        raise ClosureError(f"subset not closed under fusion at ({a}, {b}, {c})", (a, b, c))
     return SubcategorySelection(parent=f, members=tuple(idx))

@@ -26,9 +26,11 @@ from .fusion import (
     DEFAULT_TOL,
     CheckResult,
     FusionData,
+    FusionError,
     InconsistentDataError,
     SubcategorySelection,
     ValidationReport,
+    _take,
     full_subcategory,
     global_dim,
     perron_frobenius_dims,
@@ -228,30 +230,21 @@ class PremodularData:
 
     def restrict(self, members: Iterable | SubcategorySelection) -> "PremodularData":
         """Restriction to a full fusion subcategory (validates closure)."""
-        members = full_subcategory(self.fusion, members)
-        idx = list(members.members)
-        return PremodularData(
-            fusion=members.restricted(),
-            dims=self.dims[idx],
-            theta=tuple(self.theta[i] for i in idx),
-            sprime=self.sprime[np.ix_(idx, idx)],
-        )
+        return self._take(list(full_subcategory(self.fusion, members).members))
 
     def relabelled(self, perm: Sequence[int]) -> "PremodularData":
         """Apply a label permutation: new label ``i`` is old label ``perm[i]``."""
-        perm = list(perm)
-        pos = {p: i for i, p in enumerate(perm)}
-        fus = FusionData(
-            names=tuple(self.fusion.names[p] for p in perm),
-            unit=pos[self.fusion.unit],
-            dual=tuple(pos[self.fusion.dual[p]] for p in perm),
-            tensor=self.fusion.tensor[np.ix_(perm, perm, perm)],
-        )
+        idx = np.asarray(perm)
+        if idx.dtype.kind not in "iu" or not np.array_equal(np.sort(idx), np.arange(self.rank)):
+            raise FusionError(f"{idx.tolist()} is not a permutation of the {self.rank} labels")
+        return self._take(idx.tolist())
+
+    def _take(self, idx: list[int]) -> "PremodularData":
         return PremodularData(
-            fusion=fus,
-            dims=self.dims[perm],
-            theta=tuple(self.theta[p] for p in perm),
-            sprime=self.sprime[np.ix_(perm, perm)],
+            fusion=_take(self.fusion, idx),
+            dims=self.dims[idx],
+            theta=tuple(self.theta[i] for i in idx),
+            sprime=self.sprime[np.ix_(idx, idx)],
         )
 
 
@@ -479,8 +472,9 @@ class CenterReport:
         return len(self.degenerate) == 1
 
 
-def _degenerate_labels(p: PremodularData, tol: float) -> tuple[int, ...]:
-    dev = np.abs(p.sprime - np.outer(p.dims, p.dims)).max(axis=1)
+def _degenerate_labels(p: PremodularData, tol: float, cols=slice(None)) -> tuple[int, ...]:
+    """Labels ``a`` with ``S'(a, b) = d_a d_b`` for every label ``b`` in ``cols`` (all by default)."""
+    dev = np.abs(p.sprime[:, cols] - np.outer(p.dims, p.dims[cols])).max(axis=1)
     cut = tol * max(1.0, p.total_dim)
     return tuple(int(a) for a in np.nonzero(dev <= cut)[0])
 
@@ -529,13 +523,8 @@ def centralizer(
     On modular input the dimension law ``dim(centralizer) = dim/dim(sub)`` is
     asserted; failure means the numerical data is inconsistent.
     """
-    sub = full_subcategory(p.fusion, sub)
-    cols = list(sub.members)
-    dev = np.abs(
-        p.sprime[:, cols] - np.outer(p.dims, p.dims[cols])
-    ).max(axis=1)
-    cut = tol * max(1.0, p.total_dim)
-    result = tuple(int(a) for a in np.nonzero(dev <= cut)[0])
+    cols = list(full_subcategory(p.fusion, sub).members)
+    result = _degenerate_labels(p, tol, cols)
     if p.sprime_invertible(tol=tol):
         dim_res = float(np.sum(p.dims[list(result)] ** 2))
         dim_sub = float(np.sum(p.dims[cols] ** 2))

@@ -408,6 +408,26 @@ class TestCLI:
         assert main([command, "--builtin", "su2:4", *delta, "-g", str(tmp_path / "long.json")]) == 3
         assert "inf terms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rt", "double-rt"])
+    def test_second_plumbing_exits_2(self, workdir, capsys, command):
+        # only the first file used to be evaluated, with exit 0
+        assert main([command, "--builtin", "su2:3", "-g", str(workdir / "hopf.json"),
+                     "-g", str(workdir / "lens5.json")]) == 2
+        assert "takes one -g/--plumbing file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["double", "-o", "o.json"], ["double-rt", "-g", "hopf.json"],
+        ["compare", "--mode", "double", "-g", "hopf.json"],
+    ], ids=["double", "double-rt", "compare"])
+    @pytest.mark.parametrize("delta, code", [("0,x", 2), ("0, 1.5", 2), ("0,,2", 2), ("0,1", 1)],
+                             ids=["unknown", "non-integral", "empty", "not-closed"])
+    def test_delta_labels(self, workdir, capsys, command, delta, code):
+        # an unknown label is a parse error; a known set that is not a subcategory fails a check
+        args = [workdir / a if a.endswith(".json") else a for a in command]
+        assert main([*map(str, args), "--builtin", "su2:4", "--delta", delta]) == code
+        err = capsys.readouterr().err
+        assert ("error: --delta: unknown label" if code == 2 else "not closed under fusion") in err
+
     def test_usage_error_exits_2(self, capsys):
         assert main(["rt", "--builtin", "su2:3"]) == 2  # missing -g
         capsys.readouterr()

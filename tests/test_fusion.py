@@ -213,3 +213,75 @@ class TestFullSubcategory:
         f = families.pointed_cyclic(3, 0).fusion
         with pytest.raises(ClosureError):
             full_subcategory(f, [0, 1])
+
+    def test_integral_float_labels_are_accepted(self, su2_4):
+        assert full_subcategory(su2_4.fusion, [0, 2.0, np.int64(4)]).members == (0, 2, 4)
+
+    @pytest.mark.parametrize("members", [[0, 2.0, 4.9], [0, 1.5]], ids=["4.9", "1.5"])
+    def test_non_integral_label_is_rejected_not_truncated(self, su2_4, members):
+        with pytest.raises(FusionError, match="is not an integer"):
+            full_subcategory(su2_4.fusion, members)
+
+    def test_selection_of_another_ring_is_checked_again(self, su2_4):
+        # {0, 2} is the Z2 of su2:2, but 2 x 2 = 0 + 2 + 4 in su2:4
+        foreign = full_subcategory(families.su2(2).fusion, [0, 2])
+        with pytest.raises(ClosureError) as err:
+            full_subcategory(su2_4.fusion, foreign)
+        assert err.value.triple == ("2", "2", "4")
+        own = full_subcategory(su2_4.fusion, [0, 2, 4])
+        assert full_subcategory(su2_4.fusion, own) is own
+        assert full_subcategory(families.su2(4).fusion, own).members == (0, 2, 4)
+
+
+def _resolved_by_index(f, x):
+    return f.index(x)
+
+
+def _resolved_by_from_entries(f, x):
+    # the unit argument and an entry label both go through from_entries' resolution
+    g = FusionData.from_entries(f.names, x, f.dual, [(x, 0, x, 1)])
+    (cell, _), = g.nonzero()
+    assert cell[0] == cell[2] == g.unit
+    return g.unit
+
+
+@pytest.mark.parametrize(
+    "x, expect",
+    [
+        ("0", 0), ("2", 2), (1, 1), (np.int64(2), 2), (np.int32(0), 0), (2.0, 2), (np.float64(1.0), 1),
+        ("x", "unknown label 'x'"), ("", "unknown label ''"),
+        (1.5, "label index 1.5 is not an integer"), (float("inf"), "is not a finite integer"),
+        (float("nan"), "is not a finite integer"), (3, "label index 3 out of range"),
+        (-1, "label index -1 out of range"), (2**70, "does not fit in int64"),
+    ],
+    ids=repr,
+)
+def test_index_and_from_entries_resolve_labels_alike(x, expect):
+    f = FusionData(names=("0", "1", "2"), unit=0, dual=(0, 2, 1), tensor=np.zeros((3, 3, 3), int))
+    outcomes = []
+    for resolve in (_resolved_by_index, _resolved_by_from_entries):
+        try:
+            outcomes.append(resolve(f, x))
+        except FusionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(expect, int):
+        assert outcomes[0] == expect
+    else:
+        assert expect in outcomes[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, 2.0**63, 0.5])
+def test_non_integral_float_multiplicity_is_rejected(value):
+    t = np.zeros((1, 1, 1))
+    t[0, 0, 0] = value
+    with pytest.raises(FusionError, match="multiplicity"):
+        FusionData(names=("0",), unit=0, dual=(0,), tensor=t)
+
+
+def test_integral_float_multiplicities_are_kept():
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = 1.0
+    t[1, 1, 0] = -(2.0**63)
+    assert FusionData(names=("0", "1"), unit=0, dual=(0, 1), tensor=t).tensor[1, 1, 0] == -(2**63)

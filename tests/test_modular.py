@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from premodular import families
-from premodular.fusion import full_subcategory
+from premodular.fusion import ClosureError, FusionError, full_subcategory
 from premodular.modular import (
     PremodularData,
     PremodularityError,
@@ -226,6 +226,26 @@ class TestCentralizer:
             p = families.builtin(name)
             prod = families.product(p, families.conjugate(p))
             assert muger_center(prod).degenerate == (prod.unit,)
+
+    def test_selection_of_another_ring_is_a_closure_error(self, su2_4):
+        # su2:2's {0, 2} is not closed in su2:4, where 2 x 2 = 0 + 2 + 4
+        foreign = full_subcategory(families.su2(2).fusion, [0, 2])
+        with pytest.raises(ClosureError, match=r"at \(2, 2, 4\)"):
+            centralizer(su2_4, foreign)
+
+
+class TestLabelSets:
+    def test_restrict_checks_a_selection_of_another_ring(self, su2_4):
+        foreign = full_subcategory(families.su2(2).fusion, [0, 2])
+        with pytest.raises(ClosureError) as err:
+            su2_4.restrict(foreign)
+        assert err.value.triple == ("2", "2", "4")
+
+    @pytest.mark.parametrize("perm", [[1, 0], [0, 0, 1], [0, 1, 3], [0, 1, 2, 2], [0.0, 1.0, 2.0]])
+    def test_relabelled_requires_a_permutation(self, perm):
+        # [1, 0] on su2:2 used to drop label 2 and the 1 x 1 -> 2 channel with it
+        with pytest.raises(FusionError, match="not a permutation"):
+            families.su2(2).relabelled(perm)
 
 
 class TestMinimalExtension:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from premodular import families
-from premodular.fusion import FusionData, _exact_dtype, validate_fusion
+from premodular.fusion import ClosureError, FusionData, _exact_dtype, full_subcategory, validate_fusion
 from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
 from premodular.plumbing import bracket, plumbing, random_forest, signature
 
@@ -233,3 +233,115 @@ def test_twist_from_turns_is_bitwise_the_fraction_formula(p, q):
     for tw in (Twist.from_turns(p, q), Twist.from_turns(Fraction(p, q))):
         assert tw.turns == turns
         assert _bits(tw.approx) == expect
+
+
+def full_subcategory_per_pair(f, members):
+    """Oracle: the closure check as a nested loop over member pairs."""
+    idx = sorted({f.index(x) for x in members})
+    mset = set(idx)
+    if f.unit not in mset:
+        raise ClosureError("subset does not contain the unit", (f.names[f.unit],))
+    for a in idx:
+        if f.dual[a] not in mset:
+            raise ClosureError(
+                f"subset not closed under duals at {f.names[a]}",
+                (f.names[a], f.names[f.dual[a]]),
+            )
+    for a in idx:
+        for b in idx:
+            for c in np.nonzero(f.tensor[a, b])[0]:
+                if int(c) not in mset:
+                    raise ClosureError(
+                        "subset not closed under fusion at "
+                        f"({f.names[a]}, {f.names[b]}, {f.names[c]})",
+                        (f.names[a], f.names[b], f.names[int(c)]),
+                    )
+    return tuple(idx)
+
+
+def fusion_closure(f, generators):
+    """The smallest full subcategory holding ``generators``."""
+    inside = np.zeros(f.rank, dtype=bool)
+    inside[[f.unit, *generators]] = True
+    while True:
+        grown = inside | inside[list(f.dual)] | f.tensor[inside][:, inside].any(axis=(0, 1))
+        if (grown == inside).all():
+            return np.flatnonzero(inside).tolist()
+        inside = grown
+
+
+LABEL_SET_PRODUCTS = (
+    "prod(ising,ising)", "prod(fibonacci,conj(su2:5))", "prod(ising,pointed:5:2)",
+    "prod(pointed:4:2,pointed:4:0)", "prod(su2:2,prod(fibonacci,ising))",
+    "prod(su2:4,conj(su2:4))", "prod(su2:3,su2:8)", "prod(su2:6,conj(su2:6))",
+)
+
+
+@cache
+def label_set_rings():
+    """Suite rings, even(su2:k) and products of ranks 9 to 49."""
+    rings = dict(suite_rings())
+    for k in range(2, 13, 2):
+        rings[f"even(su2:{k})"] = families.su2(k).restrict(range(0, k + 1, 2))
+    rings.update((expr, families.builtin(expr)) for expr in LABEL_SET_PRODUCTS)
+    return rings
+
+
+@given(st.sampled_from(sorted(label_set_rings())), st.data())
+@settings(max_examples=300, deadline=None)
+def test_full_subcategory_matches_per_pair_oracle(name, data):
+    f = label_set_rings()[name].fusion
+    members = data.draw(st.sets(st.integers(min_value=0, max_value=f.rank - 1), max_size=f.rank))
+    # raw subsets mostly fail at the unit or the duals; the other two reach the fusion check
+    mode = data.draw(st.sampled_from(["raw", "unit and duals", "closed"]))
+    if mode == "unit and duals":
+        members = {f.unit, *members, *(f.dual[a] for a in members)}
+    elif mode == "closed":
+        members = fusion_closure(f, sorted(members))
+    try:
+        expect = full_subcategory_per_pair(f, members)
+    except ClosureError as exc:
+        with pytest.raises(ClosureError) as got:
+            full_subcategory(f, members)
+        assert (str(got.value), got.value.triple) == (str(exc), exc.triple)
+    else:
+        assert full_subcategory(f, members).members == expect
+
+
+def take_per_entry(p, idx):
+    """Oracle: the data on the labels ``idx`` of ``p``, read one entry at a time."""
+    n = len(idx)
+    tensor = np.zeros((n, n, n), dtype=int)
+    sprime = np.zeros((n, n), dtype=complex)
+    for i, a in enumerate(idx):
+        for j, b in enumerate(idx):
+            sprime[i, j] = p.sprime[a, b]
+            for k, c in enumerate(idx):
+                tensor[i, j, k] = p.fusion.tensor[a, b, c]
+    return (
+        tuple(p.names[a] for a in idx),
+        idx.index(p.unit),
+        tuple(idx.index(p.fusion.dual[a]) for a in idx),
+        tensor.tobytes(),
+        np.array([p.dims[a] for a in idx]).tobytes(),
+        tuple((p.theta[a].turns, _bits(p.theta[a].approx)) for a in idx),
+        sprime.tobytes(),
+    )
+
+
+def _label_set_data(q):
+    return (
+        q.names, q.unit, q.fusion.dual, q.fusion.tensor.tobytes(), q.dims.tobytes(),
+        tuple((t.turns, _bits(t.approx)) for t in q.theta), q.sprime.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(label_set_rings()))
+def test_restrict_and_relabelled_are_bitwise_the_per_entry_take(name):
+    p = label_set_rings()[name]
+    perm = np.random.default_rng(p.rank).permutation(p.rank).tolist()
+    assert _label_set_data(p.relabelled(perm)) == take_per_entry(p, perm)
+    for sub in {tuple(fusion_closure(p.fusion, [a])) for a in range(p.rank)}:
+        sub = list(sub)
+        assert _label_set_data(p.restrict(sub)) == take_per_entry(p, sub)
+        assert _label_set_data(p.restrict(full_subcategory(p.fusion, sub))) == take_per_entry(p, sub)
