@@ -89,4 +89,4 @@ from .double_rt import (
     tau_double,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -14,7 +14,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from . import families
 from .condense import CondensedData, ResolutionError, condense, double_data
@@ -48,59 +47,36 @@ EXIT_TERM_CAP = 3
 _DATA_ERRORS = (ValueError, ResolutionError, ConvergenceError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide settings, taken from the command line."""
-
-    tolerance: float = DEFAULT_TOL
-    term_cap: float = DEFAULT_TERM_CAP
-    output: str = "text"
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be a positive finite number")
-        if not self.term_cap > 0:  # NaN fails; an infinite cap turns the cap off
-            raise ValueError("term cap must be positive")
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        tolerance=args.tolerance,
-        term_cap=args.term_cap,
-        output=args.output,
-        seed=args.seed,
-    )
-
-
-def _emit(cfg: RunConfig, payload: dict, lines: list[str]):
-    if cfg.output == "json":
+def _emit(args, payload: dict, lines: list[str]):
+    if args.output == "json":
         print(json.dumps(payload, indent=1, default=str))
     else:
         for line in lines:
             print(line)
 
 
-def _load_data(args, cfg: RunConfig):
-    if getattr(args, "builtin", None):
-        expr = args.builtin
-        if args.level is not None:
-            expr = f"{expr}:{args.level}"
-        if args.n is not None:
-            expr = f"{expr}:{args.n}"
-        if args.q is not None:
-            expr = f"{expr}:{args.q}"
-        try:
-            return families.builtin(expr), {"builtin": expr}
-        except ValueError as exc:
-            raise CategoryFormatError(str(exc)) from None
-    return category_from_doc(_category_doc(args), tol=cfg.tolerance), {"file": args.category}
-
-
-def _category_doc(args) -> dict:
+def _read(args) -> tuple[dict | None, dict]:
+    """The category document (None for a ``--builtin`` expression) and the source record."""
+    if args.builtin:
+        return None, {"builtin": args.builtin}
     if not args.category:
         raise CategoryFormatError("a category file or --builtin expression is required")
-    return _load(args.category)
+    return _load(args.category), {"file": args.category}
+
+
+def _assemble(args, doc: dict | None):
+    """The category read from ``doc``, or from ``--builtin`` when ``doc`` is None."""
+    if doc is not None:
+        return category_from_doc(doc, tol=args.tolerance)
+    try:
+        return families.builtin(args.builtin)
+    except ValueError as exc:
+        raise CategoryFormatError(str(exc)) from None
+
+
+def _load_data(args):
+    doc, src = _read(args)
+    return _assemble(args, doc), src
 
 
 def _value_payload(v: InvariantValue) -> dict:
@@ -110,39 +86,35 @@ def _value_payload(v: InvariantValue) -> dict:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    if args.builtin:
-        p, src = _load_data(args, cfg)
-    else:
-        doc, src = _category_doc(args), {"file": args.category}
-        try:
-            p = category_from_doc(doc, tol=cfg.tolerance)
-        except CategoryFormatError:
+def cmd_verify(args) -> int:
+    doc, src = _read(args)
+    try:
+        p, error = _assemble(args, doc), None
+    except CategoryFormatError:
+        raise
+    except _DATA_ERRORS as exc:
+        if doc is None:
             raise
-        except _DATA_ERRORS as exc:
-            # premodular assembly failed; still report the fusion-layer checks
-            rv = validate_fusion(fusion_from_doc(doc))
-            lines = [str(c) for c in rv.checks] + [f"premodular assembly failed: {exc}", "verdict: FAIL"]
-            payload = {
-                "source": src,
-                "fusion_checks": [
-                    {"name": c.name, "passed": c.passed, "witness": c.witness} for c in rv.checks
-                ],
-                "error": str(exc),
-                "passed": False,
-            }
-            _emit(cfg, payload, lines)
-            return EXIT_CHECK_FAILED
-    rv = validate_fusion(p.fusion)
-    rp = verify_premodular(p, tol=cfg.tolerance)
-    rm = is_modular(p, tol=cfg.tolerance)
-    center = muger_center(p, tol=cfg.tolerance)
-    passed = rv.passed and rp.passed
+        p, error = None, exc
+    rv = validate_fusion(fusion_from_doc(doc) if p is None else p.fusion)
     payload = {
         "source": src,
         "fusion_checks": [
             {"name": c.name, "passed": c.passed, "witness": c.witness} for c in rv.checks
         ],
+    }
+    lines = [str(c) for c in rv.checks]
+    if p is None:
+        # premodular assembly failed; the fusion-layer checks are still reported
+        payload.update(error=str(error), passed=False)
+        lines += [f"premodular assembly failed: {error}", "verdict: FAIL"]
+        _emit(args, payload, lines)
+        return EXIT_CHECK_FAILED
+    rp = verify_premodular(p, tol=args.tolerance)
+    rm = is_modular(p, tol=args.tolerance)
+    center = muger_center(p, tol=args.tolerance)
+    passed = rv.passed and rp.passed
+    payload.update({
         "premodular_checks": [
             {"name": c.name, "passed": c.passed, "residual": c.residual, "witness": c.witness}
             for c in rp.checks
@@ -153,20 +125,20 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         "center_even": center.is_even,
         "center_pointed": center.is_pointed,
         "passed": passed,
-    }
-    lines = [str(c) for c in rv.checks] + [str(c) for c in rp.checks]
+    })
+    lines += [str(c) for c in rp.checks]
     lines.append(f"modular: {str(rm.modular).lower()}")
     if rm.modular:
         lines.append(f"relation residual: {rm.residual:.3g}")
     lines.append(f"center: {{{', '.join(p.names[i] for i in center.degenerate)}}}")
     lines.append(f"verdict: {'pass' if passed else 'FAIL'}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_center(args, cfg: RunConfig) -> int:
-    p, src = _load_data(args, cfg)
-    center = muger_center(p, tol=cfg.tolerance)
+def cmd_center(args) -> int:
+    p, src = _load_data(args)
+    center = muger_center(p, tol=args.tolerance)
     payload = {
         "source": src,
         "degenerate": [p.names[i] for i in center.degenerate],
@@ -178,25 +150,25 @@ def cmd_center(args, cfg: RunConfig) -> int:
         f"center: {{{', '.join(p.names[i] for i in center.degenerate)}}}",
         f"even: {center.is_even}  pointed: {center.is_pointed}",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def _write_condensed(c: CondensedData, out_path: str, cfg: RunConfig, src: dict) -> int:
+def _write_condensed(args, c: CondensedData, src: dict) -> int:
     if not c.solutions:
         # strict JSON has no Infinity: a residual that was never measured is null
         residual = c.best_residual if math.isfinite(c.best_residual) else None
-        _emit(cfg, {"source": src, "resolution": c.status, "best_residual": residual,
-                    "reason": c.reason},
+        _emit(args, {"source": src, "resolution": c.status, "best_residual": residual,
+                     "reason": c.reason},
               [f"resolution: {c.status} (best residual {c.best_residual:.3g})",
                f"reason: {c.reason}"])
         return EXIT_CHECK_FAILED
     doc = condensed_to_doc(c)
-    with open(out_path, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
     payload = {
         "source": src,
-        "written": out_path,
+        "written": args.out,
         "labels": [lab.name for lab in c.labels],
         "group_order": c.group_order,
         "resolution": doc["provenance"]["resolution_status"],
@@ -207,27 +179,28 @@ def _write_condensed(c: CondensedData, out_path: str, cfg: RunConfig, src: dict)
         f"condensed {len(c.labels)} labels, group order {c.group_order}, "
         f"dim {c.solutions[0].total_dim:.9g}",
         f"resolution: {doc['provenance']['resolution_status']}",
-        f"wrote {out_path}",
+        f"wrote {args.out}",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_condense(args, cfg: RunConfig) -> int:
-    p, src = _load_data(args, cfg)
-    return _write_condensed(condense(p, tol=cfg.tolerance), args.out, cfg, src)
+def cmd_condense(args) -> int:
+    p, src = _load_data(args)
+    return _write_condensed(args, condense(p, tol=args.tolerance), src)
 
 
 def _delta(args, p) -> list[int]:
     """The ``--delta`` labels as indices of ``p`` (the whole category when omitted).
 
     An unknown label is a parse error; whether the labels form a
-    subcategory is checked by the computation.
+    subcategory is checked by the computation.  Labels are split at commas
+    outside parentheses, so a product label such as ``(0,2)`` stays whole.
     """
     if args.delta is None:
         return list(range(p.rank))
     try:
-        return [p.fusion.index(s.strip()) for s in args.delta.split(",")]
+        return [p.fusion.index(s) for s in families._split_args(args.delta)]
     except FusionError as exc:
         raise CategoryFormatError(f"--delta: {exc}") from None
 
@@ -238,43 +211,45 @@ def _plumbing_path(args) -> str:
     return args.plumbing[0]
 
 
-def cmd_double(args, cfg: RunConfig) -> int:
-    p, src = _load_data(args, cfg)
-    return _write_condensed(double_data(p, _delta(args, p), tol=cfg.tolerance), args.out, cfg, src)
+def cmd_double(args) -> int:
+    p, src = _load_data(args)
+    return _write_condensed(args, double_data(p, _delta(args, p), tol=args.tolerance), src)
 
 
-def cmd_rt(args, cfg: RunConfig) -> int:
+def cmd_rt(args) -> int:
     path = _plumbing_path(args)
-    p, src = _load_data(args, cfg)
+    p, src = _load_data(args)
     g = load_plumbing(path)
-    v = rt_invariant(p, g, term_cap=cfg.term_cap, tol=cfg.tolerance)
-    _emit(cfg, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
+    v = rt_invariant(p, g, term_cap=args.term_cap, tol=args.tolerance)
+    _emit(args, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
     return EXIT_OK
 
 
-def cmd_double_rt(args, cfg: RunConfig) -> int:
+def cmd_double_rt(args) -> int:
     path = _plumbing_path(args)
-    p, src = _load_data(args, cfg)
+    p, src = _load_data(args)
     g = load_plumbing(path)
-    v = tau_double(p, _delta(args, p), g, term_cap=cfg.term_cap, tol=cfg.tolerance)
-    _emit(cfg, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
+    v = tau_double(p, _delta(args, p), g, term_cap=args.term_cap, tol=args.tolerance)
+    _emit(args, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
     return EXIT_OK
 
 
-def cmd_compare(args, cfg: RunConfig) -> int:
+def cmd_compare(args) -> int:
     if args.mode == "double" and not args.delta:
         raise CategoryFormatError("--delta is required for --mode double")
-    p, src = _load_data(args, cfg)
-    tol = max(cfg.tolerance, 1e-8)
+    if args.mode == "factorization" and args.delta is not None:
+        raise CategoryFormatError("--delta applies only to --mode double")
+    p, src = _load_data(args)
+    tol = max(args.tolerance, 1e-8)
     if args.mode == "double":
         delta = _delta(args, p)
-        double = double_data(p, delta, tol=cfg.tolerance).data
+        double = double_data(p, delta, tol=args.tolerance).data
     results = []
     all_ok = True
     for path in args.plumbing:
         g = load_plumbing(path)
         if args.mode == "factorization":
-            r = factorization_check(p, g, term_cap=cfg.term_cap, tol=tol)
+            r = factorization_check(p, g, term_cap=args.term_cap, tol=tol)
             results.append(
                 {"plumbing": path, "passed": r.passed,
                  "double": [r.double_value.real, r.double_value.imag],
@@ -282,8 +257,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
             )
             all_ok &= r.passed
         else:
-            lhs = tau_double(p, delta, g, term_cap=cfg.term_cap, tol=tol).value
-            rhs = rt_invariant(double, g, term_cap=cfg.term_cap, tol=tol).value
+            lhs = tau_double(p, delta, g, term_cap=args.term_cap, tol=tol).value
+            rhs = rt_invariant(double, g, term_cap=args.term_cap, tol=tol).value
             ok = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
             results.append(
                 {"plumbing": path, "passed": ok,
@@ -293,29 +268,29 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     lines = [
         f"{r['plumbing']}: {'ok' if r['passed'] else 'MISMATCH'}" for r in results
     ]
-    _emit(cfg, {"source": src, "mode": args.mode, "results": results, "passed": all_ok}, lines)
+    _emit(args, {"source": src, "mode": args.mode, "results": results, "passed": all_ok}, lines)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def cmd_kirby_test(args, cfg: RunConfig) -> int:
-    p, src = _load_data(args, cfg)
-    rng = random.Random(cfg.seed)
-    tol = max(cfg.tolerance, 1e-8)
+def cmd_kirby_test(args) -> int:
+    p, src = _load_data(args)
+    rng = random.Random(args.seed)
+    tol = max(args.tolerance, 1e-8)
     worst = 0.0
     failures = 0
     for _ in range(args.count):
         g = random_forest(rng, max_vertices=args.max_vertices)
-        base = rt_invariant(p, g, term_cap=cfg.term_cap, tol=cfg.tolerance).value
+        base = rt_invariant(p, g, term_cap=args.term_cap, tol=args.tolerance).value
         for h in kirby_moves(g):
-            dev = abs(rt_invariant(p, h, term_cap=cfg.term_cap, tol=cfg.tolerance).value - base)
+            dev = abs(rt_invariant(p, h, term_cap=args.term_cap, tol=args.tolerance).value - base)
             worst = max(worst, dev)
             if dev > tol * max(1.0, abs(base)):
                 failures += 1
     payload = {
-        "source": src, "count": args.count, "seed": cfg.seed,
+        "source": src, "count": args.count, "seed": args.seed,
         "worst_deviation": worst, "failures": failures, "passed": failures == 0,
     }
-    _emit(cfg, payload,
+    _emit(args, payload,
           [f"{args.count} forests, worst deviation {worst:.3g}, failures {failures}"])
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
@@ -323,21 +298,25 @@ def cmd_kirby_test(args, cfg: RunConfig) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    common.add_argument("--term-cap", type=float, default=float(DEFAULT_TERM_CAP))
-    common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("category", nargs="?", help="category file (JSON)")
-    common.add_argument(
-        "--builtin",
-        help="builtin family expression, e.g. su2:4 or prod(su2:4,conj(su2:4))",
-    )
-    common.add_argument("--level", type=int, default=None, help="level parameter for su2")
-    common.add_argument("--n", type=int, default=None, help="order parameter for pointed")
-    common.add_argument("--q", type=int, default=None, help="quadratic exponent for pointed")
-    return common
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    x = _float(text)
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError("tolerance must be a positive finite number")
+    return x
+
+
+def _term_cap(text: str) -> float:
+    x = _float(text)
+    if not x > 0:  # NaN fails; an infinite cap turns the cap off
+        raise argparse.ArgumentTypeError("term cap must be positive")
+    return x
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="premodular",
         description="Premodular category data, modularization, and surgery invariants.",
     )
-    common = _common_options()
+    # every subcommand reads these four; --term-cap only the coloring sums
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
+    common.add_argument("--output", choices=("text", "json"), default="text")
+    common.add_argument("category", nargs="?", help="category file (JSON)")
+    common.add_argument(
+        "--builtin",
+        help="builtin family expression, e.g. su2:4, pointed:3:2 or prod(su2:4,conj(su2:4))",
+    )
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--term-cap", type=_term_cap, default=float(DEFAULT_TERM_CAP),
+                        help="largest coloring sum evaluated (inf: no cap)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("verify", parents=[common], help="validate fusion and premodular data")
@@ -363,12 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--out", required=True, help="output category file")
     sp.set_defaults(func=cmd_double)
 
-    sp = subs.add_parser("rt", parents=[common], help="Reshetikhin-Turaev invariant of a plumbing")
+    sp = subs.add_parser(
+        "rt", parents=[common, capped], help="Reshetikhin-Turaev invariant of a plumbing"
+    )
     sp.add_argument("-g", "--plumbing", action="append", required=True, help="one plumbing file (JSON)")
     sp.set_defaults(func=cmd_rt)
 
     sp = subs.add_parser(
-        "double-rt", parents=[common], help="factorized double invariant of a plumbing"
+        "double-rt", parents=[common, capped], help="factorized double invariant of a plumbing"
     )
     sp.add_argument("-g", "--plumbing", action="append", required=True, help="one plumbing file (JSON)")
     sp.add_argument(
@@ -377,15 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_double_rt)
 
-    sp = subs.add_parser("compare", parents=[common], help="cross-check the double invariant")
+    sp = subs.add_parser(
+        "compare", parents=[common, capped], help="cross-check the double invariant"
+    )
     sp.add_argument("-g", "--plumbing", action="append", required=True, help="plumbing file (JSON)")
     sp.add_argument("--mode", choices=("factorization", "double"), default="factorization")
     sp.add_argument("--delta", default=None, help="subcategory labels for --mode double")
     sp.set_defaults(func=cmd_compare)
 
     sp = subs.add_parser(
-        "kirby-test", parents=[common], help="randomized blow-up/blow-down invariance test"
+        "kirby-test", parents=[common, capped], help="randomized blow-up/blow-down invariance test"
     )
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=50)
     sp.add_argument("--max-vertices", type=int, default=6)
     sp.set_defaults(func=cmd_kirby_test)
@@ -400,12 +395,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        return args.func(args, cfg)
+        return args.func(args)
     except CategoryFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

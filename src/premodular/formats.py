@@ -138,12 +138,10 @@ def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
     return premodular_from_twists(fusion, twists, dims=dims, sprime=sprime, tol=tol)
 
 
-def condensed_to_doc(c: CondensedData, *, source_doc: dict | None = None) -> dict:
+def condensed_to_doc(c: CondensedData) -> dict:
     """Serialize the condensed category (first solution) with provenance."""
-    if source_doc is None:
-        source_doc = category_to_doc(c.source)
     provenance = {
-        "source_sha256": doc_sha256(source_doc),
+        "source_sha256": doc_sha256(category_to_doc(c.source)),
         "group_order": c.group_order,
         "orbit_map": c.orbit_map(),
         "resolution_status": c.status if c.status != "multiple" else f"multiple({c.n_solutions})",
@@ -187,8 +185,8 @@ def load_category(path, *, tol: float = 1e-9) -> PremodularData:
     return category_from_doc(_load(path), tol=tol)
 
 
-def save_category(path, p: PremodularData, *, provenance: dict | None = None):
-    Path(path).write_text(json.dumps(category_to_doc(p, provenance=provenance), indent=1))
+def save_category(path, p: PremodularData):
+    Path(path).write_text(json.dumps(category_to_doc(p), indent=1))
 
 
 def load_plumbing(path) -> PlumbingGraph:

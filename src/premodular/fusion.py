@@ -119,7 +119,7 @@ def _as_int(x, what: str) -> int:
     """``x`` as an integer that fits int64, or a FusionError naming ``what``."""
     try:
         i = int(x)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise FusionError(f"{what} {x!r} is not a finite integer") from None
     if i != x:
         raise FusionError(f"{what} {x!r} is not an integer")
@@ -175,7 +175,9 @@ class FusionData:
         t = np.asarray(self.tensor)
         if t.shape != (n, n, n):
             raise FusionError(f"multiplicity tensor has shape {t.shape}, expected {(n, n, n)}")
-        if not np.issubdtype(t.dtype, np.integer):
+        if t.dtype.kind == "u" and t.max() >= 2**63:
+            _as_int(t.max().item(), "multiplicity")  # raises: astype(int) would wrap it
+        elif not np.issubdtype(t.dtype, np.integer):
             # `_as_int`'s rule: integral and within int64 (NaN and inf fail both)
             bad = ~((t == np.round(t)) & (t >= -(2.0**63)) & (t < 2.0**63))
             if bad.any():
@@ -212,7 +214,10 @@ class FusionData:
         get = index.get
         cells, mults = [], []
         for a, b, c, m in entries:
-            ia, ib, ic = get(a), get(b), get(c)
+            try:
+                ia, ib, ic = get(a), get(b), get(c)
+            except TypeError:  # an unhashable label is no name; _resolve rejects it
+                ia = ib = ic = None
             if ia is None:
                 ia = resolve(a)
             if ib is None:
@@ -244,9 +249,6 @@ class FusionData:
     @property
     def labels(self) -> tuple[Label, ...]:
         return tuple(Label(i, nm) for i, nm in enumerate(self.names))
-
-    def label(self, i: int) -> Label:
-        return Label(i, self.names[i])
 
     def index(self, x) -> int:
         """Resolve a label given as a name, an integer index, or a Label."""
@@ -394,9 +396,11 @@ def _associativity_deviation(t: np.ndarray) -> tuple[float, tuple[int, ...] | No
 # -- quantum dimensions ------------------------------------------------------
 
 
-def perron_frobenius_dims(
-    f: FusionData, *, tol: float = 1e-12, max_iterations: int = 10**5
-) -> np.ndarray:
+_PF_TOL = 1e-12
+_PF_MAX_ITERATIONS = 10**5
+
+
+def perron_frobenius_dims(f: FusionData) -> np.ndarray:
     """Quantum dimensions as the common Perron-Frobenius eigenvector.
 
     The dimension vector is the unique positive common eigenvector of all
@@ -404,24 +408,31 @@ def perron_frobenius_dims(
     the largest eigenvalue of ``N_a``.  Computed by power iteration with
     Rayleigh-quotient convergence control on ``M = sum_a N_a`` (irreducible
     and aperiodic, since ``M[u, u] >= 1`` and the unit row is all ones).
+    Data without those properties may have no such vector: a zero or
+    non-finite iterate, or one that vanishes at the unit, raises
+    :class:`InconsistentDataError`.
     """
     m = f.tensor.sum(axis=0).astype(float)
     v = np.ones(f.rank) / np.sqrt(f.rank)
-    lam = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_PF_MAX_ITERATIONS):
         w = m @ v
+        norm = float(np.linalg.norm(w))
+        if not 0 < norm < np.inf:
+            raise InconsistentDataError(f"power iteration reached a vector of norm {norm:.3g}")
         lam = float(v @ w)
-        if np.abs(w - lam * v).max() < tol * max(1.0, lam):
-            v = w / np.linalg.norm(w)
+        converged = np.abs(w - lam * v).max() < _PF_TOL * max(1.0, lam)
+        v = w / norm
+        if converged:
             break
-        v = w / np.linalg.norm(w)
     else:
         raise ConvergenceError(
-            f"power iteration did not converge within {max_iterations} iterations"
+            f"power iteration did not converge within {_PF_MAX_ITERATIONS} iterations"
         )
+    if not v[f.unit] > 0:
+        raise InconsistentDataError("the Perron-Frobenius vector vanishes at the unit")
     d = v / v[f.unit]
     resid = np.abs(np.outer(d, d) - np.einsum("abc,c->ab", f.tensor, d)).max()
-    if resid > 1e-8 * max(1.0, float(d.max()) ** 2):
+    if not resid <= 1e-8 * max(1.0, float(d.max()) ** 2):  # NaN fails too
         raise InconsistentDataError(
             f"dimension vector violates multiplicativity (residual {resid:.3g})"
         )

@@ -114,9 +114,6 @@ class Twist:
     def __complex__(self) -> complex:
         return self.approx
 
-    def isclose(self, other, *, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.approx - complex(other)) <= tol
-
     def __str__(self) -> str:
         if self.turns is not None:
             return f"e^(2πi·{self.turns})"
@@ -278,17 +275,12 @@ def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> n
 
 
 def sprime_from_balancing(
-    f: FusionData,
-    dims: np.ndarray,
-    theta,
-    *,
-    tol: float = DEFAULT_TOL,
-    validate: bool = True,
+    f: FusionData, dims: np.ndarray, theta, *, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """S' matrix from ribbon data via the balancing identity.
 
-    When ``validate`` is set, row multiplicativity is checked and a violation
-    beyond tolerance rejects the twists as not realisable premodular data.
+    Row multiplicativity is checked, and a violation beyond tolerance rejects
+    the twists as not realisable premodular data.
     """
     theta = _as_twists(theta, f)
     if abs(theta[f.unit].value - 1.0) > tol:
@@ -297,13 +289,12 @@ def sprime_from_balancing(
     d = np.asarray(dims, dtype=float)
     t = f.tensor.astype(float)
     sp = _balanced_sprime(t, list(f.dual), th, d)
-    if validate:
-        resid = float(np.abs(_row_multiplicativity_dev(t, d, sp)).max())
-        if not resid <= tol * max(1.0, float(np.abs(sp).max()) ** 2):  # NaN fails too
-            raise PremodularityError(
-                f"row multiplicativity fails (residual {resid:.3g}): "
-                "twists are not realisable on this fusion ring"
-            )
+    resid = float(np.abs(_row_multiplicativity_dev(t, d, sp)).max())
+    if not resid <= tol * max(1.0, float(np.abs(sp).max()) ** 2):  # NaN fails too
+        raise PremodularityError(
+            f"row multiplicativity fails (residual {resid:.3g}): "
+            "twists are not realisable on this fusion ring"
+        )
     return sp
 
 

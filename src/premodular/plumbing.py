@@ -388,15 +388,13 @@ def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:
     return tuple(out)
 
 
-def random_forest(
-    rng: random.Random,
-    *,
-    max_vertices: int = 6,
-    framing_range: tuple[int, int] = (-3, 3),
-) -> PlumbingGraph:
-    """A seeded random plumbing forest (each vertex attaches to an earlier one or starts a tree)."""
+def random_forest(rng: random.Random, *, max_vertices: int = 6) -> PlumbingGraph:
+    """A seeded random plumbing forest with framings in [-3, 3].
+
+    Each vertex attaches to an earlier one or starts a tree.
+    """
     n = rng.randint(0, max_vertices)
-    vertices = [(f"v{i}", rng.randint(*framing_range)) for i in range(n)]
+    vertices = [(f"v{i}", rng.randint(-3, 3)) for i in range(n)]
     edges = []
     for i in range(1, n):
         j = rng.randrange(i + 1)

@@ -156,7 +156,7 @@ def test_criterion_06_kirby_invariance():
             continue
         rng = random.Random(2026)
         for _ in range(200):
-            g = random_forest(rng, max_vertices=6, framing_range=(-3, 3))
+            g = random_forest(rng, max_vertices=6)
             base = rt_invariant(p, g).value
             for h in kirby_moves(g):
                 dev = abs(rt_invariant(p, h).value - base)
@@ -203,7 +203,7 @@ def test_criterion_09_double_pipeline_cross_check():
         ok &= abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
     rng = random.Random(2026)
     for _ in range(50):
-        g = random_forest(rng, max_vertices=4, framing_range=(-3, 3))
+        g = random_forest(rng, max_vertices=4)
         base = tau_double(hat, delta, g).value
         for h in kirby_moves(g):
             dev = abs(tau_double(hat, delta, h).value - base)

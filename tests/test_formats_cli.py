@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from premodular import families
-from premodular.cli import main
+from premodular.cli import build_parser, main
 from premodular.condense import condense, double_data
 from premodular.formats import (
     CategoryFormatError,
@@ -208,7 +209,7 @@ def workdir(tmp_path):
 
 class TestCLI:
     def test_verify_builtin_su2_level_4(self, capsys):
-        assert main(["verify", "--builtin", "su2", "--level", "4"]) == 0
+        assert main(["verify", "--builtin", "su2:4"]) == 0
         out = capsys.readouterr().out
         assert "modular: true" in out
 
@@ -427,6 +428,67 @@ class TestCLI:
         assert main([*map(str, args), "--builtin", "su2:4", "--delta", delta]) == code
         err = capsys.readouterr().err
         assert ("error: --delta: unknown label" if code == 2 else "not closed under fusion") in err
+
+    @pytest.mark.parametrize("command", [
+        ["double", "-o", "o.json"], ["double-rt", "-g", "hopf.json"],
+        ["compare", "--mode", "double", "-g", "hopf.json"],
+    ], ids=["double", "double-rt", "compare"])
+    @pytest.mark.parametrize("builtin, delta, code", [
+        ("prod(su2:4,trivial)", "(0,0),(2,0),(4,0)", 0),
+        ("prod(su2:2,conj(su2:2))", "(0,0),(2,2)", 1),  # parses; not a minimal extension
+        ("prod(su2:4,trivial)", "(0,0), (2,0)", 1),  # parses; not closed under fusion
+        ("prod(su2:4,trivial)", "(0,0),(2,0", 2),
+    ], ids=["even-part", "diagonal-z2", "not-closed", "unbalanced"])
+    def test_delta_takes_product_labels(self, workdir, capsys, command, builtin, delta, code):
+        # commas inside a product label such as (0,2) do not split it
+        args = [workdir / a if a.endswith(".json") else a for a in command]
+        assert main([*map(str, args), "--builtin", builtin, "--delta", delta]) == code
+        err = capsys.readouterr().err
+        assert ("error: --delta: unknown label '(2,0'" in err) == (code == 2)
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+            for name, sp in subs.choices.items()
+        }
+        common = {"tolerance", "output", "category", "builtin"}
+        assert flags == {
+            "verify": common,
+            "center": common,
+            "condense": common | {"out"},
+            "double": common | {"delta", "out"},
+            "rt": common | {"term_cap", "plumbing"},
+            "double-rt": common | {"term_cap", "plumbing", "delta"},
+            "compare": common | {"term_cap", "plumbing", "mode", "delta"},
+            "kirby-test": common | {"term_cap", "seed", "count", "max_vertices"},
+        }
+        assert sum(map(len, flags.values())) == 48
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--builtin", "su2:4", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["condense", "--builtin", "su2:4", "-o", "o.json", "--term-cap", "5"],
+         "unrecognized arguments: --term-cap"),
+        (["verify", "--builtin", "su2", "--level", "4"], "unrecognized arguments: --level"),
+        (["compare", "--builtin", "su2:3", "--mode", "factorization", "--delta", "0",
+          "-g", "hopf.json"], "error: --delta applies only to --mode double"),
+    ], ids=["verify-seed", "condense-term-cap", "level", "factorization-delta"])
+    def test_flag_a_subcommand_does_not_read_exits_2(self, workdir, capsys, argv, message):
+        args = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "o.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_ring_without_dimensions_fails_verify_without_warnings(self, tmp_path, capsys):
+        # no N entries: the fusion matrix sum is zero and has no Perron-Frobenius vector
+        doc = category_to_doc(families.ising())
+        doc.update(N=[], dims={}, sprime=[])
+        path = tmp_path / "empty_n.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "premodular assembly failed: power iteration reached a vector of norm 0" in out
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["rt", "--builtin", "su2:3"]) == 2  # missing -g

@@ -8,6 +8,7 @@ from premodular.fusion import (
     ClosureError,
     FusionData,
     FusionError,
+    InconsistentDataError,
     deligne_product,
     full_subcategory,
     global_dim,
@@ -153,6 +154,17 @@ class TestPerronFrobenius:
             assert abs(d[a] - top) < 1e-9
         assert np.abs(d - su2_4.dims).max() < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cells", [[], [(1, 1, 1)]], ids=["zero-sum", "only-b-b-b"])
+    def test_ring_without_a_perron_frobenius_vector_raises(self, cells):
+        # a zero matrix sum, and one whose Perron-Frobenius vector vanishes at the unit
+        t = np.zeros((2, 2, 2), dtype=int)
+        for cell in cells:
+            t[cell] = 1
+        f = FusionData(names=("a", "b"), unit=0, dual=(0, 1), tensor=t)
+        with pytest.raises(InconsistentDataError):
+            perron_frobenius_dims(f)
+
 
 class TestGlobalDim:
     def test_z2(self):
@@ -253,6 +265,8 @@ def _resolved_by_from_entries(f, x):
         (1.5, "label index 1.5 is not an integer"), (float("inf"), "is not a finite integer"),
         (float("nan"), "is not a finite integer"), (3, "label index 3 out of range"),
         (-1, "label index -1 out of range"), (2**70, "does not fit in int64"),
+        (None, "label index None is not a finite integer"),
+        ([0], "label index [0] is not a finite integer"),
     ],
     ids=repr,
 )
@@ -285,3 +299,18 @@ def test_integral_float_multiplicities_are_kept():
     t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = 1.0
     t[1, 1, 0] = -(2.0**63)
     assert FusionData(names=("0", "1"), unit=0, dual=(0, 1), tensor=t).tensor[1, 1, 0] == -(2**63)
+
+
+@pytest.mark.parametrize(
+    "dtype, value, kept",
+    [(np.uint64, 2**64 - 1, False), (np.uint64, 2**63, False), (np.uint64, 2**63 - 1, True),
+     (np.uint8, 255, True)],
+)
+def test_unsigned_multiplicities_beyond_int64_are_rejected_not_wrapped(dtype, value, kept):
+    t = np.zeros((1, 1, 1), dtype=dtype)
+    t[0, 0, 0] = value
+    if kept:
+        assert FusionData(names=("0",), unit=0, dual=(0,), tensor=t).tensor[0, 0, 0] == value
+    else:
+        with pytest.raises(FusionError, match=f"multiplicity {value} does not fit in int64"):
+            FusionData(names=("0",), unit=0, dual=(0,), tensor=t)

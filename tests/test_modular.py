@@ -17,6 +17,7 @@ from premodular.modular import (
     sprime_from_balancing,
     verify_premodular,
     verlinde_multiplicities,
+    _balanced_sprime,
 )
 
 
@@ -99,10 +100,10 @@ class TestVerifyPremodular:
         # theta_tau = i on the Fibonacci ring is not realisable
         fib = families.fibonacci().fusion
         d = np.array([1.0, (1 + np.sqrt(5)) / 2])
-        sp = sprime_from_balancing(fib, d, [Twist.one(), Twist.from_turns(1, 4)], validate=False)
-        from premodular.modular import PremodularData
-
-        p = PremodularData(fusion=fib, dims=d, theta=(Twist.one(), Twist.from_turns(1, 4)), sprime=sp)
+        theta = (Twist.one(), Twist.from_turns(1, 4))
+        th = np.array([t.value for t in theta])
+        sp = _balanced_sprime(fib.tensor.astype(float), list(fib.dual), th, d)
+        p = PremodularData(fusion=fib, dims=d, theta=theta, sprime=sp)
         report = verify_premodular(p)
         assert not report.passed
         bad = report["sprime:row_multiplicative"]
