@@ -22,7 +22,6 @@ from .fusion import (
     FusionData,
     FusionError,
     InconsistentDataError,
-    Label,
     SubcategorySelection,
     ValidationReport,
     deligne_product,
@@ -89,4 +88,4 @@ from .double_rt import (
     tau_double,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

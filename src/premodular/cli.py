@@ -57,6 +57,9 @@ def _emit(args, payload: dict, lines: list[str]):
 
 def _read(args) -> tuple[dict | None, dict]:
     """The category document (None for a ``--builtin`` expression) and the source record."""
+    if args.builtin and args.category:
+        raise CategoryFormatError(f"give a category file or --builtin, not both: {args.category!r} "
+                                  f"and --builtin {args.builtin!r}")
     if args.builtin:
         return None, {"builtin": args.builtin}
     if not args.category:
@@ -312,6 +315,15 @@ def _tolerance(text: str) -> float:
     return x
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+
+
 def _term_cap(text: str) -> float:
     x = _float(text)
     if not x > 0:  # NaN fails; an infinite cap turns the cap off
@@ -381,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         "kirby-test", parents=[common, capped], help="randomized blow-up/blow-down invariance test"
     )
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=50)
-    sp.add_argument("--max-vertices", type=int, default=6)
+    sp.add_argument("--count", type=_non_negative_int, default=50)
+    sp.add_argument("--max-vertices", type=_non_negative_int, default=6)
     sp.set_defaults(func=cmd_kirby_test)
 
     return parser

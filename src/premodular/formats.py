@@ -165,9 +165,9 @@ def plumbing_from_doc(doc: dict) -> PlumbingGraph:
         ids = [str(v["id"]) for v in doc["vertices"]]
         framings = _numbers([v["framing"] for v in doc["vertices"]], "framing", (len(ids),), integral=True)
         edges = tuple((str(u), str(v)) for u, v in doc.get("edges", []))
-    except (KeyError, TypeError, ValueError) as exc:
+        return PlumbingGraph(tuple(zip(ids, framings.tolist())), edges)
+    except (KeyError, TypeError, ValueError) as exc:  # PlumbingError, a graph that is no forest, too
         raise CategoryFormatError(f"malformed plumbing document: {exc}") from None
-    return PlumbingGraph(tuple(zip(ids, framings.tolist())), edges)
 
 
 def _load(path) -> dict:

@@ -20,7 +20,6 @@ __all__ = [
     "ClosureError",
     "ConvergenceError",
     "InconsistentDataError",
-    "Label",
     "CheckResult",
     "ValidationReport",
     "FusionData",
@@ -53,17 +52,6 @@ class ConvergenceError(RuntimeError):
 
 class InconsistentDataError(ValueError):
     """Numerical data violates an identity it is required to satisfy."""
-
-
-@dataclass(frozen=True)
-class Label:
-    """A simple object: position in the category's label list plus display name."""
-
-    index: int
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -246,14 +234,8 @@ class FusionData:
     def rank(self) -> int:
         return len(self.names)
 
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(Label(i, nm) for i, nm in enumerate(self.names))
-
     def index(self, x) -> int:
-        """Resolve a label given as a name, an integer index, or a Label."""
-        if isinstance(x, Label):
-            return x.index
+        """Resolve a label given as a name or an integer index."""
         return _resolve(self._positions, self.rank, x)
 
     def multiplicity(self, a, b, c) -> int:

@@ -123,46 +123,40 @@ class PlumbingGraph:
         return {v: m for v, m in self.vertices}
 
     @cached_property
-    def degrees(self) -> dict[str, int]:
-        deg = {v: 0 for v, _ in self.vertices}
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Each vertex's neighbours, in edge order."""
+        adjacent: dict[str, list[str]] = {v: [] for v in self.ids}
         for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        return {v: tuple(ns) for v, ns in adjacent.items()}
+
+    @cached_property
+    def _schedule(self) -> tuple[tuple[str, tuple[str, ...], bool], ...]:
+        """Contraction order as ``(vertex, children, is_root)``, each vertex after its children.
+
+        Each tree is rooted at its least id and the trees follow in root order;
+        children are listed in id order.
+        """
+        schedule = []
+        parent: dict[str, str | None] = {}
+        for root in sorted(self.ids):
+            if root in parent:
+                continue
+            parent[root], tree, children = None, [root], {}
+            for v in tree:  # breadth first, so the reversed tree puts children first
+                children[v] = tuple(sorted(w for w in self._adjacency[v] if w != parent[v]))
+                parent.update(dict.fromkeys(children[v], v))
+                tree.extend(children[v])
+            schedule.extend((v, children[v], v == root) for v in reversed(tree))
+        return tuple(schedule)
+
+    @cached_property
+    def degrees(self) -> dict[str, int]:
+        return {v: len(ns) for v, ns in self._adjacency.items()}
 
     def neighbors(self, x: str) -> tuple[str, ...]:
-        out = []
-        for u, v in self.edges:
-            if u == x:
-                out.append(v)
-            elif v == x:
-                out.append(u)
-        return tuple(out)
-
-    # -- small rewrites used by the Kirby moves -------------------------------
-
-    def with_vertex(self, vid: str, framing: int, attach_to: str | None = None) -> "PlumbingGraph":
-        edges = self.edges if attach_to is None else self.edges + ((attach_to, vid),)
-        return PlumbingGraph(self.vertices + ((vid, framing),), edges)
-
-    def without_vertex(self, vid: str) -> "PlumbingGraph":
-        return PlumbingGraph(
-            tuple((v, m) for v, m in self.vertices if v != vid),
-            tuple((u, v) for u, v in self.edges if vid not in (u, v)),
-        )
-
-    def with_framing(self, vid: str, framing: int) -> "PlumbingGraph":
-        return PlumbingGraph(
-            tuple((v, framing if v == vid else m) for v, m in self.vertices),
-            self.edges,
-        )
-
-    def fresh_id(self) -> str:
-        used = set(self.ids)
-        i = 0
-        while f"b{i}" in used:
-            i += 1
-        return f"b{i}"
+        return self._adjacency.get(x, ())
 
 
 def plumbing(vertices: Iterable, edges: Iterable = ()) -> PlumbingGraph:
@@ -272,39 +266,19 @@ def _contract_forest(
     """Sum over colorings of a forest, factorized along the trees.
 
     ``weights[v]`` is the per-color weight of vertex ``v`` and ``edge_matrix``
-    the symmetric per-edge weight; children are folded in sorted order so the
-    result is reproducible.
+    the symmetric per-edge weight; each vertex folds in its children's
+    messages in the order of ``g._schedule``, so the result is reproducible.
     """
-    adjacency: dict[str, list[str]] = {v: [] for v in g.ids}
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for v in adjacency:
-        adjacency[v].sort()
-
     total = 1.0 + 0.0j
-    visited: set[str] = set()
-    for root in sorted(g.ids):
-        if root in visited:
-            continue
-        # iterative post-order over the tree containing `root`
-        message: dict[str, np.ndarray] = {}
-        stack = [(root, None, False)]
-        while stack:
-            node, par, expanded = stack.pop()
-            if expanded:
-                msg = weights[node].copy()
-                for ch in adjacency[node]:
-                    if ch != par:
-                        msg = msg * (edge_matrix @ message.pop(ch))
-                message[node] = msg
-                visited.add(node)
-            else:
-                stack.append((node, par, True))
-                for ch in adjacency[node]:
-                    if ch != par:
-                        stack.append((ch, node, False))
-        total *= complex(np.sum(message[root]))
+    message: dict[str, np.ndarray] = {}
+    for v, children, is_root in g._schedule:
+        msg = weights[v]
+        for ch in children:
+            msg = msg * (edge_matrix @ message.pop(ch))
+        if is_root:
+            total *= complex(np.sum(msg))
+        else:
+            message[v] = msg
     return total
 
 
@@ -372,19 +346,21 @@ def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:
     ``e``; remove such a leaf while shifting its neighbor back.  All preserve
     the presented 3-manifold (removals only apply when the pattern exists).
     """
-    out: list[PlumbingGraph] = []
-    for e in (1, -1):
-        out.append(g.with_vertex(g.fresh_id(), e))
+    used = set(g.ids)
+    b = next(f"b{i}" for i in range(g.n + 1) if f"b{i}" not in used)  # the least fresh id
+    out = [PlumbingGraph(g.vertices + ((b, e),), g.edges) for e in (1, -1)]
     for v, m in g.vertices:
         if m in (1, -1) and g.degrees[v] == 0:
-            out.append(g.without_vertex(v))
+            out.append(PlumbingGraph(tuple(x for x in g.vertices if x[0] != v), g.edges))
     for v, m in g.vertices:
         for e in (1, -1):
-            out.append(g.with_framing(v, m + e).with_vertex(g.fresh_id(), e, attach_to=v))
+            shifted = tuple((u, mu + e if u == v else mu) for u, mu in g.vertices)
+            out.append(PlumbingGraph(shifted + ((b, e),), g.edges + ((v, b),)))
     for w, mw in g.vertices:
         if mw in (1, -1) and g.degrees[w] == 1:
             (v,) = g.neighbors(w)
-            out.append(g.without_vertex(w).with_framing(v, g.framings[v] - mw))
+            kept = tuple((u, mu - mw if u == v else mu) for u, mu in g.vertices if u != w)
+            out.append(PlumbingGraph(kept, tuple(edge for edge in g.edges if w not in edge)))
     return tuple(out)
 
 

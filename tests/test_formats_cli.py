@@ -479,6 +479,21 @@ class TestCLI:
         assert message in capsys.readouterr().err
         assert not (workdir / "o.json").exists()
 
+    def test_category_file_and_builtin_together_exit_2(self, workdir, capsys):
+        # the file was ignored, even one that does not exist
+        assert main(["verify", "/no/such/file.json", "--builtin", "ising"]) == 2
+        assert "not both: '/no/such/file.json' and --builtin 'ising'" in capsys.readouterr().err
+        su2_4, hopf = str(workdir / "su2_4.json"), str(workdir / "hopf.json")
+        assert main(["rt", su2_4, "--builtin", "su2:3", "-g", hopf]) == 2
+        assert f"not both: {su2_4!r} and --builtin 'su2:3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--count", "-5"), ("--max-vertices", "-1"), ("--count", "x")])
+    def test_kirby_test_sizes_are_non_negative_integers(self, capsys, option, value):
+        assert main(["kirby-test", "--builtin", "ising", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must be a non-negative integer, not '{value}'" in captured.err
+
     @pytest.mark.filterwarnings("error")
     def test_ring_without_dimensions_fails_verify_without_warnings(self, tmp_path, capsys):
         # no N entries: the fusion matrix sum is zero and has no Perron-Frobenius vector
@@ -626,6 +641,15 @@ def test_mutated_document_keeps_the_exit_code_contract(fuzz_docs, fuzz_path, bas
 # -- mutation fuzz of plumbing documents -----------------------------------------
 
 _PLUMBING_KEYS = ("format", "vertices", "edges", "id", "framing", "u", "v", "w")
+_FUZZ_GRAPH = plumbing([("u", -2), ("v", 1), ("w", 3)], [("u", "v"), ("v", "w")])
+# mutations of the chain u - v - w that leave a graph which is not a forest, by defect
+_NOT_A_FOREST = {
+    "duplicate vertex ids": [(("vertices", 1, "id"), "u")],
+    "references an unknown vertex": [(("edges", 0, 0), "x")],
+    "self-loop": [(("edges", 0, 1), "u")],
+    "duplicate edge": [(("edges", 1), ["v", "u"])],
+    "closes a cycle": [(("edges",), [["u", "v"], ["v", "w"], ["w", "u"]])],
+}
 _PLUMBING_COMMANDS = (
     ["rt", "--builtin", "su2:2"],
     ["double-rt", "--builtin", "su2:2"],
@@ -638,9 +662,14 @@ _PLUMBING_COMMANDS = (
 @example(command=_PLUMBING_COMMANDS[0], mutations=[(("vertices", 0, "framing"), "abc")])
 @example(command=_PLUMBING_COMMANDS[0], mutations=[(("vertices", 0, "framing"), math.inf)])
 @example(command=_PLUMBING_COMMANDS[0], mutations=[(("vertices", 0, "framing"), 10**400)])
+@example(command=_PLUMBING_COMMANDS[0], mutations=_NOT_A_FOREST["duplicate vertex ids"])
+@example(command=_PLUMBING_COMMANDS[1], mutations=_NOT_A_FOREST["references an unknown vertex"])
+@example(command=_PLUMBING_COMMANDS[2], mutations=_NOT_A_FOREST["self-loop"])
+@example(command=_PLUMBING_COMMANDS[3], mutations=_NOT_A_FOREST["duplicate edge"])
+@example(command=_PLUMBING_COMMANDS[0], mutations=_NOT_A_FOREST["closes a cycle"])
 @settings(max_examples=150, deadline=None)
 def test_mutated_plumbing_keeps_the_exit_code_contract(fuzz_path, command, mutations):
-    doc = plumbing_to_doc(plumbing([("u", -2), ("v", 1), ("w", 3)], [("u", "v"), ("v", "w")]))
+    doc = plumbing_to_doc(_FUZZ_GRAPH)
     for path, value in mutations:
         _mutate(doc, path, value)
     fuzz_path.write_text(json.dumps(doc))
@@ -649,3 +678,16 @@ def test_mutated_plumbing_keeps_the_exit_code_contract(fuzz_path, command, mutat
         code = main([*command, "-g", str(fuzz_path)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("defect", sorted(_NOT_A_FOREST))
+def test_graph_that_is_not_a_forest_exits_2_naming_the_defect(tmp_path, capsys, defect):
+    doc = plumbing_to_doc(_FUZZ_GRAPH)
+    for path, value in _NOT_A_FOREST[defect]:
+        _mutate(doc, path, value)
+    with pytest.raises(CategoryFormatError, match=defect):
+        plumbing_from_doc(doc)
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    assert main(["rt", "--builtin", "su2:2", "-g", str(tmp_path / "g.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: malformed plumbing document: " in err and defect in err

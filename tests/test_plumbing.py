@@ -68,6 +68,14 @@ class TestPlumbingGraph:
         with pytest.raises(PlumbingError, match="duplicate edge"):
             plumbing([("a", 0), ("b", 0)], [("a", "b"), ("b", "a")])
 
+    def test_schedule_lists_children_before_parents_in_id_order(self):
+        g = plumbing([("c", 0), ("a", 0), ("d", 0), ("b", 0), ("e", 0)], [("d", "c"), ("b", "a"), ("a", "d")])
+        assert g._schedule == (
+            ("c", (), False), ("d", ("c",), False), ("b", (), False), ("a", ("b", "d"), True), ("e", (), True),
+        )
+        assert g.neighbors("a") == ("b", "d") and g.neighbors("d") == ("c", "a") and g.neighbors("x") == ()
+        assert g.degrees == {"c": 1, "a": 2, "d": 2, "b": 1, "e": 0}
+
 
 class TestLinkingMatrix:
     def test_single_vertex(self):

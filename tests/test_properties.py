@@ -4,19 +4,21 @@ import cmath
 import math
 import random
 import struct
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from premodular import families
+from premodular import double_rt, families
 from premodular.fusion import ClosureError, FusionData, _exact_dtype, full_subcategory, validate_fusion
 from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
-from premodular.plumbing import bracket, plumbing, random_forest, signature
+from premodular.plumbing import PlumbingGraph, bracket, kirby_moves, plumbing, random_forest, signature
 
 
 @st.composite
@@ -345,3 +347,139 @@ def test_restrict_and_relabelled_are_bitwise_the_per_entry_take(name):
         sub = list(sub)
         assert _label_set_data(p.restrict(sub)) == take_per_entry(p, sub)
         assert _label_set_data(p.restrict(full_subcategory(p.fusion, sub))) == take_per_entry(p, sub)
+
+
+# -- the plumbing forest: contraction order and Kirby neighbours ------------------
+
+
+def contract_forest_dfs(g, weights, edge_matrix):
+    """Oracle: the depth-first contraction that rebuilt its adjacency on every call."""
+    adjacency = {v: [] for v in g.ids}
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for v in adjacency:
+        adjacency[v].sort()
+    total = 1.0 + 0.0j
+    visited = set()
+    for root in sorted(g.ids):
+        if root in visited:
+            continue
+        message = {}
+        stack = [(root, None, False)]
+        while stack:
+            node, par, expanded = stack.pop()
+            if expanded:
+                msg = weights[node].copy()
+                for ch in adjacency[node]:
+                    if ch != par:
+                        msg = msg * (edge_matrix @ message.pop(ch))
+                message[node] = msg
+                visited.add(node)
+            else:
+                stack.append((node, par, True))
+                for ch in adjacency[node]:
+                    if ch != par:
+                        stack.append((ch, node, False))
+        total *= complex(np.sum(message[root]))
+    return total
+
+
+def kirby_moves_by_rewrites(g):
+    """Oracle: each Kirby neighbour as composed single rewrites, every step a validated graph."""
+
+    def with_vertex(h, vid, framing, attach_to=None):
+        edges = h.edges if attach_to is None else h.edges + ((attach_to, vid),)
+        return PlumbingGraph(h.vertices + ((vid, framing),), edges)
+
+    def without_vertex(h, vid):
+        return PlumbingGraph(
+            tuple((v, m) for v, m in h.vertices if v != vid),
+            tuple((u, v) for u, v in h.edges if vid not in (u, v)),
+        )
+
+    def with_framing(h, vid, framing):
+        return PlumbingGraph(tuple((v, framing if v == vid else m) for v, m in h.vertices), h.edges)
+
+    def fresh_id(h):
+        i = 0
+        while f"b{i}" in h.ids:
+            i += 1
+        return f"b{i}"
+
+    out = [with_vertex(g, fresh_id(g), e) for e in (1, -1)]
+    out += [without_vertex(g, v) for v, m in g.vertices if m in (1, -1) and g.degrees[v] == 0]
+    for v, m in g.vertices:
+        for e in (1, -1):
+            out.append(with_vertex(with_framing(g, v, m + e), fresh_id(g), e, attach_to=v))
+    for w, mw in g.vertices:
+        if mw in (1, -1) and g.degrees[w] == 1:
+            (v,) = g.neighbors(w)
+            out.append(with_framing(without_vertex(g, w), v, g.framings[v] - mw))
+    return [(h.vertices, h.edges) for h in out]
+
+
+@st.composite
+def forests(draw, max_vertices=12):
+    """Forests whose insertion, edge and endpoint orders differ from id order.
+
+    Each vertex attaches to an earlier one or starts a tree; ids such as
+    ``v10`` sort before ``v2``, and ``b0`` collides with the Kirby moves' fresh id.
+    """
+    n = draw(st.integers(0, max_vertices))
+    ids = draw(st.permutations([f"v{i}" for i in range(n - 1)] + ["b0"] * (n > 0)))
+    edges = []
+    for i in range(1, n):
+        j = draw(st.integers(0, i))
+        if j < i:
+            edges.append((ids[j], ids[i]) if draw(st.booleans()) else (ids[i], ids[j]))
+    framings = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return PlumbingGraph(tuple(zip(ids, framings)), tuple(draw(st.permutations(edges))))
+
+
+def _chain(n):
+    return plumbing([(f"c{i}", -2) for i in range(n)], [(f"c{i}", f"c{i + 1}") for i in range(n - 1)])
+
+
+_ISOLATED = plumbing([("z", 1), ("a", -1), ("m", 0)])
+_THREE_TREES = plumbing(
+    [("t", 2), ("s", -1), ("a", 0), ("k", 1), ("c", -3), ("b", 1), ("x", 0)],
+    [("t", "s"), ("s", "k"), ("c", "a"), ("a", "b"), ("c", "x")],
+)
+_DOUBLE_INPUTS = (("su2:4", (0, 2, 4)), ("su2:4", None), ("ising", None), ("fibonacci", None))
+
+
+@cache
+def _category(name):
+    return families.builtin(name)
+
+
+@given(g=forests(), case=st.sampled_from(_DOUBLE_INPUTS))
+@example(g=plumbing([]), case=_DOUBLE_INPUTS[0])
+@example(g=_ISOLATED, case=_DOUBLE_INPUTS[1])
+@example(g=_THREE_TREES, case=_DOUBLE_INPUTS[0])
+@example(g=_chain(300), case=_DOUBLE_INPUTS[2])
+@example(g=_chain(300), case=_DOUBLE_INPUTS[0])
+@settings(max_examples=60, deadline=None)
+def test_contraction_is_bitwise_the_depth_first_oracle(g, case):
+    name, delta = case
+    p = _category(name)
+    delta = range(p.rank) if delta is None else delta
+
+    def values():
+        return [_bits(bracket(p, g, term_cap=math.inf).value),
+                _bits(double_rt.tau_double(p, delta, g, term_cap=math.inf).value)]
+
+    got = values()
+    with mock.patch.object(sys.modules["premodular.plumbing"], "_contract_forest", contract_forest_dfs), \
+            mock.patch.object(double_rt, "_contract_forest", contract_forest_dfs):
+        assert got == values()
+
+
+@given(g=forests())
+@example(g=plumbing([]))
+@example(g=_ISOLATED)
+@example(g=_THREE_TREES)
+@settings(max_examples=150, deadline=None)
+def test_kirby_moves_are_the_composed_rewrites(g):
+    assert [(h.vertices, h.edges) for h in kirby_moves(g)] == kirby_moves_by_rewrites(g)
