@@ -6,12 +6,6 @@ implements modularization by condensing the even pointed transparent
 subcategory, quantum-double data for minimal non-degenerate extensions, and
 Reshetikhin-Turaev invariants of plumbed 3-manifolds, including the
 factorized evaluation of the double's invariant from extension data alone.
-
-Two public functions share the name of their module: ``premodular.condense``
-and ``premodular.plumbing`` are the functions ``condense`` and ``plumbing``,
-not the modules, and so is ``import premodular.condense as m``.  Reach a
-module's other names with ``from premodular.condense import double_data``,
-or the module itself as ``sys.modules["premodular.condense"]``.
 """
 
 from .fusion import (
@@ -57,7 +51,6 @@ from .condense import (
     ResolutionError,
     SheetLabel,
     SupportCheck,
-    condense,
     degenerate_group,
     double_data,
     fusion_support_check,
@@ -75,7 +68,6 @@ from .plumbing import (
     colored_invariant,
     kirby_moves,
     linking_matrix,
-    plumbing,
     random_forest,
     rt_invariant,
     signature,
@@ -88,4 +80,4 @@ from .double_rt import (
     tau_double,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -158,7 +158,9 @@ def cmd_center(args) -> int:
 
 
 def _write_condensed(args, c: CondensedData, src: dict) -> int:
-    if not c.solutions:
+    try:
+        doc = condensed_to_doc(c)
+    except ResolutionError:
         # strict JSON has no Infinity: a residual that was never measured is null
         residual = c.best_residual if math.isfinite(c.best_residual) else None
         _emit(args, {"source": src, "resolution": c.status, "best_residual": residual,
@@ -166,7 +168,6 @@ def _write_condensed(args, c: CondensedData, src: dict) -> int:
               [f"resolution: {c.status} (best residual {c.best_residual:.3g})",
                f"reason: {c.reason}"])
         return EXIT_CHECK_FAILED
-    doc = condensed_to_doc(c)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
     payload = {
@@ -175,12 +176,12 @@ def _write_condensed(args, c: CondensedData, src: dict) -> int:
         "labels": [lab.name for lab in c.labels],
         "group_order": c.group_order,
         "resolution": doc["provenance"]["resolution_status"],
-        "dim": c.solutions[0].total_dim,
+        "dim": c.data.total_dim,
         "sha256": doc_sha256(doc),
     }
     lines = [
         f"condensed {len(c.labels)} labels, group order {c.group_order}, "
-        f"dim {c.solutions[0].total_dim:.9g}",
+        f"dim {c.data.total_dim:.9g}",
         f"resolution: {doc['provenance']['resolution_status']}",
         f"wrote {args.out}",
     ]

@@ -96,24 +96,23 @@ class OrbitDecomposition:
 
 @dataclass(frozen=True)
 class SheetLabel:
-    """A condensed label: orbit representative plus sheet index (1 for free orbits)."""
+    """A condensed label: its orbit representative and its name, ``x#i`` for sheet ``i``."""
 
     source: int
-    sheet: int
     name: str
 
 
 @dataclass(frozen=True, eq=False)
 class CondensedData:
-    """Result of modularization: the verified sheet resolutions and, when there
+    """Result of modularization: the verified sheet resolution and, when there
     is none, the reason (the fixed-orbit shape or the gate that rejected the
-    candidate)."""
+    candidate).  A modularization is unique up to equivalence (Muger, Adv.
+    Math. 150 (2000)), so ``solutions`` holds one result or none."""
 
     source: PremodularData
     decomposition: OrbitDecomposition
     labels: tuple[SheetLabel, ...]
     solutions: tuple[PremodularData, ...]
-    status: str  # 'unique' | 'multiple' | 'unresolved'
     best_residual: float
     reason: str = ""
 
@@ -126,11 +125,15 @@ class CondensedData:
         return len(self.solutions)
 
     @property
+    def status(self) -> str:
+        return "unique" if self.solutions else "unresolved"
+
+    @property
     def data(self) -> PremodularData:
-        if self.status != "unique":
+        """The resolved data; raises ``ResolutionError`` when unresolved."""
+        if not self.solutions:
             raise ResolutionError(
-                f"resolution is {self.status} ({self.n_solutions} solutions, "
-                f"best residual {self.best_residual:.3g})"
+                f"resolution is unresolved (best residual {self.best_residual:.3g})"
                 + (f": {self.reason}" if self.reason else "")
             )
         return self.solutions[0]
@@ -292,14 +295,8 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
     g_order = dec.group_order
 
     if g_order == 1:
-        labels = tuple(
-            SheetLabel(source=o.representative, sheet=1, name=p.names[o.representative])
-            for o in dec.orbits
-        )
-        return CondensedData(
-            source=p, decomposition=dec, labels=labels,
-            solutions=(p,), status="unique", best_residual=0.0,
-        )
+        labels = tuple(SheetLabel(o.representative, p.names[o.representative]) for o in dec.orbits)
+        return CondensedData(source=p, decomposition=dec, labels=labels, solutions=(p,), best_residual=0.0)
 
     labels: list[SheetLabel] = []
     stab: list[int] = []  # the sheet count of each label's orbit
@@ -307,9 +304,9 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
         s = orb.sheet_count
         nm = p.names[orb.representative]
         if s == 1:
-            labels.append(SheetLabel(orb.representative, 1, nm))
+            labels.append(SheetLabel(orb.representative, nm))
         else:
-            labels.extend(SheetLabel(orb.representative, i + 1, f"{nm}#{i + 1}") for i in range(s))
+            labels.extend(SheetLabel(orb.representative, f"{nm}#{i + 1}") for i in range(s))
         stab += [s] * s
     labels = tuple(labels)
     names_new = tuple(lab.name for lab in labels)
@@ -328,7 +325,7 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
     def unresolved(residual: float, reason: str) -> CondensedData:
         return CondensedData(
             source=p, decomposition=dec, labels=labels, solutions=(),
-            status="unresolved", best_residual=residual, reason=reason,
+            best_residual=residual, reason=reason,
         )
 
     fixed = [o for o in dec.orbits if o.sheet_count > 1]
@@ -353,10 +350,7 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
     )
     if cand is None:
         return unresolved(resid, f"candidate rejected by the {gate} gate")
-    return CondensedData(
-        source=p, decomposition=dec, labels=labels,
-        solutions=(cand,), status="unique", best_residual=resid,
-    )
+    return CondensedData(source=p, decomposition=dec, labels=labels, solutions=(cand,), best_residual=resid)
 
 
 def double_data(
@@ -401,11 +395,10 @@ def double_data(
 
     cond = condense(restricted, tol=tol)
     dim_sub = report.dim_sub
-    for sol in cond.solutions:
-        if abs(sol.total_dim - dim_sub**2) > 1e-8 * max(1.0, dim_sub**2):
-            raise InconsistentDataError(
-                f"double dimension {sol.total_dim:.12g} deviates from {dim_sub**2:.12g}"
-            )
+    if cond.status == "unique" and abs(cond.data.total_dim - dim_sub**2) > 1e-8 * max(1.0, dim_sub**2):
+        raise InconsistentDataError(
+            f"double dimension {cond.data.total_dim:.12g} deviates from {dim_sub**2:.12g}"
+        )
     return cond
 
 

@@ -139,16 +139,15 @@ def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
 
 
 def condensed_to_doc(c: CondensedData) -> dict:
-    """Serialize the condensed category (first solution) with provenance."""
+    """Serialize the condensed category with provenance; ``ResolutionError`` when unresolved."""
+    data = c.data
     provenance = {
         "source_sha256": doc_sha256(category_to_doc(c.source)),
         "group_order": c.group_order,
         "orbit_map": c.orbit_map(),
-        "resolution_status": c.status if c.status != "multiple" else f"multiple({c.n_solutions})",
+        "resolution_status": c.status,
     }
-    if not c.solutions:
-        raise CategoryFormatError("unresolved condensation has no category to serialize")
-    return category_to_doc(c.solutions[0], provenance=provenance)
+    return category_to_doc(data, provenance=provenance)
 
 
 def plumbing_to_doc(g: PlumbingGraph) -> dict:
@@ -162,9 +161,11 @@ def plumbing_to_doc(g: PlumbingGraph) -> dict:
 def plumbing_from_doc(doc: dict) -> PlumbingGraph:
     _require_version(doc, "plumbing")
     try:
-        ids = [str(v["id"]) for v in doc["vertices"]]
+        ids = [v["id"] for v in doc["vertices"]]
         framings = _numbers([v["framing"] for v in doc["vertices"]], "framing", (len(ids),), integral=True)
-        edges = tuple((str(u), str(v)) for u, v in doc.get("edges", []))
+        edges = tuple((u, v) for u, v in doc.get("edges", []))
+        if not all(isinstance(x, str) for x in (*ids, *(x for edge in edges for x in edge))):
+            raise TypeError("vertex ids and edge endpoints must be JSON strings")
         return PlumbingGraph(tuple(zip(ids, framings.tolist())), edges)
     except (KeyError, TypeError, ValueError) as exc:  # PlumbingError, a graph that is no forest, too
         raise CategoryFormatError(f"malformed plumbing document: {exc}") from None

@@ -402,7 +402,7 @@ def bracket_descent_check(
 
     ``|G|`` is the condensing group order (the transparent part is pointed,
     so its dimension equals its order).  Skipped, and reported as such, when
-    the sheet resolution is not unique.
+    the condensation is unresolved.
     """
     if condensed.status != "unique":
         return DescentCheck(

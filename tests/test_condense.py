@@ -380,10 +380,8 @@ class TestCondense:
             c.data
 
     def test_rejecting_gate_is_named(self, even_su2_4, monkeypatch):
-        # the package re-exports the function ``condense``, which shadows the module
-        cmod = sys.modules["premodular.condense"]
         rejected = types.SimpleNamespace(modular=False, residual=0.5)
-        monkeypatch.setattr(cmod, "is_modular", lambda p, tol: rejected)
+        monkeypatch.setattr(premodular.condense, "is_modular", lambda p, tol: rejected)
         c = condense(even_su2_4)
         assert c.status == "unresolved"
         assert c.reason == "candidate rejected by the modularity gate"
@@ -499,3 +497,9 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_condense_and_plumbing_are_modules():
+    assert isinstance(premodular.condense, types.ModuleType)
+    assert isinstance(premodular.plumbing, types.ModuleType)
+    assert premodular.condense.double_data is double_data

@@ -190,6 +190,18 @@ class TestPlumbingFormat:
         assert g.vertices == (("u", 3), ("v", -2))
         assert all(type(m) is int for _, m in g.vertices)
 
+    @pytest.mark.parametrize(
+        "ids, edges",
+        [([None, [1, 2]], [[None, [1, 2]]]), ([1, "1"], []), (["u", "v"], [["u", None]])],
+        ids=["null-and-list-ids", "number-beside-its-string", "null-endpoint"],
+    )
+    def test_non_string_ids_exit_2(self, tmp_path, ids, edges):
+        doc = {"format": 1, "vertices": [{"id": v, "framing": 0} for v in ids], "edges": edges}
+        with pytest.raises(CategoryFormatError, match="vertex ids and edge endpoints must be JSON strings"):
+            plumbing_from_doc(doc)
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        assert main(["rt", "--builtin", "su2:2", "-g", str(tmp_path / "g.json")]) == 2
+
 
 def _labels_as_one_string(doc):
     """Ising with one-character labels, given as the string "1se" instead of a list."""
@@ -667,6 +679,11 @@ _PLUMBING_COMMANDS = (
 @example(command=_PLUMBING_COMMANDS[2], mutations=_NOT_A_FOREST["self-loop"])
 @example(command=_PLUMBING_COMMANDS[3], mutations=_NOT_A_FOREST["duplicate edge"])
 @example(command=_PLUMBING_COMMANDS[0], mutations=_NOT_A_FOREST["closes a cycle"])
+@example(command=_PLUMBING_COMMANDS[0], mutations=[(("vertices", 0, "id"), None), (("vertices", 1, "id"), [1, 2]),
+                                                   (("edges",), [[None, [1, 2]], [[1, 2], "w"]])])
+@example(command=_PLUMBING_COMMANDS[1], mutations=[(("vertices", 0, "id"), 1), (("vertices", 1, "id"), "1"),
+                                                   (("edges",), [])])
+@example(command=_PLUMBING_COMMANDS[2], mutations=[(("edges", 0, 0), None)])
 @settings(max_examples=150, deadline=None)
 def test_mutated_plumbing_keeps_the_exit_code_contract(fuzz_path, command, mutations):
     doc = plumbing_to_doc(_FUZZ_GRAPH)

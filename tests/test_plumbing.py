@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from premodular import families
-from premodular.condense import CondensedData, condense
+from premodular.condense import condense
 from premodular.plumbing import (
     PlumbingError,
     TermCapExceeded,
@@ -278,13 +278,12 @@ class TestBracketDescent:
             assert r.passed and not r.skipped
 
     def test_skip_when_resolution_not_unique(self, even_su2_4):
-        c = condense(even_su2_4)
-        ambiguous = CondensedData(
-            source=c.source, decomposition=c.decomposition, labels=c.labels,
-            solutions=c.solutions + c.solutions, status="multiple", best_residual=0.0,
-        )
-        r = bracket_descent_check(even_su2_4, HOPF, ambiguous)
-        assert r.skipped and not r.passed and "multiple" in r.reason
+        # two fixed orbits: the sheets are not resolved
+        p = families.product(even_su2_4, families.fibonacci())
+        c = condense(p)
+        assert c.status == "unresolved"
+        r = bracket_descent_check(p, HOPF, c)
+        assert r.skipped and not r.passed and "unresolved" in r.reason
 
 
 class TestInvariantValue:

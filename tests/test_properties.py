@@ -4,7 +4,6 @@ import cmath
 import math
 import random
 import struct
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import premodular
 from premodular import double_rt, families
 from premodular.fusion import ClosureError, FusionData, _exact_dtype, full_subcategory, validate_fusion
 from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
@@ -471,7 +471,7 @@ def test_contraction_is_bitwise_the_depth_first_oracle(g, case):
                 _bits(double_rt.tau_double(p, delta, g, term_cap=math.inf).value)]
 
     got = values()
-    with mock.patch.object(sys.modules["premodular.plumbing"], "_contract_forest", contract_forest_dfs), \
+    with mock.patch.object(premodular.plumbing, "_contract_forest", contract_forest_dfs), \
             mock.patch.object(double_rt, "_contract_forest", contract_forest_dfs):
         assert got == values()
 
