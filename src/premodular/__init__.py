@@ -12,7 +12,6 @@ from .fusion import (
     DEFAULT_TOL,
     CheckResult,
     ClosureError,
-    ConvergenceError,
     FusionData,
     FusionError,
     InconsistentDataError,
@@ -80,4 +79,4 @@ from .double_rt import (
     tau_double,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -26,7 +26,7 @@ from .formats import (
     fusion_from_doc,
     load_plumbing,
 )
-from .fusion import DEFAULT_TOL, ConvergenceError, FusionError, validate_fusion
+from .fusion import DEFAULT_TOL, FusionError, validate_fusion
 from .modular import is_modular, muger_center, verify_premodular
 from .plumbing import (
     DEFAULT_TERM_CAP,
@@ -43,8 +43,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_TERM_CAP = 3
 
-# data the checks reject; a fusion matrix sum without a Perron-Frobenius limit is one
-_DATA_ERRORS = (ValueError, ResolutionError, ConvergenceError)
+# data the checks reject, a ring without a positive Perron-Frobenius vector among them
+# (numpy's LinAlgError is a ValueError too)
+_DATA_ERRORS = (ValueError, ResolutionError)
 
 
 def _emit(args, payload: dict, lines: list[str]):
@@ -168,8 +169,11 @@ def _write_condensed(args, c: CondensedData, src: dict) -> int:
               [f"resolution: {c.status} (best residual {c.best_residual:.3g})",
                f"reason: {c.reason}"])
         return EXIT_CHECK_FAILED
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    try:
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+    except OSError as exc:
+        raise CategoryFormatError(f"cannot write {args.out}: {exc}") from None
     payload = {
         "source": src,
         "written": args.out,

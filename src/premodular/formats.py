@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,7 @@ def fusion_from_doc(doc: dict) -> FusionData:
 def _numbers(values, field: str, shape: tuple, integral: bool = False) -> np.ndarray:
     """JSON numbers as a float64 array of ``shape``, or int64 when ``integral``.
 
-    Strings, nulls, ragged rows, integers beyond int64 and all-boolean fields are
+    Strings, nulls, booleans, ragged rows and integers beyond int64 are
     rejected, not coerced.  An integral float must lie below 2**53, where it is
     exact, so that no integer in its array was rounded to a float.
     """
@@ -109,6 +110,12 @@ def _numbers(values, field: str, shape: tuple, integral: bool = False) -> np.nda
         a = np.asarray(None)
     if a.dtype.kind not in "if" or a.shape != shape:
         raise CategoryFormatError(f"{field} must be numbers of shape {shape}")
+    # numpy reads true and false as 1 and 0 among numbers; the shape is regular here
+    flat = values
+    for _ in shape[1:]:
+        flat = chain.from_iterable(flat)
+    if bool in set(map(type, flat)):
+        raise CategoryFormatError(f"{field} must be numbers, not booleans")
     if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise CategoryFormatError(f"{field} must be finite")
     if integral and a.dtype.kind == "f" and not ((a == np.trunc(a)) & (abs(a) < 2**53)).all():

@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_TOL",
     "FusionError",
     "ClosureError",
-    "ConvergenceError",
     "InconsistentDataError",
     "CheckResult",
     "ValidationReport",
@@ -44,10 +43,6 @@ class ClosureError(FusionError):
     def __init__(self, message: str, triple: tuple):
         super().__init__(message)
         self.triple = triple
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative computation exceeded its iteration cap."""
 
 
 class InconsistentDataError(ValueError):
@@ -378,41 +373,26 @@ def _associativity_deviation(t: np.ndarray) -> tuple[float, tuple[int, ...] | No
 # -- quantum dimensions ------------------------------------------------------
 
 
-_PF_TOL = 1e-12
-_PF_MAX_ITERATIONS = 10**5
-
-
 def perron_frobenius_dims(f: FusionData) -> np.ndarray:
     """Quantum dimensions as the common Perron-Frobenius eigenvector.
 
     The dimension vector is the unique positive common eigenvector of all
     fusion matrices, normalised so that ``d[unit] = 1``; then ``d[a]`` equals
-    the largest eigenvalue of ``N_a``.  Computed by power iteration with
-    Rayleigh-quotient convergence control on ``M = sum_a N_a`` (irreducible
-    and aperiodic, since ``M[u, u] >= 1`` and the unit row is all ones).
-    Data without those properties may have no such vector: a zero or
-    non-finite iterate, or one that vanishes at the unit, raises
+    the largest eigenvalue of ``N_a``.  It is read from one eigendecomposition
+    of ``M = sum_a N_a``: the real part of the eigenvector whose eigenvalue
+    has the largest real part.  A vector that vanishes at the unit, has an
+    entry that is not strictly positive or is not multiplicative shows that
+    the ring has no dimension vector, and raises
     :class:`InconsistentDataError`.
     """
-    m = f.tensor.sum(axis=0).astype(float)
-    v = np.ones(f.rank) / np.sqrt(f.rank)
-    for _ in range(_PF_MAX_ITERATIONS):
-        w = m @ v
-        norm = float(np.linalg.norm(w))
-        if not 0 < norm < np.inf:
-            raise InconsistentDataError(f"power iteration reached a vector of norm {norm:.3g}")
-        lam = float(v @ w)
-        converged = np.abs(w - lam * v).max() < _PF_TOL * max(1.0, lam)
-        v = w / norm
-        if converged:
-            break
-    else:
-        raise ConvergenceError(
-            f"power iteration did not converge within {_PF_MAX_ITERATIONS} iterations"
-        )
-    if not v[f.unit] > 0:
+    w, vecs = np.linalg.eig(f.tensor.sum(axis=0).astype(float))
+    v = vecs[:, int(w.real.argmax())].real
+    if v[f.unit] == 0:
         raise InconsistentDataError("the Perron-Frobenius vector vanishes at the unit")
     d = v / v[f.unit]
+    if not (d > 0).all():  # NaN fails too
+        a = f.names[int((~(d > 0)).argmax())]
+        raise InconsistentDataError(f"the Perron-Frobenius vector is not positive at {a}")
     resid = np.abs(np.outer(d, d) - np.einsum("abc,c->ab", f.tensor, d)).max()
     if not resid <= 1e-8 * max(1.0, float(d.max()) ** 2):  # NaN fails too
         raise InconsistentDataError(

@@ -64,8 +64,8 @@ class Twist:
     """A unit-modulus twist, kept exact as a fraction of a full turn when possible.
 
     ``turns = p/q`` denotes ``exp(2*pi*i*p/q)``; ``approx`` always holds the
-    complex value.  Products and integer powers stay exact on the rational
-    representation, which keeps framing weights ``theta**m`` free of phase
+    complex value.  Products stay exact on the rational representation, and
+    `_twist_powers` reduces framing weights ``theta**m`` on it, free of phase
     drift.
     """
 
@@ -100,11 +100,6 @@ class Twist:
         if self.turns is not None:
             return Twist.from_turns(-self.turns)
         return Twist(turns=None, approx=self.approx.conjugate())
-
-    def power(self, m: int) -> complex:
-        if self.turns is not None:
-            return cmath.exp(2j * cmath.pi * ((self.turns * m) % 1))
-        return self.approx**m
 
     def __mul__(self, other: "Twist") -> "Twist":
         if self.turns is not None and other.turns is not None:
@@ -387,7 +382,6 @@ class ModularityReport:
     t: np.ndarray | None
     c: np.ndarray
     residual: float
-    root_index: int
     singular_ratio: float
     kernel: np.ndarray | None = None
 
@@ -396,9 +390,11 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
     """Decide modularity and verify the S, T matrix relations.
 
     Non-modular input is a valid outcome: the report then carries a kernel
-    witness (a null vector of S').  The cube root in T's normalisation is
-    taken as the principal root; all three roots are tried and the one with
-    the smallest relation residual is reported.
+    witness (a null vector of S').  T's normalisation takes the principal
+    cube root of the Gauss-sum phase.  The choice of root does not matter:
+    for ``T = zeta * Diag(theta)``, ``(S T)^3`` carries ``zeta^3``, the same
+    for all three roots, ``T C - C T`` and ``T T^dagger`` do not see the
+    phase of ``zeta``, and ``S^2`` and ``S S^dagger`` do not involve it.
     """
     n = p.rank
     c = np.zeros((n, n))
@@ -410,34 +406,24 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
         kernel = vh[-1].conj()
         return ModularityReport(
             modular=False, s=None, t=None, c=c, residual=float("inf"),
-            root_index=-1, singular_ratio=ratio, kernel=kernel,
+            singular_ratio=ratio, kernel=kernel,
         )
 
     g = p.gauss_sums()
     s = p.sprime / g.total
-    phase = g.delta_plus / abs(g.delta_plus)
+    t = (g.delta_plus / abs(g.delta_plus)) ** (1.0 / 3.0) * np.diag(p.theta_values)
+    st = s @ t
     eye = np.eye(n)
-    # the relations that do not involve the cube root, evaluated once
-    s_squared = float(np.abs(s @ s - c).max())
-    s_unitary = float(np.abs(s @ s.conj().T - eye).max())
-    best = None
-    for j in range(3):
-        zeta = phase ** (1.0 / 3.0) * cmath.exp(2j * cmath.pi * j / 3)
-        t = zeta * np.diag(p.theta_values)
-        st = s @ t
-        resid = max(
-            s_squared,
-            float(np.abs(st @ st @ st - c).max()),
-            float(np.abs(t @ c - c @ t).max()),
-            s_unitary,
-            float(np.abs(t @ t.conj().T - eye).max()),
-        )
-        if best is None or resid < best[0]:
-            best = (resid, j, t)
-    resid, j, t = best
+    resid = max(
+        float(np.abs(s @ s - c).max()),
+        float(np.abs(st @ st @ st - c).max()),
+        float(np.abs(t @ c - c @ t).max()),
+        float(np.abs(s @ s.conj().T - eye).max()),
+        float(np.abs(t @ t.conj().T - eye).max()),
+    )
     return ModularityReport(
         modular=resid <= tol * max(1.0, g.total),
-        s=s, t=t, c=c, residual=resid, root_index=j, singular_ratio=ratio,
+        s=s, t=t, c=c, residual=resid, singular_ratio=ratio,
     )
 
 

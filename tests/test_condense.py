@@ -22,12 +22,11 @@ from premodular.condense import (
     fusion_support_check,
     orbit_decomposition,
 )
-from premodular.fusion import FusionData, InconsistentDataError, full_subcategory
+from premodular.fusion import FusionData, InconsistentDataError
 from premodular.modular import (
     PremodularData,
     Twist,
     _degenerate_labels,
-    centralizer,
     is_modular,
     muger_center,
     premodular_from_twists,
@@ -170,12 +169,11 @@ def orbits_per_entry(p, tol=1e-9):
             )
         seen.update(members)
         orbits.append((members[0], tuple(members), stab))
-    cent_cols = list(centralizer(p, full_subcategory(p.fusion, group), tol=tol))
     for r, members, _ in orbits:
         for m in members:
             if abs(p.theta_values[m] - p.theta_values[r]) > tol:
                 raise InconsistentDataError(f"twist not constant on the orbit of {p.names[r]}")
-            dev = float(np.abs(p.sprime[m, cent_cols] - p.sprime[r, cent_cols]).max())
+            dev = float(np.abs(p.sprime[m] - p.sprime[r]).max())
             if dev > tol * max(1.0, p.total_dim):
                 raise InconsistentDataError(
                     f"S' rows differ across the orbit of {p.names[r]} (deviation {dev:.3g})"

@@ -94,6 +94,22 @@ class TestCategoryFormat:
         assert [t.turns for t in back.theta] == [t.turns for t in p.theta]
         assert back.sprime.tobytes() == p.sprime.tobytes()
 
+    @pytest.mark.parametrize(
+        "field, mutate",
+        [
+            ("theta of 'sigma'", lambda doc: doc["theta"]["sigma"]["rational"].__setitem__(0, True)),
+            ("dims", lambda doc: doc["dims"].__setitem__("sigma", True)),
+            ("sprime", lambda doc: doc["sprime"][1][1].__setitem__(0, False)),
+        ],
+        ids=["twist", "dims", "sprime"],
+    )
+    def test_boolean_among_numbers_rejected(self, field, mutate):
+        # numpy would read [true, 16] as [1, 16]
+        doc = category_to_doc(families.ising())
+        mutate(doc)
+        with pytest.raises(CategoryFormatError, match=f"{field} must be numbers, not booleans"):
+            category_from_doc(json.loads(json.dumps(doc)))
+
     def test_non_finite_sprime_rejected_by_the_balancing_comparison(self):
         p = families.ising()
         sp = p.sprime.copy()
@@ -362,6 +378,18 @@ class TestCLI:
         back = load_category(out_path)
         assert back.total_dim == pytest.approx(36.0, abs=1e-7)
 
+    @pytest.mark.parametrize("command", [
+        ["condense", "--builtin", "pointed:2:0"],
+        ["double", "--builtin", "su2:4", "--delta", "0,2,4"],
+    ], ids=["condense", "double"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        out_path = tmp_path / "no-such-dir" / "out.json"
+        assert main([*command, "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out_path}: " in captured.err
+        assert "Traceback" not in captured.err
+
     def test_rt_prints_value(self, workdir, capsys):
         assert main(["rt", "--builtin", "su2:3", "-g", str(workdir / "empty.json")]) == 0
         out = capsys.readouterr().out.strip()
@@ -515,7 +543,7 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "premodular assembly failed: power iteration reached a vector of norm 0" in out
+        assert "premodular assembly failed: the Perron-Frobenius vector is not positive at" in out
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["rt", "--builtin", "su2:3"]) == 2  # missing -g
@@ -631,7 +659,10 @@ def _mutate(doc, path, value):
 @example(base="ising", mutations=[(("N", 0, 3), math.inf)])
 @example(base="ising", mutations=[(("theta", "sigma"), {"complex": [1]})])
 @example(base="ising", mutations=[(("dims", "sigma"), 10**400)])
-@example(  # no dims, and sum_a N_a = [[0, 1], [2, 0]] has no Perron-Frobenius limit
+@example(base="ising", mutations=[(("theta", "sigma", "rational", 0), True)])
+@example(base="ising", mutations=[(("dims", "sigma"), True)])
+@example(base="ising", mutations=[(("sprime", 1, 1, 0), False)])
+@example(  # no dims; sum_a N_a = [[0, 1], [2, 0]] is periodic, its eigenvector not multiplicative
     base="fibonacci",
     mutations=[(("dims",), {}), (("N",), [["1", "1", "tau", 1], ["1", "tau", "1", 2]])],
 )

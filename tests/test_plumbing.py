@@ -138,7 +138,7 @@ class TestColoredInvariant:
         for f in (-2, -1, 1, 3):
             g = plumbing([("w", f)])
             for a in range(3):
-                expect = p.theta[a].power(f) * p.dims[a]
+                expect = p.theta[a].value ** f * p.dims[a]
                 assert abs(colored_invariant(p, g, {"w": a}).value - expect) < 1e-12
 
 

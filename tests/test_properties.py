@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 
 import premodular
 from premodular import double_rt, families
-from premodular.fusion import ClosureError, FusionData, _exact_dtype, full_subcategory, validate_fusion
+from premodular.fusion import (
+    ClosureError,
+    FusionData,
+    InconsistentDataError,
+    _exact_dtype,
+    full_subcategory,
+    perron_frobenius_dims,
+    validate_fusion,
+)
 from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
 from premodular.plumbing import PlumbingGraph, bracket, kirby_moves, plumbing, random_forest, signature
 
@@ -70,6 +78,13 @@ def test_signature_matches_floating_eigenvalues(seed, n):
     assert signature(m) == expect
 
 
+def twist_power(t, m):
+    """Oracle: ``theta**m`` for one twist, reducing rational turns exactly before the exponential."""
+    if t.turns is not None:
+        return cmath.exp(2j * cmath.pi * ((t.turns * m) % 1))
+    return t.approx**m
+
+
 @given(
     st.fractions(min_value=-4, max_value=4, max_denominator=48),
     st.integers(min_value=-5, max_value=5),
@@ -77,7 +92,7 @@ def test_signature_matches_floating_eigenvalues(seed, n):
 @settings(max_examples=80, deadline=None)
 def test_twist_powers_track_complex_arithmetic(turns, m):
     t = Twist.from_turns(turns)
-    assert abs(t.power(m) - t.value**m) < 1e-10
+    assert abs(twist_power(t, m) - t.value**m) < 1e-10
     assert abs((t * t.conjugate()).value - 1.0) < 1e-12
 
 
@@ -94,14 +109,14 @@ def test_twist_powers_track_complex_arithmetic(turns, m):
 )
 @settings(max_examples=80, deadline=None)
 def test_twist_table_matches_scalar_powers(turns, m):
-    # mixed exact and floating twists; the table must agree with Twist.power
+    # mixed exact and floating twists; the table must agree with the scalar oracle
     theta = tuple(
         Twist.from_turns(x) if isinstance(x, Fraction)
         else Twist.from_complex(cmath.exp(2j * cmath.pi * x))
         for x in turns
     )
     p = replace(families.pointed_cyclic(len(theta), 0), theta=theta)
-    expect = np.array([t.power(m) for t in theta])
+    expect = np.array([twist_power(t, m) for t in theta])
     assert np.abs(_twist_powers(p, m) - expect).max() < 1e-12
 
 
@@ -169,34 +184,36 @@ def test_each_dtype_tier_matches_dense_oracle(limit, below, above, negative, see
 
 
 def modularity_per_root(p, tol=1e-9):
-    """Oracle: every S, T relation evaluated for each of the three cube roots."""
+    """Oracle: every S, T relation evaluated for each of the three cube roots.
+
+    Returns the decision and residual of the principal root, the singular
+    value ratio, the kernel witness (None for modular data) and the residuals
+    of the three roots (None when S' is singular).
+    """
     n = p.rank
     c = np.zeros((n, n))
     c[np.arange(n), list(p.fusion.dual)] = 1.0
     _, sv, vh = np.linalg.svd(p.sprime)
     ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if ratio <= tol:
-        return False, float("inf"), -1, ratio, vh[-1].conj()
+        return False, float("inf"), ratio, vh[-1].conj(), None
     g = p.gauss_sums()
     s = p.sprime / g.total
     phase = g.delta_plus / abs(g.delta_plus)
     eye = np.eye(n)
-    best = None
+    residuals = []
     for j in range(3):
         zeta = phase ** (1.0 / 3.0) * cmath.exp(2j * cmath.pi * j / 3)
         t = zeta * np.diag(p.theta_values)
         st_ = s @ t
-        resid = max(
+        residuals.append(max(
             float(np.abs(s @ s - c).max()),
             float(np.abs(st_ @ st_ @ st_ - c).max()),
             float(np.abs(t @ c - c @ t).max()),
             float(np.abs(s @ s.conj().T - eye).max()),
             float(np.abs(t @ t.conj().T - eye).max()),
-        )
-        if best is None or resid < best[0]:
-            best = (resid, j)
-    resid, j = best
-    return resid <= tol * max(1.0, g.total), resid, j, ratio, None
+        ))
+    return residuals[0] <= tol * max(1.0, g.total), residuals[0], ratio, None, residuals
 
 
 @cache
@@ -212,12 +229,79 @@ def modularity_inputs():
 def test_is_modular_matches_per_root_oracle(name):
     p = modularity_inputs()[name]
     r = is_modular(p)
-    modular, residual, root, ratio, kernel = modularity_per_root(p)
-    got = (r.modular, r.residual, r.root_index, r.singular_ratio)
-    assert got == (modular, residual, root, ratio)
+    modular, residual, ratio, kernel, _ = modularity_per_root(p)
+    assert (r.modular, r.residual, r.singular_ratio) == (modular, residual, ratio)
     assert (r.kernel is None) == (kernel is None)
     if kernel is not None:
         assert r.kernel.tobytes() == kernel.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(modularity_inputs()))
+def test_the_three_cube_roots_give_one_residual(name):
+    # (S T)^3 carries zeta^3, one value for all three roots; no other relation sees the root
+    residuals = modularity_per_root(modularity_inputs()[name])[-1]
+    if residuals is not None:
+        assert max(residuals) - min(residuals) <= 1e-14
+
+
+def power_iteration_dims(f, tol=1e-12, max_iterations=10**5):
+    """Oracle: the dimension vector by power iteration on ``M = sum_a N_a``.
+
+    Rayleigh-quotient convergence control, then normalisation at the unit
+    and the multiplicativity check.  None when the iteration reaches a zero
+    or non-finite vector or does not converge, or when the vector is not
+    strictly positive or not multiplicative.
+    """
+    m = f.tensor.sum(axis=0).astype(float)
+    v = np.ones(f.rank) / np.sqrt(f.rank)
+    for _ in range(max_iterations):
+        w = m @ v
+        norm = float(np.linalg.norm(w))
+        if not 0 < norm < np.inf:
+            return None
+        lam = float(v @ w)
+        converged = np.abs(w - lam * v).max() < tol * max(1.0, lam)
+        v = w / norm
+        if converged:
+            break
+    else:
+        return None
+    if not v[f.unit] > 0:
+        return None
+    d = v / v[f.unit]
+    resid = np.abs(np.outer(d, d) - np.einsum("abc,c->ab", f.tensor, d)).max()
+    if not resid <= 1e-8 * max(1.0, float(d.max()) ** 2) or not (d > 0).all():
+        return None
+    return d
+
+
+@cache
+def dimension_rings():
+    rings = {name: p.fusion for name, p in modularity_inputs().items()}
+    for expr in ("prod(fibonacci,ising)", "prod(su2:4,conj(su2:4))", "prod(su2:3,su2:5)"):
+        rings[expr] = families.builtin(expr).fusion
+    return rings
+
+
+@given(
+    name=st.sampled_from(sorted(dimension_rings())),
+    cells=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=3),
+)
+@example(name="fibonacci", cells=[])
+@example(name="fibonacci", cells=[(0, 0), (2, 1), (3, 0), (7, 0)])  # M = [[0, 1], [2, 0]], period 2
+@settings(max_examples=150, deadline=None)
+def test_dimensions_match_the_power_iteration_oracle(name, cells):
+    # a ring, and the same ring with up to three multiplicities changed
+    t = dimension_rings()[name].tensor.copy()
+    for cell, value in cells:
+        t.flat[cell % t.size] = value
+    f = replace(dimension_rings()[name], tensor=t)
+    expect = power_iteration_dims(f)
+    if expect is None:
+        with pytest.raises(InconsistentDataError):
+            perron_frobenius_dims(f)
+    else:
+        assert np.abs(perron_frobenius_dims(f) / expect - 1).max() <= 1e-9
 
 
 def _bits(z: complex) -> bytes:
