@@ -49,10 +49,8 @@ from .condense import (
     OrbitDecomposition,
     ResolutionError,
     SheetLabel,
-    SupportCheck,
     degenerate_group,
     double_data,
-    fusion_support_check,
     orbit_decomposition,
 )
 from .plumbing import (
@@ -79,4 +77,4 @@ from .double_rt import (
     tau_double,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

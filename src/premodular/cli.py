@@ -76,6 +76,8 @@ def _assemble(args, doc: dict | None):
         return families.builtin(args.builtin)
     except ValueError as exc:
         raise CategoryFormatError(str(exc)) from None
+    except RecursionError:
+        raise CategoryFormatError("--builtin expression is nested too deeply") from None
 
 
 def _load_data(args):

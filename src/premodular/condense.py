@@ -34,6 +34,7 @@ from .fusion import (
     full_subcategory,
 )
 from .modular import (
+    MinimalityReport,
     PremodularData,
     _require_transparent_unit,
     centralizer,
@@ -56,8 +57,6 @@ __all__ = [
     "orbit_decomposition",
     "condense",
     "double_data",
-    "SupportCheck",
-    "fusion_support_check",
 ]
 
 class ModularizationError(ValueError):
@@ -353,6 +352,26 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
     return CondensedData(source=p, decomposition=dec, labels=labels, solutions=(cand,), best_residual=resid)
 
 
+def _require_minimal(
+    hat: PremodularData, delta: SubcategorySelection | Iterable, tol: float
+) -> MinimalityReport:
+    """The minimality report of ``delta`` in ``hat``; raises ``MinimalityError``
+    naming the condition that fails."""
+    report = check_minimal_extension(hat, delta, tol=tol)
+    if not report.minimal:
+        raise MinimalityError(
+            "extension is not minimal: centralizer "
+            f"{[hat.names[i] for i in report.centralizer_labels]} differs from the "
+            f"transparent part {[hat.names[i] for i in report.degenerate_labels]}"
+        )
+    if not report.dim_identity_ok:
+        raise MinimalityError(
+            f"extension is not minimal: dimension {report.dim_total:.12g} differs from "
+            f"dim(sub) * dim(transparent part) = {report.dim_sub:.12g} * {report.dim_center:.12g}"
+        )
+    return report
+
+
 def double_data(
     hat: PremodularData,
     delta: SubcategorySelection | Iterable,
@@ -366,14 +385,7 @@ def double_data(
     The resulting global dimension must equal the squared dimension of the
     subcategory.
     """
-    delta = full_subcategory(hat.fusion, delta)
-    report = check_minimal_extension(hat, delta, tol=tol)
-    if not report.passed:
-        raise MinimalityError(
-            "extension is not minimal: centralizer "
-            f"{[hat.names[i] for i in report.centralizer_labels]} differs from the "
-            f"transparent part {[hat.names[i] for i in report.degenerate_labels]}"
-        )
+    report = _require_minimal(hat, delta, tol)
     if not (report.center_even and report.center_pointed):
         raise MinimalityError(
             "transparent part of the subcategory must be even and pointed for the double"
@@ -400,49 +412,3 @@ def double_data(
             f"double dimension {cond.data.total_dim:.12g} deviates from {dim_sub**2:.12g}"
         )
     return cond
-
-
-@dataclass(frozen=True)
-class SupportCheck:
-    """Both sides of the weighted fusion-support identity for one label pair."""
-
-    eta: int
-    zeta: int
-    weighted_sum: float
-    expected: float
-    chi: int
-    passed: bool
-
-
-def fusion_support_check(
-    hat: PremodularData,
-    delta: SubcategorySelection | Iterable,
-    eta,
-    zeta,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> SupportCheck:
-    """Check that the dimension-weighted fusion channels of ``eta ⊗ dual(zeta)``
-    landing in the subcategory carry weight ``d(eta) d(zeta)`` when all
-    channels lie inside and zero when none do (all-or-nothing for a minimal
-    extension).
-    """
-    delta = full_subcategory(hat.fusion, delta)
-    members = delta.member_set
-    e = hat.fusion.index(eta)
-    z = hat.fusion.index(zeta)
-    zbar = hat.fusion.dual[z]
-    channels = hat.fusion.product_labels(e, zbar)
-    chi = 1 if all(c in members for c in channels) else 0
-    weighted = float(
-        sum(
-            hat.fusion.multiplicity(e, zbar, w) * hat.dims[w]
-            for w in channels
-            if w in members
-        )
-    )
-    expected = float(hat.dims[e] * hat.dims[z]) * chi
-    passed = abs(weighted - expected) <= tol * max(1.0, hat.dims[e] * hat.dims[z])
-    return SupportCheck(
-        eta=e, zeta=z, weighted_sum=weighted, expected=expected, chi=chi, passed=passed
-    )

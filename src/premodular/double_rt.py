@@ -18,14 +18,16 @@ from typing import Iterable
 
 import numpy as np
 
+from .condense import _require_minimal
 from .fusion import DEFAULT_TOL, InconsistentDataError, SubcategorySelection, full_subcategory
-from .modular import PremodularData, _twist_powers, check_minimal_extension
+from .modular import PremodularData
 from .plumbing import (
     DEFAULT_TERM_CAP,
     InvariantValue,
     PlumbingGraph,
     _check_term_cap,
     _contract_forest,
+    _vertex_weight,
     rt_invariant,
 )
 
@@ -60,8 +62,7 @@ def pairing_bracket(
     support (all-or-nothing by the weighted fusion-support identity).
     """
     delta = full_subcategory(hat.fusion, delta)
-    if not check_minimal_extension(hat, delta, tol=tol).passed:
-        raise InconsistentDataError("pairing bracket requires a minimal extension")
+    report = _require_minimal(hat, delta, tol)
     n = hat.rank
     dual = list(hat.fusion.dual)
     members = list(delta.members)
@@ -82,8 +83,7 @@ def pairing_bracket(
         raise InconsistentDataError(
             f"pairing table violates the all-or-nothing support identity (deviation {dev:.3g})"
         )
-    dim_sub = float(np.sum(hat.dims[members] ** 2))
-    return PairingBracket(table=table, support=support, dim_sub=dim_sub)
+    return PairingBracket(table=table, support=support, dim_sub=report.dim_sub)
 
 
 def tau_double(
@@ -98,22 +98,20 @@ def tau_double(
 
     Evaluated as a forest contraction over label pairs ``(lambda, mu)``
     restricted to the pairing's support, with per-vertex weight
-    ``[lambda, mu] * (theta_lambda * conj(theta_mu))^m * (d_lambda d_mu)^(1 - deg)``
-    and per-edge weight ``S'(lambda, lambda') * conj(S'(mu, mu'))``.
+    ``F(lambda) * conj(F(mu)) / dim_hat`` (``F`` the bracket's vertex weight,
+    so that ``[lambda, mu] = d_lambda d_mu / dim_hat`` on the support is
+    folded in) and per-edge weight ``S'(lambda, lambda') * conj(S'(mu, mu'))``.
     """
     _check_term_cap(hat.rank, 2 * g.n, term_cap)
     pb = pairing_bracket(hat, delta, tol=tol)
 
     ia, ib = np.nonzero(pb.support)
-    pair_weight = pb.table[ia, ib]
-    d_pair = hat.dims[ia] * hat.dims[ib]
     edge = hat.sprime[np.ix_(ia, ia)] * hat.sprime.conj()[np.ix_(ib, ib)]
 
     weights = {}
     for v, m in g.vertices:
-        tw = _twist_powers(hat, m)
-        tw_pair = tw[ia] * np.conj(tw[ib])
-        weights[v] = pair_weight * tw_pair * d_pair.astype(complex) ** (1 - g.degrees[v])
+        w = _vertex_weight(hat, m, g.degrees[v])
+        weights[v] = w[ia] * w[ib].conj() / hat.total_dim
     value = _contract_forest(g, weights, edge) / pb.dim_sub
     return InvariantValue(value=value, tolerance=tol)
 
@@ -136,9 +134,8 @@ def factorization_check(
 ) -> FactorizationCheck:
     """For modular data and the whole category as subcategory, the double's
     invariant factors as ``tau * conj(tau)``."""
-    whole = full_subcategory(hat.fusion, range(hat.rank))
-    lhs = tau_double(hat, whole, g, term_cap=term_cap, tol=tol).value
     tau = rt_invariant(hat, g, term_cap=term_cap, tol=tol).value
-    rhs = tau * np.conj(tau)
+    lhs = tau_double(hat, range(hat.rank), g, term_cap=term_cap, tol=tol).value
+    rhs = tau * tau.conjugate()
     scale = max(1.0, abs(lhs), abs(rhs))
     return FactorizationCheck(passed=abs(lhs - rhs) <= tol * scale, double_value=lhs, squared_value=rhs)

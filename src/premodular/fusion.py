@@ -9,7 +9,7 @@ condensation, surgery invariants) is built on this data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -443,10 +443,6 @@ class SubcategorySelection:
 
     parent: FusionData
     members: tuple[int, ...]
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
 
     def restricted(self) -> FusionData:
         """The induced fusion ring on the selected labels, re-indexed."""

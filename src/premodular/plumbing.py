@@ -286,8 +286,6 @@ def colored_invariant(
     p: PremodularData,
     g: PlumbingGraph,
     coloring: Mapping[str, object],
-    *,
-    tol: float = DEFAULT_TOL,
 ) -> InvariantValue:
     """The framed-link invariant of one total coloring of the plumbing forest."""
     missing = [v for v in g.ids if v not in coloring]
@@ -300,7 +298,7 @@ def colored_invariant(
         value *= _twist_powers(p, m)[a] * p.dims[a] ** (1 - g.degrees[v])
     for u, v in g.edges:
         value *= p.sprime[color[u], color[v]]
-    return InvariantValue(value=value, tolerance=tol)
+    return InvariantValue(value=value)
 
 
 def bracket(
@@ -308,12 +306,11 @@ def bracket(
     g: PlumbingGraph,
     *,
     term_cap: float = DEFAULT_TERM_CAP,
-    tol: float = DEFAULT_TOL,
 ) -> InvariantValue:
     """Sum of ``prod_v d(c(v)) * F(g; c)`` over all colorings of the forest."""
     _check_term_cap(p.rank, g.n, term_cap)
     weights = {v: _vertex_weight(p, m, g.degrees[v]) for v, m in g.vertices}
-    return InvariantValue(value=_contract_forest(g, weights, p.sprime), tolerance=tol)
+    return InvariantValue(value=_contract_forest(g, weights, p.sprime))
 
 
 def rt_invariant(
@@ -333,7 +330,7 @@ def rt_invariant(
         raise ValueError("Reshetikhin-Turaev invariant requires modular data")
     gauss = p.gauss_sums()
     sigma = signature(linking_matrix(g))
-    br = bracket(p, g, term_cap=term_cap, tol=tol)
+    br = bracket(p, g, term_cap=term_cap)
     value = gauss.delta_plus**sigma * gauss.total ** float(-sigma - g.n - 1) * br.value
     return InvariantValue(value=value, tolerance=tol)
 
@@ -409,7 +406,7 @@ def bracket_descent_check(
             passed=False, source_bracket=0, scaled_condensed=0,
             skipped=True, reason=f"resolution status is {condensed.status}",
         )
-    lhs = bracket(p, g, term_cap=term_cap, tol=tol).value
-    rhs = condensed.group_order**g.n * bracket(condensed.data, g, term_cap=term_cap, tol=tol).value
+    lhs = bracket(p, g, term_cap=term_cap).value
+    rhs = condensed.group_order**g.n * bracket(condensed.data, g, term_cap=term_cap).value
     scale = max(1.0, abs(lhs), abs(rhs))
     return DescentCheck(passed=abs(lhs - rhs) <= tol * scale, source_bracket=lhs, scaled_condensed=rhs)

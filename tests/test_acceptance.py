@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from premodular import families
-from premodular.condense import condense, double_data, fusion_support_check
-from premodular.double_rt import factorization_check, tau_double
+from premodular.condense import condense, double_data
+from premodular.double_rt import factorization_check, pairing_bracket, tau_double
 from premodular.fusion import full_subcategory, validate_fusion
 from premodular.modular import (
     centralizer,
@@ -126,11 +126,10 @@ def test_criterion_03_su2_4_worked_example():
 
 def test_criterion_04_support_identity_all_pairs():
     hat = families.su2(4)
-    ok = True
-    for eta in range(5):
-        for zeta in range(5):
-            r = fusion_support_check(hat, [0, 2, 4], eta, zeta, tol=1e-9)
-            ok &= r.passed
+    pb = pairing_bracket(hat, [0, 2, 4], tol=1e-9)
+    weighted = pb.table * hat.total_dim
+    expected = np.where(pb.support, np.outer(hat.dims, hat.dims), 0.0)
+    ok = bool(np.abs(weighted - expected).max() <= 1e-9 * max(1.0, float(expected.max())))
     _report(4, "weighted fusion-support identity on all 25 pairs", ok)
 
 

@@ -19,9 +19,9 @@ from premodular.condense import (
     condense,
     degenerate_group,
     double_data,
-    fusion_support_check,
     orbit_decomposition,
 )
+from premodular.double_rt import pairing_bracket
 from premodular.fusion import FusionData, InconsistentDataError
 from premodular.modular import (
     PremodularData,
@@ -427,26 +427,28 @@ class TestDoubleData:
             double_data(p, [0, 2])
 
 
+def _assert_all_or_nothing(hat, delta):
+    """``[eta, zeta] * dim(hat)`` is ``d(eta) d(zeta)`` on the support and 0 off it."""
+    pb = pairing_bracket(hat, delta)
+    weighted = pb.table * hat.total_dim
+    expected = np.where(pb.support, np.outer(hat.dims, hat.dims), 0.0)
+    assert np.abs(weighted - expected).max() <= 1e-12 * max(1.0, float(expected.max()))
+    return pb, weighted
+
+
 class TestFusionSupport:
     def test_worked_values(self, su2_4):
-        r = fusion_support_check(su2_4, [0, 2, 4], 2, 2)
-        assert r.passed and r.chi == 1
-        assert r.weighted_sum == pytest.approx(4.0, abs=1e-12)
-        r = fusion_support_check(su2_4, [0, 2, 4], 0, 1)
-        assert r.passed and r.chi == 0 and r.weighted_sum == 0.0
-        r = fusion_support_check(su2_4, [0, 2, 4], 0, 0)
-        assert r.passed and r.weighted_sum == pytest.approx(1.0, abs=1e-12)
+        pb, weighted = _assert_all_or_nothing(su2_4, [0, 2, 4])
+        assert pb.support[2, 2] and weighted[2, 2] == pytest.approx(4.0, abs=1e-12)
+        assert not pb.support[0, 1] and weighted[0, 1] == 0.0
+        assert pb.support[0, 0] and weighted[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_pairs(self, su2_4):
-        for eta in range(5):
-            for zeta in range(5):
-                assert fusion_support_check(su2_4, [0, 2, 4], eta, zeta).passed
+        _assert_all_or_nothing(su2_4, [0, 2, 4])
 
     def test_whole_category_always_full_support(self, su2_4):
-        for eta in range(5):
-            for zeta in range(5):
-                r = fusion_support_check(su2_4, range(5), eta, zeta)
-                assert r.passed and r.chi == 1
+        pb, _ = _assert_all_or_nothing(su2_4, range(5))
+        assert pb.support.all()
 
 
 class TestCondensableSweep:
@@ -484,9 +486,7 @@ class TestSecondMinimalExtension:
         rep = check_minimal_extension(hat, evens)
         assert rep.passed and rep.center_even and rep.center_pointed
         assert set(rep.degenerate_labels) == {0, 8}
-        for eta in range(9):
-            for zeta in range(9):
-                assert fusion_support_check(hat, evens, eta, zeta).passed
+        _assert_all_or_nothing(hat, evens)
 
 
 def test_import_does_not_load_scipy():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from premodular import families
-from premodular.condense import double_data, fusion_support_check
+from premodular.condense import MinimalityError, double_data
 from premodular.double_rt import factorization_check, pairing_bracket, tau_double
-from premodular.fusion import InconsistentDataError, full_subcategory
+from premodular.fusion import full_subcategory
 from premodular.modular import centralizer, check_minimal_extension
 from premodular.plumbing import (
     TermCapExceeded,
@@ -50,7 +50,7 @@ class TestPairingBracket:
                     assert pb.table[a, b] == 0.0 and not pb.support[a, b]
 
     def test_requires_minimal_extension(self, su2_4):
-        with pytest.raises(InconsistentDataError, match="minimal"):
+        with pytest.raises(MinimalityError, match="minimal"):
             pairing_bracket(su2_4, [0])
 
 
@@ -145,7 +145,6 @@ SUBCATEGORY_ENTRY_POINTS = {
     "pairing_bracket": lambda p, sub: vars(pairing_bracket(p, sub)),
     "tau_double": lambda p, sub: tau_double(p, sub, HOPF).value,
     "double_data": lambda p, sub: [s.sprime for s in double_data(p, sub).solutions],
-    "fusion_support_check": lambda p, sub: fusion_support_check(p, sub, 1, 3),
 }
 
 

@@ -329,6 +329,21 @@ class TestCLI:
     def test_bad_builtin_exits_2(self):
         assert main(["verify", "--builtin", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("expr", [
+        "conj(" * 1200 + "ising" + ")" * 1200,
+        "prod(" * 1000 + "trivial" + ",trivial)" * 1000,
+    ], ids=["conj-1200", "prod-1000"])
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["center"], ["condense", "-o", "o.json"],
+        ["double", "--delta", "0", "-o", "o.json"], ["rt", "-g", "hopf.json"],
+        ["double-rt", "-g", "hopf.json"], ["compare", "-g", "hopf.json"], ["kirby-test"],
+    ], ids=lambda c: c[0])
+    def test_deeply_nested_builtin_exits_2(self, workdir, capsys, command, expr):
+        args = [str(workdir / a) if a.endswith(".json") else a for a in command]
+        assert main([*args, "--builtin", expr]) == 2
+        assert capsys.readouterr().err == "error: --builtin expression is nested too deeply\n"
+        assert not (workdir / "o.json").exists()
+
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -425,6 +440,46 @@ class TestCLI:
                      "--delta", "0,2,4", "-g", str(workdir / "hopf.json"),
                      "-g", str(workdir / "lens5.json")]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--builtin", "su2:4", "-g", "empty.json", "-g", "hopf.json"],
+        ["compare", "su2_4.json", "--mode", "double", "--delta", "0,2,4", "-g", "hopf.json"],
+        ["kirby-test", "--builtin", "ising", "--count", "2"],
+        ["verify", "--builtin", "su2:4"],
+        ["center", "--builtin", "su2:4"],
+    ], ids=["compare-factorization", "compare-double", "kirby-test", "verify", "center"])
+    def test_json_flags_are_booleans(self, workdir, capsys, command):
+        # a numpy bool used to be written as the string "True"
+        args = [str(workdir / a) if a.endswith(".json") else a for a in command]
+        assert main([*args, "--output", "json"]) == 0
+        flags = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                flags.extend(v for k, v in node.items() if k in ("passed", "modular", "even", "pointed"))
+                node = list(node.values())
+            if isinstance(node, list):
+                for child in node:
+                    collect(child)
+
+        collect(json.loads(capsys.readouterr().out))
+        assert flags and all(type(f) is bool for f in flags)
+
+    @pytest.mark.parametrize("command", [
+        ["double", "-o", "o.json"], ["double-rt", "-g", "hopf.json"],
+        ["compare", "--mode", "double", "-g", "hopf.json"],
+    ], ids=["double", "double-rt", "compare"])
+    @pytest.mark.parametrize("builtin, delta, failed", [
+        ("su2:4", "0,4", "centralizer ['0', '2', '4'] differs from the transparent part ['0', '4']"),
+        # the centralizer is the transparent part, but dim 8 != 8 * 2
+        ("prod(su2:2,pointed:2:0)", "(0,0),(0,1),(1,0),(1,1),(2,0),(2,1)",
+         "dimension 8 differs from dim(sub) * dim(transparent part) = 8 * 2"),
+    ], ids=["centralizer", "dimension-identity"])
+    def test_non_minimal_delta_names_the_failed_condition(self, workdir, capsys, command, builtin,
+                                                          delta, failed):
+        args = [str(workdir / a) if a.endswith(".json") else a for a in command]
+        assert main([*args, "--builtin", builtin, "--delta", delta]) == 1
+        assert capsys.readouterr().err == f"error: extension is not minimal: {failed}\n"
 
     def test_double_rt_value(self, workdir, capsys):
         assert main(["double-rt", str(workdir / "su2_4.json"), "--delta", "0,2,4",

@@ -469,6 +469,21 @@ def contract_forest_dfs(g, weights, edge_matrix):
     return total
 
 
+def tau_double_by_pair_table(hat, delta, g):
+    """Oracle: the double's invariant with the pairing table as pair weight,
+    ``[lambda, mu] * (theta_lambda * conj(theta_mu))^m * (d_lambda d_mu)^(1 - deg)``."""
+    pb = double_rt.pairing_bracket(hat, delta)
+    ia, ib = np.nonzero(pb.support)
+    pair_weight = pb.table[ia, ib]
+    d_pair = hat.dims[ia] * hat.dims[ib]
+    edge = hat.sprime[np.ix_(ia, ia)] * hat.sprime.conj()[np.ix_(ib, ib)]
+    weights = {}
+    for v, m in g.vertices:
+        tw = _twist_powers(hat, m)
+        weights[v] = pair_weight * tw[ia] * np.conj(tw[ib]) * d_pair.astype(complex) ** (1 - g.degrees[v])
+    return contract_forest_dfs(g, weights, edge) / pb.dim_sub
+
+
 def kirby_moves_by_rewrites(g):
     """Oracle: each Kirby neighbour as composed single rewrites, every step a validated graph."""
 
@@ -558,6 +573,25 @@ def test_contraction_is_bitwise_the_depth_first_oracle(g, case):
     with mock.patch.object(premodular.plumbing, "_contract_forest", contract_forest_dfs), \
             mock.patch.object(double_rt, "_contract_forest", contract_forest_dfs):
         assert got == values()
+
+
+_EXTENSIONS = (
+    ("su2:4", (0, 2, 4)), ("su2:4", None), ("su2:8", (0, 2, 4, 6, 8)),
+    ("ising", None), ("fibonacci", None), ("prod(su2:4,fibonacci)", None),
+)
+
+
+@given(g=forests(), case=st.sampled_from(_EXTENSIONS))
+@example(g=_chain(200), case=_EXTENSIONS[2])
+@example(g=_chain(200), case=_EXTENSIONS[5])
+@settings(max_examples=60, deadline=None)
+def test_tau_double_is_the_pair_table_formula(g, case):
+    name, delta = case
+    p = _category(name)
+    delta = range(p.rank) if delta is None else delta
+    new = double_rt.tau_double(p, delta, g, term_cap=math.inf).value
+    old = tau_double_by_pair_table(p, delta, g)
+    assert abs(new - old) <= 1e-12 * max(1, abs(old))
 
 
 @given(g=forests())
