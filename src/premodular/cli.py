@@ -200,6 +200,21 @@ def cmd_condense(args) -> int:
     return _write_condensed(args, condense(p, tol=args.tolerance), src)
 
 
+def _split_labels(text: str) -> list[str]:
+    """Split at the commas outside parentheses; strip each part."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return [s.strip() for s in parts]
+
+
 def _delta(args, p) -> list[int]:
     """The ``--delta`` labels as indices of ``p`` (the whole category when omitted).
 
@@ -210,7 +225,7 @@ def _delta(args, p) -> list[int]:
     if args.delta is None:
         return list(range(p.rank))
     try:
-        return [p.fusion.index(s) for s in families._split_args(args.delta)]
+        return [p.fusion.index(s) for s in _split_labels(args.delta)]
     except FusionError as exc:
         raise CategoryFormatError(f"--delta: {exc}") from None
 

@@ -356,8 +356,17 @@ def _require_minimal(
     hat: PremodularData, delta: SubcategorySelection | Iterable, tol: float
 ) -> MinimalityReport:
     """The minimality report of ``delta`` in ``hat``; raises ``MinimalityError``
-    naming the condition that fails."""
+    naming the condition that fails, a singular S' before minimality.
+
+    Inconsistent data, such as a subcategory whose unit is not transparent,
+    raises the report's own error first.
+    """
     report = check_minimal_extension(hat, delta, tol=tol)
+    if not hat.sprime_invertible(tol=tol):
+        raise MinimalityError(
+            "extension is degenerate: S' is singular "
+            f"(smallest-to-largest singular value ratio {hat._svd[0]:.3g})"
+        )
     if not report.minimal:
         raise MinimalityError(
             "extension is not minimal: centralizer "

@@ -8,6 +8,7 @@ closure of the base families under products and conjugation.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -136,18 +137,7 @@ def conjugate(p: PremodularData) -> PremodularData:
     return p.conjugate()
 
 
-def _split_args(body: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return [s.strip() for s in parts]
+_WORD = re.compile(r"[^(),]*")  # text up to the next "(", ")" or ","
 
 
 def builtin(expr: str) -> PremodularData:
@@ -156,18 +146,47 @@ def builtin(expr: str) -> PremodularData:
     Grammar: ``su2:k``, ``pointed:n:q``, ``fibonacci``, ``ising``, ``semion``,
     ``trivial``, ``conj(EXPR)``, ``prod(EXPR,EXPR)``.
     """
-    expr = expr.strip()
-    if expr.endswith(")"):
-        head, _, body = expr.partition("(")
-        body = body[:-1]
-        if head == "conj":
-            return conjugate(builtin(body))
-        if head == "prod":
-            args = _split_args(body)
-            if len(args) != 2:
-                raise ValueError(f"prod takes two factors, got {len(args)}")
-            return product(builtin(args[0]), builtin(args[1]))
-        raise ValueError(f"unknown constructor {head!r}")
+    data, end = _parse(expr, 0)
+    if end < len(expr):
+        raise ValueError(f"unexpected {expr[end:]!r} at position {end}")
+    return data
+
+
+def _parse(expr: str, start: int) -> tuple[PremodularData, int]:
+    """The expression that begins at ``expr[start]``, and the index of the
+    delimiter after it (or the end of the text).
+
+    Each argument is parsed from where the previous one ended, so the text is
+    walked once and a nesting level costs one call.
+    """
+    end = _WORD.match(expr, start).end()
+    word = expr[start:end].strip()
+    if not expr.startswith("(", end):
+        return _family(word), end
+    if word not in ("conj", "prod"):
+        raise ValueError(f"unknown constructor {word!r}")
+    args = []
+    while True:
+        data, end = _parse(expr, end + 1)  # past "(" or ","
+        args.append(data)
+        if expr.startswith(")", end):
+            break
+        if not expr.startswith(",", end):
+            raise ValueError(f"{word}( is not closed")
+    close, end = end + 1, _WORD.match(expr, end + 1).end()
+    if expr[close:end].strip() or expr.startswith("(", end):
+        raise ValueError(f"unexpected {expr[close:end + 1]!r} after {word}(...)")
+    if word == "conj":
+        if len(args) != 1:
+            raise ValueError(f"conj takes one argument, got {len(args)}")
+        return conjugate(args[0]), end
+    if len(args) != 2:
+        raise ValueError(f"prod takes two factors, got {len(args)}")
+    return product(*args), end
+
+
+def _family(expr: str) -> PremodularData:
+    """A base family named as in ``builtin``'s grammar."""
     parts = expr.split(":")
     name = parts[0]
     if name == "su2":

@@ -10,12 +10,20 @@ status.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+# The interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto into the process.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:  # built with --without-builtin-hashlib-hashes
+        from hashlib import sha256
 
 from .condense import CondensedData
 from .fusion import FusionData
@@ -58,7 +66,7 @@ def _require_version(doc: dict, kind: str):
 def doc_sha256(doc: dict) -> str:
     """Hash of the canonical serialization (sorted keys, compact separators)."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def category_to_doc(p: PremodularData, *, provenance: dict | None = None) -> dict:

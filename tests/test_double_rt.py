@@ -68,6 +68,12 @@ class TestTauDouble:
         v = tau_double(hat, range(4), plumbing([0])).value
         assert v == pytest.approx(1.0, abs=1e-10)
 
+    def test_degenerate_extension_is_refused(self):
+        # the dimension identity fails too (dim 8 != 8 * 2); the error names the singular S'
+        hat = families.builtin("prod(su2:2,pointed:2:0)")
+        with pytest.raises(MinimalityError, match="extension is degenerate: S' is singular"):
+            tau_double(hat, range(hat.rank), plumbing([1]))
+
     def test_term_cap_guard(self, su2_4):
         with pytest.raises(TermCapExceeded):
             tau_double(su2_4, [0, 2, 4], chain([0, 0, 0]), term_cap=100)

@@ -1,14 +1,20 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import premodular
 from premodular import families
 from premodular.cli import build_parser, main
 from premodular.condense import condense, double_data
@@ -188,6 +194,38 @@ def test_document_round_trip_is_bitwise():
         assert back.dims.tobytes() == p.dims.tobytes(), name
         assert back.sprime.tobytes() == p.sprime.tobytes(), name
         assert twists(back) == twists(p), name
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(doc=st.dictionaries(st.text(), _JSON, max_size=6))
+@example(doc=category_to_doc(families.su2(8)))
+@example(doc=category_to_doc(families.builtin("prod(fibonacci,ising)")))
+@settings(max_examples=100, deadline=None)
+def test_doc_sha256_is_the_sha256_of_the_canonical_blob(doc):
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
+    assert doc_sha256(doc) == hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_hashing_a_document_leaves_openssl_unloaded():
+    # hashlib maps OpenSSL's libcrypto, a few MB resident, into the process
+    code = (
+        "import sys\n"
+        "import premodular.cli\n"
+        "from premodular import families\n"
+        "from premodular.formats import category_to_doc, doc_sha256\n"
+        "assert len(doc_sha256(category_to_doc(families.su2(4)))) == 64\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    src = str(Path(premodular.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert run.stdout == "False\n"
 
 
 class TestPlumbingFormat:
@@ -471,15 +509,27 @@ class TestCLI:
     ], ids=["double", "double-rt", "compare"])
     @pytest.mark.parametrize("builtin, delta, failed", [
         ("su2:4", "0,4", "centralizer ['0', '2', '4'] differs from the transparent part ['0', '4']"),
-        # the centralizer is the transparent part, but dim 8 != 8 * 2
-        ("prod(su2:2,pointed:2:0)", "(0,0),(0,1),(1,0),(1,1),(2,0),(2,1)",
-         "dimension 8 differs from dim(sub) * dim(transparent part) = 8 * 2"),
-    ], ids=["centralizer", "dimension-identity"])
+    ], ids=["centralizer"])
     def test_non_minimal_delta_names_the_failed_condition(self, workdir, capsys, command, builtin,
                                                           delta, failed):
         args = [str(workdir / a) if a.endswith(".json") else a for a in command]
         assert main([*args, "--builtin", builtin, "--delta", delta]) == 1
         assert capsys.readouterr().err == f"error: extension is not minimal: {failed}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["double", "-o", "o.json"], ["double-rt", "-g", "hopf.json"],
+        ["compare", "--mode", "double", "-g", "hopf.json"],
+    ], ids=["double", "double-rt", "compare"])
+    def test_degenerate_extension_is_named(self, workdir, capsys, command):
+        # the centralizer of the whole category is its transparent part and
+        # dim 8 != 8 * 2, but the first failure is that S' is singular
+        args = [str(workdir / a) if a.endswith(".json") else a for a in command]
+        delta = "(0,0),(0,1),(1,0),(1,1),(2,0),(2,1)"
+        assert main([*args, "--builtin", "prod(su2:2,pointed:2:0)", "--delta", delta]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: extension is degenerate: S' is singular "
+                              "(smallest-to-largest singular value ratio ")
+        assert err.count("\n") == 1 and not (workdir / "o.json").exists()
 
     def test_double_rt_value(self, workdir, capsys):
         assert main(["double-rt", str(workdir / "su2_4.json"), "--delta", "0,2,4",

@@ -311,6 +311,20 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             families.builtin("prod(su2:2)")
 
+    @pytest.mark.parametrize("expr", [
+        "prod(ising,ising", "conj(ising)x", "conj(ising)(x)", "su2:4)", "conj(ising,ising)",
+        "prod(ising,ising,ising)", "sqrt(ising)", "(ising)", "prod()",
+    ])
+    def test_malformed_expression_raises(self, expr):
+        with pytest.raises(ValueError):
+            families.builtin(expr)
+
+    def test_expression_blanks_and_nesting(self):
+        p = families.builtin(" prod( su2:4 , conj(prod(fibonacci,ising)) ) ")
+        q = families.product(families.su2(4), families.product(families.fibonacci(), families.ising()).conjugate())
+        assert p.names == q.names
+        assert np.array_equal(p.sprime, q.sprime)
+
 
 class TestDegenerateRows:
     def test_integer_spin_rows_of_transparent_pair_coincide(self, even_su2_4):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from premodular.condense import condense
 from premodular.plumbing import (
     PlumbingError,
     TermCapExceeded,
+    _forest_signature,
     bracket,
     bracket_descent_check,
     colored_invariant,
@@ -116,6 +118,19 @@ class TestSignature:
         assert signature(np.zeros((3, 3), dtype=int)) == 0
         assert signature(np.array([[0, 2], [2, 0]])) == 0
         assert signature(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 3]])) == 1
+
+
+class TestForestSignature:
+    def test_e8_is_minus_eight(self):
+        assert _forest_signature(e8_plumbing()) == -8
+
+    @pytest.mark.parametrize("framing, expect", [(-2, -5000), (2, 5000), (0, 0)])
+    def test_long_chains_have_closed_forms(self, framing, expect):
+        g = plumbing([(f"c{i}", framing) for i in range(5000)],
+                     [(f"c{i}", f"c{i + 1}") for i in range(4999)])
+        start = time.perf_counter()
+        assert _forest_signature(g) == expect
+        assert time.perf_counter() - start < 1.0
 
 
 class TestColoredInvariant:

@@ -26,7 +26,16 @@ from premodular.fusion import (
     validate_fusion,
 )
 from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
-from premodular.plumbing import PlumbingGraph, bracket, kirby_moves, plumbing, random_forest, signature
+from premodular.plumbing import (
+    PlumbingGraph,
+    _forest_signature,
+    bracket,
+    kirby_moves,
+    linking_matrix,
+    plumbing,
+    random_forest,
+    signature,
+)
 
 
 @st.composite
@@ -519,7 +528,7 @@ def kirby_moves_by_rewrites(g):
 
 
 @st.composite
-def forests(draw, max_vertices=12):
+def forests(draw, max_vertices=12, framing=st.integers(-3, 3)):
     """Forests whose insertion, edge and endpoint orders differ from id order.
 
     Each vertex attaches to an earlier one or starts a tree; ids such as
@@ -532,7 +541,7 @@ def forests(draw, max_vertices=12):
         j = draw(st.integers(0, i))
         if j < i:
             edges.append((ids[j], ids[i]) if draw(st.booleans()) else (ids[i], ids[j]))
-    framings = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    framings = draw(st.lists(framing, min_size=n, max_size=n))
     return PlumbingGraph(tuple(zip(ids, framings)), tuple(draw(st.permutations(edges))))
 
 
@@ -592,6 +601,21 @@ def test_tau_double_is_the_pair_table_formula(g, case):
     new = double_rt.tau_double(p, delta, g, term_cap=math.inf).value
     old = tau_double_by_pair_table(p, delta, g)
     assert abs(new - old) <= 1e-12 * max(1, abs(old))
+
+
+@given(g=st.one_of(forests(16, st.just(0)), forests(16, st.integers(-1, 1)), forests(16)))
+@example(g=plumbing([]))
+@example(g=_ISOLATED)
+@example(g=_THREE_TREES)
+@example(g=plumbing([0] * 6, [(f"v{i}", f"v{i + 1}") for i in range(5)]))
+# leaves x and y of weight 0 at v: (x, v) is a hyperbolic pair, y a zero row
+@example(g=plumbing([("u", 3), ("v", 5), ("w", 1), ("x", 0), ("y", 0)],
+                    [("u", "v"), ("v", "w"), ("v", "x"), ("v", "y")]))
+# the leaf leaves weight 1 - 1/1 = 0 at the middle vertex, which pairs with the root
+@example(g=plumbing([("a", -4), ("b", 1), ("c", 1)], [("a", "b"), ("b", "c")]))
+@settings(max_examples=400, deadline=None)
+def test_forest_signature_is_the_sylvester_signature(g):
+    assert _forest_signature(g) == signature(linking_matrix(g))
 
 
 @given(g=forests())
