@@ -62,7 +62,6 @@ from .plumbing import (
     TermCapExceeded,
     bracket,
     bracket_descent_check,
-    colored_invariant,
     kirby_moves,
     linking_matrix,
     random_forest,
@@ -77,4 +76,4 @@ from .double_rt import (
     tau_double,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -13,9 +13,8 @@ are reported as unresolved, with the reason.  Every result is rebuilt from
 its S' (fusion via the Verlinde formula) and must pass the premodular and
 modularity gates.
 
-``double_data`` assembles quantum-double data for a minimal non-degenerate
-extension: product with the conjugate copy, diagonal embedding of the
-transparent part, centralizer, restriction, condensation.
+``double_data`` condenses R, the centralizer of the diagonal transparent group
+in an extension times its conjugate, built on its own labels: the pairing support.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .families import product
 from .fusion import (
     DEFAULT_TOL,
     FusionData,
@@ -37,7 +35,6 @@ from .modular import (
     MinimalityReport,
     PremodularData,
     _require_transparent_unit,
-    centralizer,
     check_minimal_extension,
     is_modular,
     muger_center,
@@ -381,6 +378,11 @@ def _require_minimal(
     return report
 
 
+def _pairing_support(hat: PremodularData, delta: SubcategorySelection) -> np.ndarray:
+    """``[a, b]`` is True when some fusion channel of ``a ⊗ dual(b)`` lies in ``delta``."""
+    return hat.fusion.tensor[:, list(hat.fusion.dual)][..., list(delta.members)].sum(-1) > 0
+
+
 def double_data(
     hat: PremodularData,
     delta: SubcategorySelection | Iterable,
@@ -389,32 +391,40 @@ def double_data(
 ) -> CondensedData:
     """Quantum-double data of a subcategory inside a minimal modular extension.
 
-    Pipeline: product with the conjugate copy, diagonal embedding of the
-    subcategory's transparent part, centralizer, restriction, condensation.
-    The resulting global dimension must equal the squared dimension of the
-    subcategory.
+    Condenses R, the centralizer of the diagonal transparent group ``G`` in ``hat``
+    times its conjugate: the pairs ``(a, b)`` whose ``a ⊗ dual(b)`` meets the subcategory
+    (Muger, Adv. Math. 150 (2000)).  ``dim R = dim(hat)^2 / |G|``, ``dim(double) = dim(sub)^2``.
     """
+    delta = full_subcategory(hat.fusion, delta)
     report = _require_minimal(hat, delta, tol)
     if not (report.center_even and report.center_pointed):
         raise MinimalityError(
             "transparent part of the subcategory must be even and pointed for the double"
         )
 
-    prod = product(hat, hat.conjugate())
-    nb = hat.rank
-    embedded = sorted(s * nb + s for s in report.degenerate_labels)
-    cent = centralizer(prod, full_subcategory(prod.fusion, embedded), tol=tol)
-    restricted = prod.restrict(cent)
-
-    pos = {c: i for i, c in enumerate(cent)}
-    expected_deg = {pos[e] for e in embedded}
-    actual_deg = set(muger_center(restricted, tol=tol).degenerate)
-    if actual_deg != expected_deg:
+    ia, ib = np.nonzero(_pairing_support(hat, delta))
+    pos = np.full((hat.rank, hat.rank), -1)
+    pos[ia, ib] = np.arange(len(ia))
+    t, sp, dual = hat.fusion.tensor, hat.sprime, np.array(hat.fusion.dual)
+    fus = FusionData(
+        names=tuple(f"({hat.names[a]},{hat.names[b]})" for a, b in zip(ia, ib)),
+        unit=int(pos[hat.unit, hat.unit]), dual=tuple(pos[dual[ia], dual[ib]].tolist()),
+        tensor=t[np.ix_(ia, ia, ia)] * t[np.ix_(ib, ib, ib)],
+    )
+    restricted = PremodularData(
+        fusion=fus, dims=hat.dims[ia] * hat.dims[ib], sprime=sp[np.ix_(ia, ia)] * sp[np.ix_(ib, ib)].conj(),
+        theta=tuple(hat.theta[a] * hat.theta[b].conjugate() for a, b in zip(ia, ib)),
+    )
+    expected = hat.total_dim**2 / len(report.degenerate_labels)
+    if abs(restricted.total_dim - expected) > 1e3 * tol * max(1.0, hat.total_dim**2):
+        raise InconsistentDataError(
+            f"centralizer dimension {restricted.total_dim:.12g} deviates from dim/dim(sub) = {expected:.12g}"
+        )
+    cond = condense(restricted, tol=tol)
+    if set(cond.decomposition.group_labels) != set(pos.diagonal()[list(report.degenerate_labels)]):
         raise InconsistentDataError(
             "transparent part of the restricted product does not match the embedded group"
         )
-
-    cond = condense(restricted, tol=tol)
     dim_sub = report.dim_sub
     if cond.status == "unique" and abs(cond.data.total_dim - dim_sub**2) > 1e-8 * max(1.0, dim_sub**2):
         raise InconsistentDataError(

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .condense import _require_minimal
+from .condense import _pairing_support, _require_minimal
 from .fusion import DEFAULT_TOL, InconsistentDataError, SubcategorySelection, full_subcategory
 from .modular import PremodularData
 from .plumbing import (
@@ -69,7 +69,7 @@ def pairing_bracket(
     weights = np.zeros(n)
     weights[members] = hat.dims[members]
     table = np.einsum("abc,c->ab", hat.fusion.tensor[:, dual, :].astype(float), weights)
-    support = table > 0
+    support = _pairing_support(hat, delta)
     table /= hat.total_dim
 
     dev_sym = float(np.abs(table - table.T).max())

@@ -37,7 +37,6 @@ __all__ = [
     "plumbing",
     "linking_matrix",
     "signature",
-    "colored_invariant",
     "bracket",
     "rt_invariant",
     "kirby_moves",
@@ -306,25 +305,6 @@ def _contract_forest(
         else:
             message[v] = msg
     return total
-
-
-def colored_invariant(
-    p: PremodularData,
-    g: PlumbingGraph,
-    coloring: Mapping[str, object],
-) -> InvariantValue:
-    """The framed-link invariant of one total coloring of the plumbing forest."""
-    missing = [v for v in g.ids if v not in coloring]
-    if missing:
-        raise PlumbingError(f"coloring is not total: missing {', '.join(missing)}")
-    color = {v: p.fusion.index(coloring[v]) for v in g.ids}
-    value = 1.0 + 0.0j
-    for v, m in g.vertices:
-        a = color[v]
-        value *= _twist_powers(p, m)[a] * p.dims[a] ** (1 - g.degrees[v])
-    for u, v in g.edges:
-        value *= p.sprime[color[u], color[v]]
-    return InvariantValue(value=value)
 
 
 def bracket(

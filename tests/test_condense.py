@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -22,11 +23,14 @@ from premodular.condense import (
     orbit_decomposition,
 )
 from premodular.double_rt import pairing_bracket
-from premodular.fusion import FusionData, InconsistentDataError
+from premodular.formats import condensed_to_doc, doc_sha256
+from premodular.fusion import DEFAULT_TOL, FusionData, InconsistentDataError
 from premodular.modular import (
     PremodularData,
     Twist,
     _degenerate_labels,
+    centralizer,
+    check_minimal_extension,
     is_modular,
     muger_center,
     premodular_from_twists,
@@ -412,7 +416,15 @@ class TestDoubleData:
         )
 
     def test_su2_12_integer_spins(self):
-        dd = double_data(families.su2(12), range(0, 13, 2))
+        hat = families.su2(12)
+        tracemalloc.start()
+        try:
+            dd = double_data(hat, range(0, 13, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # R has 85 labels, so an 85^3 tensor; the product with the conjugate has 13^6 cells
+        assert peak < 30e6
         assert dd.status == "unique"
         assert dd.data.total_dim == pytest.approx(_even(12).total_dim ** 2, rel=1e-10)
         assert is_modular(dd.data).modular
@@ -425,6 +437,80 @@ class TestDoubleData:
         p = families.su2(2)
         with pytest.raises(MinimalityError, match="even and pointed"):
             double_data(p, [0, 2])
+
+
+def restricted_product_oracle(hat, delta):
+    """Oracle: R through the product with the conjugate copy, the centralizer
+    of the embedded diagonal transparent group, and the restriction to it."""
+    prod = families.product(hat, hat.conjugate())
+    embedded = [s * hat.rank + s for s in check_minimal_extension(hat, delta).degenerate_labels]
+    return prod.restrict(centralizer(prod, embedded))
+
+
+def _bitwise(p):
+    """Every field of premodular data, arrays as bytes."""
+    return (
+        p.names, p.unit, p.fusion.dual, p.fusion.tensor.dtype.str, p.fusion.tensor.tobytes(),
+        p.dims.tobytes(), tuple(t.turns for t in p.theta), p.theta_values.tobytes(), p.sprime.tobytes(),
+    )
+
+
+RESTRICTED_PRODUCT_CASES = {
+    "even(su2:4)": ("su2:4", [0, 2, 4]),
+    "even(su2:8)": ("su2:8", [0, 2, 4, 6, 8]),
+    "even(su2:12)": ("su2:12", list(range(0, 13, 2))),
+    "su2:3": ("su2:3", None),
+    "fibonacci": ("fibonacci", None),
+    "ising": ("ising", None),
+    "Rep(Z2) in DS": ("prod(pointed:2:1,pointed:2:3)", ["(0,0)", "(1,1)"]),
+    "even(su2:4)xfibonacci": ("prod(su2:4,fibonacci)", [f"({a},{b})" for a in (0, 2, 4) for b in ("1", "tau")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESTRICTED_PRODUCT_CASES))
+def test_restricted_product_is_bitwise_the_product_pipeline(case):
+    expr, delta = RESTRICTED_PRODUCT_CASES[case]
+    hat = families.builtin(expr)
+    delta = range(hat.rank) if delta is None else delta
+    dd = double_data(hat, delta)
+    oracle = restricted_product_oracle(hat, delta)
+    assert _bitwise(dd.source) == _bitwise(oracle)
+    if case == "even(su2:4)xfibonacci":
+        assert dd.source.rank == 52 and dd.status == "unresolved"
+    else:
+        assert dd.status == "unique"
+        assert doc_sha256(condensed_to_doc(dd)) == doc_sha256(condensed_to_doc(condense(oracle)))
+
+
+def test_rank_169_restricted_product_is_the_centralizer_of_the_diagonal():
+    # The product with the conjugate has 625 labels and a 2 GB n^6 tensor, so the
+    # centralizer rule is applied to its Kronecker S' and the product's formulas
+    # to the centralizer's labels.
+    hat = families.builtin("prod(su2:4,su2:4)")
+    delta = [f"({a},{b})" for a in (0, 2, 4) for b in (0, 2, 4)]
+    dd = double_data(hat, delta)
+    n, r = hat.rank, dd.source
+    sp, d = np.kron(hat.sprime, hat.sprime.conj()), np.kron(hat.dims, hat.dims)
+    embedded = [s * n + s for s in check_minimal_extension(hat, delta).degenerate_labels]
+    prod_like = types.SimpleNamespace(sprime=sp, dims=d, total_dim=float(np.sum(d**2)))
+    cent = list(_degenerate_labels(prod_like, DEFAULT_TOL, embedded))
+    ia, ib = np.divmod(cent, n)
+    dual = hat.fusion.dual
+
+    def pair(a, b):
+        return f"({hat.names[a]},{hat.names[b]})"
+
+    theta = [ta * tb for ta in hat.theta for tb in hat.conjugate().theta]
+    t = hat.fusion.tensor
+
+    assert dd.status == "unresolved" and r.rank == 169
+    assert r.names == tuple(pair(a, b) for a, b in zip(ia, ib))
+    assert r.names[r.unit] == pair(hat.unit, hat.unit)
+    assert [r.names[i] for i in r.fusion.dual] == [pair(dual[a], dual[b]) for a, b in zip(ia, ib)]
+    assert np.array_equal(r.fusion.tensor, t[np.ix_(ia, ia, ia)] * t[np.ix_(ib, ib, ib)])
+    assert r.dims.tobytes() == d[cent].tobytes()
+    assert list(r.theta) == [theta[c] for c in cent]
+    assert r.sprime.tobytes() == sp[np.ix_(cent, cent)].tobytes()
 
 
 def _assert_all_or_nothing(hat, delta):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,29 @@ class TestCrossPipeline:
             for h in kirby_moves(g):
                 dev = abs(tau_double(su2_4, [0, 2, 4], h).value - base)
                 assert dev <= 1e-8 * max(1.0, abs(base))
+
+
+class TestToricCode:
+    """Rep(Z2) in the double semion: its group acts freely on R, so the double
+    resolves, and it is the toric code."""
+
+    DS = families.builtin("prod(pointed:2:1,pointed:2:3)")
+    DELTA = ["(0,0)", "(1,1)"]
+
+    def test_double_is_the_toric_code(self):
+        dd = double_data(self.DS, self.DELTA)
+        assert dd.status == "unique"
+        assert dd.data.rank == 4 and dd.data.total_dim == pytest.approx(4.0, abs=1e-12)
+        assert sorted(t.turns for t in dd.data.theta) == [0, 0, 0, Fraction(1, 2)]
+
+    def test_tau_double_is_the_toric_code_invariant(self):
+        toric = double_data(self.DS, self.DELTA).data
+        rng = random.Random(16)
+        for _ in range(100):
+            g = random_forest(rng)
+            lhs = tau_double(self.DS, self.DELTA, g).value
+            rhs = rt_invariant(toric, g).value
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 class TestSecondExtension:

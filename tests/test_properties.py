@@ -34,6 +34,7 @@ from premodular.plumbing import (
     linking_matrix,
     plumbing,
     random_forest,
+    rt_invariant,
     signature,
 )
 
@@ -625,3 +626,38 @@ def test_forest_signature_is_the_sylvester_signature(g):
 @settings(max_examples=150, deadline=None)
 def test_kirby_moves_are_the_composed_rewrites(g):
     assert [(h.vertices, h.edges) for h in kirby_moves(g)] == kirby_moves_by_rewrites(g)
+
+
+def _reversed(g):
+    """``-g``: reversing the orientation negates every framing."""
+    return PlumbingGraph(tuple((v, -m) for v, m in g.vertices), g.edges)
+
+
+@given(g=forests(), name=st.sampled_from(sorted(n for n, p in suite_rings().items() if p.sprime_invertible())))
+@example(g=_THREE_TREES, name="prod(fibonacci,ising)")
+@settings(max_examples=150, deadline=None)
+def test_orientation_reversal_conjugates_the_invariant(g, name):
+    p = suite_rings()[name]
+    tau = rt_invariant(p, g, term_cap=math.inf).value
+    rev = rt_invariant(p, _reversed(g), term_cap=math.inf).value
+    assert abs(rev - tau.conjugate()) <= 1e-12 * max(1, abs(tau))
+
+
+_REVERSIBLE_DOUBLES = (
+    ("su2:4", (0, 2, 4)), ("su2:8", (0, 2, 4, 6, 8)),
+    ("prod(pointed:2:1,pointed:2:3)", ("(0,0)", "(1,1)")),
+)
+
+
+@given(g=forests(), case=st.sampled_from(_REVERSIBLE_DOUBLES))
+@example(g=_THREE_TREES, case=_REVERSIBLE_DOUBLES[2])
+@settings(max_examples=90, deadline=None)
+def test_orientation_reversal_fixes_the_double_invariant(g, case):
+    # a braided subcategory has Z(D)^rev = Z(D), so tau_D(-M) = tau_D(M), and it is real
+    name, delta = case
+    p = _category(name)
+    tau = double_rt.tau_double(p, delta, g, term_cap=math.inf).value
+    rev = double_rt.tau_double(p, delta, _reversed(g), term_cap=math.inf).value
+    scale = max(1, abs(tau))
+    assert abs(rev - tau) <= 1e-12 * scale
+    assert abs(tau.imag) <= 1e-12 * scale
