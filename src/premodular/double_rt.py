@@ -27,7 +27,7 @@ from .plumbing import (
     PlumbingGraph,
     _check_term_cap,
     _contract_forest,
-    _vertex_weight,
+    _vertex_weights,
     rt_invariant,
 )
 
@@ -98,9 +98,10 @@ def tau_double(
 
     Evaluated as a forest contraction over label pairs ``(lambda, mu)``
     restricted to the pairing's support, with per-vertex weight
-    ``F(lambda) * conj(F(mu)) / dim_hat`` (``F`` the bracket's vertex weight,
-    so that ``[lambda, mu] = d_lambda d_mu / dim_hat`` on the support is
-    folded in) and per-edge weight ``S'(lambda, lambda') * conj(S'(mu, mu'))``.
+    ``F(lambda) * conj(F(mu)) / dim_hat`` (``F`` the vertex's row of the
+    bracket's weight block ``theta^m d^(2-deg)``, so that
+    ``[lambda, mu] = d_lambda d_mu / dim_hat`` on the support is folded in)
+    and per-edge weight ``S'(lambda, lambda') * conj(S'(mu, mu'))``.
     """
     _check_term_cap(hat.rank, 2 * g.n, term_cap)
     pb = pairing_bracket(hat, delta, tol=tol)
@@ -108,10 +109,8 @@ def tau_double(
     ia, ib = np.nonzero(pb.support)
     edge = hat.sprime[np.ix_(ia, ia)] * hat.sprime.conj()[np.ix_(ib, ib)]
 
-    weights = {}
-    for v, m in g.vertices:
-        w = _vertex_weight(hat, m, g.degrees[v])
-        weights[v] = w[ia] * w[ib].conj() / hat.total_dim
+    w = _vertex_weights(hat, g)
+    weights = dict(zip(g.ids, w[:, ia] * w[:, ib].conj() / hat.total_dim))
     value = _contract_forest(g, weights, edge) / pb.dim_sub
     return InvariantValue(value=value, tolerance=tol)
 

@@ -65,8 +65,8 @@ class Twist:
 
     ``turns = p/q`` denotes ``exp(2*pi*i*p/q)``; ``approx`` always holds the
     complex value.  Products stay exact on the rational representation, and
-    `_twist_powers` reduces framing weights ``theta**m`` on it, free of phase
-    drift.
+    `_twist_powers` reduces framing weights ``theta**m`` on it, one row per
+    framing and in integers, free of phase drift.
     """
 
     turns: Fraction | None
@@ -189,7 +189,8 @@ class PremodularData:
     def total_dim(self) -> float:
         return global_dim(self.fusion, self.dims)
 
-    def gauss_sums(self) -> GaussSums:
+    @cached_property
+    def _gauss_sums(self) -> GaussSums:
         d2 = self.dims**2
         th = self.theta_values
         dim = self.total_dim
@@ -199,6 +200,9 @@ class PremodularData:
             total=float(np.sqrt(dim)),
             dim=dim,
         )
+
+    def gauss_sums(self) -> GaussSums:
+        return self._gauss_sums
 
     @cached_property
     def _svd(self) -> tuple[float, np.ndarray]:
@@ -240,12 +244,18 @@ class PremodularData:
         )
 
 
-def _twist_powers(p: PremodularData, m: int) -> np.ndarray:
-    """``theta_a**m`` for every label, reducing rational turns exactly before the exponential."""
+def _twist_powers(p: PremodularData, framings: Sequence[int]) -> np.ndarray:
+    """``theta_a**m`` for every label ``a`` (columns) and framing ``m`` (rows).
+
+    Rational turns are reduced exactly on Python ints, which do not overflow
+    whatever the common denominator, and one exponential takes the whole
+    block; a complex twist is raised to each framing directly.
+    """
     nums, denom, approx = p._twist_table
-    out = np.exp(2j * np.pi * (np.array([(n * m) % denom for n in nums]) / denom))
+    phase = np.array([[(n * m) % denom for n in nums] for m in framings]).reshape(len(framings), p.rank)
+    out = np.exp(2j * np.pi * (phase / denom))
     for i, z in approx:
-        out[i] = z**m
+        out[:, i] = [z**m for m in framings]
     return out
 
 

@@ -256,31 +256,44 @@ def _forest_signature(g: PlumbingGraph) -> int:
     it adds ``sign(w_v)`` and leaves ``-1/w_v`` for its parent.  A child of
     weight 0 spans a hyperbolic plane with its parent: the pair adds 0 and
     splits off, so the parent passes nothing on, and a further zero-weight
-    child is a zero row.  Exact in ``Fraction`` and linear in the vertex count
-    (W. Neumann, Trans. AMS 268, 1981).
+    child is a zero row.  Each weight is an unreduced pair of Python ints
+    ``(num, den)`` with ``den > 0``, so only the sign of ``num`` is read and
+    no gcd is taken; exact, and linear in the vertex count (W. Neumann,
+    Trans. AMS 268, 1981).
     """
     sigma = 0
-    weight: dict[str, Fraction | None] = {}  # None once split off with a zero child
+    weight: dict[str, tuple[int, int] | None] = {}  # None once split off with a zero child
     for v, children, _ in g._schedule:
-        w = Fraction(g.framings[v])
+        w = (g.framings[v], 1)
         for c in children:
             wc = weight.pop(c)
             if w is None or wc is None:
                 continue
-            w = w - 1 / wc if wc else None
+            (num, den), (a, b) = w, wc
+            # num/den - b/a, over the positive denominator den*|a|
+            if a > 0:
+                w = (num * a - b * den, den * a)
+            elif a < 0:
+                w = (b * den - num * a, -den * a)
+            else:
+                w = None
         weight[v] = w
         if w is not None:
-            sigma += (w > 0) - (w < 0)
+            sigma += (w[0] > 0) - (w[0] < 0)
     return sigma
 
 
 # -- colored evaluation ---------------------------------------------------------
 
 
-def _vertex_weight(p: PremodularData, framing: int, degree: int) -> np.ndarray:
-    # per-color weight d^(2-deg) theta^framing: the coloring's own d factor
-    # is folded in with the 1-deg exponent of the framed-link rule
-    return _twist_powers(p, framing) * p.dims.astype(complex) ** (2 - degree)
+def _vertex_weights(p: PremodularData, g: PlumbingGraph) -> np.ndarray:
+    """Per-color weights ``theta^m d^(2-deg)``, one row per vertex in ``g.ids`` order.
+
+    The coloring's own ``d`` factor is folded in with the ``1 - deg`` exponent
+    of the framed-link rule.
+    """
+    degrees = np.array([g.degrees[v] for v in g.ids], dtype=int)
+    return _twist_powers(p, [m for _, m in g.vertices]) * p.dims.astype(complex) ** (2 - degrees)[:, None]
 
 
 def _contract_forest(
@@ -315,7 +328,7 @@ def bracket(
 ) -> InvariantValue:
     """Sum of ``prod_v d(c(v)) * F(g; c)`` over all colorings of the forest."""
     _check_term_cap(p.rank, g.n, term_cap)
-    weights = {v: _vertex_weight(p, m, g.degrees[v]) for v, m in g.vertices}
+    weights = dict(zip(g.ids, _vertex_weights(p, g)))
     return InvariantValue(value=_contract_forest(g, weights, p.sprime))
 
 

@@ -58,7 +58,7 @@ def colored_invariant(p, g, coloring):
     value = 1.0 + 0.0j
     for v, m in g.vertices:
         a = color[v]
-        value *= _twist_powers(p, m)[a] * p.dims[a] ** (1 - g.degrees[v])
+        value *= _twist_powers(p, [m])[0, a] * p.dims[a] ** (1 - g.degrees[v])
     for u, v in g.edges:
         value *= p.sprime[color[u], color[v]]
     return value

@@ -106,6 +106,9 @@ def test_twist_powers_track_complex_arithmetic(turns, m):
     assert abs((t * t.conjugate()).value - 1.0) < 1e-12
 
 
+_BIG_PRIME = 10**10 + 19  # k * m overflows int64 for turns k / _BIG_PRIME
+
+
 @given(
     st.lists(
         st.one_of(
@@ -115,19 +118,37 @@ def test_twist_powers_track_complex_arithmetic(turns, m):
         min_size=1,
         max_size=8,
     ),
-    st.integers(min_value=-60, max_value=60),
+    st.lists(st.integers(min_value=-60, max_value=60), max_size=6),
+    st.integers(min_value=-3, max_value=3),
 )
+@example(turns=[Fraction(_BIG_PRIME - 2, _BIG_PRIME), Fraction(1, 3), 0.25],
+         framings=[_BIG_PRIME - 1, -(_BIG_PRIME // 2), 7], shift=2)
+@example(turns=[Fraction(0), Fraction(10**9 + 7, _BIG_PRIME), Fraction(-5, 12)],
+         framings=[10**30 + 1, -(10**30) - 7, 10**30 - 3], shift=-3)
 @settings(max_examples=80, deadline=None)
-def test_twist_table_matches_scalar_powers(turns, m):
-    # mixed exact and floating twists; the table must agree with the scalar oracle
+def test_twist_table_matches_scalar_powers(turns, framings, shift):
+    # mixed exact and floating twists; each row of the block is one framing
     theta = tuple(
         Twist.from_turns(x) if isinstance(x, Fraction)
         else Twist.from_complex(cmath.exp(2j * cmath.pi * x))
         for x in turns
     )
     p = replace(families.pointed_cyclic(len(theta), 0), theta=theta)
-    expect = np.array([twist_power(t, m) for t in theta])
-    assert np.abs(_twist_powers(p, m) - expect).max() < 1e-12
+    block = _twist_powers(p, framings)
+    assert block.shape == (len(framings), len(theta))
+    for row, m in zip(block, framings):
+        # rational turns k/q reduced in Python ints, then one exponential
+        expect = [
+            t.approx**m if t.turns is None
+            else cmath.exp(2j * cmath.pi * ((t.turns.numerator * m) % t.turns.denominator / t.turns.denominator))
+            for t in theta
+        ]
+        assert np.abs(row - expect).max() < 1e-12
+    # a shift by a multiple of the common denominator leaves every rational column bitwise fixed
+    denom = math.lcm(*(t.turns.denominator for t in theta if t.turns is not None))
+    exact = [i for i, t in enumerate(theta) if t.turns is not None]
+    shifted = _twist_powers(p, [m + shift * denom for m in framings])
+    assert shifted[:, exact].tobytes() == block[:, exact].tobytes()
 
 
 @cache
@@ -489,7 +510,7 @@ def tau_double_by_pair_table(hat, delta, g):
     edge = hat.sprime[np.ix_(ia, ia)] * hat.sprime.conj()[np.ix_(ib, ib)]
     weights = {}
     for v, m in g.vertices:
-        tw = _twist_powers(hat, m)
+        tw = _twist_powers(hat, [m])[0]
         weights[v] = pair_weight * tw[ia] * np.conj(tw[ib]) * d_pair.astype(complex) ** (1 - g.degrees[v])
     return contract_forest_dfs(g, weights, edge) / pb.dim_sub
 
@@ -604,8 +625,13 @@ def test_tau_double_is_the_pair_table_formula(g, case):
     assert abs(new - old) <= 1e-12 * max(1, abs(old))
 
 
-@given(g=st.one_of(forests(16, st.just(0)), forests(16, st.integers(-1, 1)), forests(16)))
+@given(g=st.one_of(
+    forests(16, st.just(0)), forests(16, st.integers(-1, 1)), forests(16), forests(16, st.integers(-10**6, 10**6)),
+))
 @example(g=plumbing([]))
+# the leaves' weights 2, 3, 5, 7, 11 leave 1 - 2927/2310 at the centre over the unreduced denominator 2310
+@example(g=plumbing([("c", 1), ("a", 2), ("b", 3), ("d", 5), ("e", 7), ("f", 11)],
+                    [("c", x) for x in "abdef"]))
 @example(g=_ISOLATED)
 @example(g=_THREE_TREES)
 @example(g=plumbing([0] * 6, [(f"v{i}", f"v{i + 1}") for i in range(5)]))
