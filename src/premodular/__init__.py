@@ -47,11 +47,13 @@ from .condense import (
     ModularizationError,
     Orbit,
     OrbitDecomposition,
+    PairingBracket,
     ResolutionError,
     SheetLabel,
     degenerate_group,
     double_data,
     orbit_decomposition,
+    pairing_bracket,
 )
 from .plumbing import (
     DEFAULT_TERM_CAP,
@@ -68,12 +70,6 @@ from .plumbing import (
     rt_invariant,
     signature,
 )
-from .double_rt import (
-    FactorizationCheck,
-    PairingBracket,
-    factorization_check,
-    pairing_bracket,
-    tau_double,
-)
+from .double_rt import FactorizationCheck, factorization_check, tau_double
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

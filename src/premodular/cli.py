@@ -30,7 +30,6 @@ from .fusion import DEFAULT_TOL, FusionError, validate_fusion
 from .modular import is_modular, muger_center, verify_premodular
 from .plumbing import (
     DEFAULT_TERM_CAP,
-    InvariantValue,
     TermCapExceeded,
     kirby_moves,
     random_forest,
@@ -44,8 +43,8 @@ EXIT_PARSE_ERROR = 2
 EXIT_TERM_CAP = 3
 
 # data the checks reject, a ring without a positive Perron-Frobenius vector among them
-# (numpy's LinAlgError is a ValueError too)
-_DATA_ERRORS = (ValueError, ResolutionError)
+# (numpy's LinAlgError is a ValueError too), and an invariant that is not finite
+_DATA_ERRORS = (ValueError, ResolutionError, OverflowError)
 
 
 def _emit(args, payload: dict, lines: list[str]):
@@ -83,10 +82,6 @@ def _assemble(args, doc: dict | None):
 def _load_data(args):
     doc, src = _read(args)
     return _assemble(args, doc), src
-
-
-def _value_payload(v: InvariantValue) -> dict:
-    return {"re": v.value.real, "im": v.value.imag, "tolerance": v.tolerance}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -242,20 +237,16 @@ def cmd_double(args) -> int:
 
 
 def cmd_rt(args) -> int:
+    """``rt``, and ``double-rt``: the double's invariant from the extension."""
     path = _plumbing_path(args)
     p, src = _load_data(args)
     g = load_plumbing(path)
-    v = rt_invariant(p, g, term_cap=args.term_cap, tol=args.tolerance)
-    _emit(args, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
-    return EXIT_OK
-
-
-def cmd_double_rt(args) -> int:
-    path = _plumbing_path(args)
-    p, src = _load_data(args)
-    g = load_plumbing(path)
-    v = tau_double(p, _delta(args, p), g, term_cap=args.term_cap, tol=args.tolerance)
-    _emit(args, {"source": src, "plumbing": path, "value": _value_payload(v)}, [str(v)])
+    if args.command == "rt":
+        v = rt_invariant(p, g, term_cap=args.term_cap, tol=args.tolerance)
+    else:
+        v = tau_double(p, _delta(args, p), g, term_cap=args.term_cap, tol=args.tolerance)
+    value = {"re": v.value.real, "im": v.value.imag, "tolerance": v.tolerance}
+    _emit(args, {"source": src, "plumbing": path, "value": value}, [str(v)])
     return EXIT_OK
 
 
@@ -270,7 +261,6 @@ def cmd_compare(args) -> int:
         delta = _delta(args, p)
         double = double_data(p, delta, tol=args.tolerance).data
     results = []
-    all_ok = True
     for path in args.plumbing:
         g = load_plumbing(path)
         if args.mode == "factorization":
@@ -280,7 +270,6 @@ def cmd_compare(args) -> int:
                  "double": [r.double_value.real, r.double_value.imag],
                  "squared": [r.squared_value.real, r.squared_value.imag]}
             )
-            all_ok &= r.passed
         else:
             lhs = tau_double(p, delta, g, term_cap=args.term_cap, tol=tol).value
             rhs = rt_invariant(double, g, term_cap=args.term_cap, tol=tol).value
@@ -289,10 +278,8 @@ def cmd_compare(args) -> int:
                 {"plumbing": path, "passed": ok,
                  "tau_double": [lhs.real, lhs.imag], "rt_double": [rhs.real, rhs.imag]}
             )
-            all_ok &= ok
-    lines = [
-        f"{r['plumbing']}: {'ok' if r['passed'] else 'MISMATCH'}" for r in results
-    ]
+    all_ok = all(r["passed"] for r in results)
+    lines = [f"{r['plumbing']}: {'ok' if r['passed'] else 'MISMATCH'}" for r in results]
     _emit(args, {"source": src, "mode": args.mode, "results": results, "passed": all_ok}, lines)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -401,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta", default=None,
         help="comma-separated subcategory labels (default: the whole category)",
     )
-    sp.set_defaults(func=cmd_double_rt)
+    sp.set_defaults(func=cmd_rt)
 
     sp = subs.add_parser(
         "compare", parents=[common, capped], help="cross-check the double invariant"

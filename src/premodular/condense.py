@@ -14,7 +14,8 @@ its S' (fusion via the Verlinde formula) and must pass the premodular and
 modularity gates.
 
 ``double_data`` condenses R, the centralizer of the diagonal transparent group
-in an extension times its conjugate, built on its own labels: the pairing support.
+in an extension times its conjugate, built on its own labels: the support of
+``pairing_bracket``, the one precondition check of both routes to the double.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ __all__ = [
     "OrbitDecomposition",
     "SheetLabel",
     "CondensedData",
+    "PairingBracket",
+    "pairing_bracket",
     "degenerate_group",
     "orbit_decomposition",
     "condense",
@@ -148,21 +151,27 @@ class CondensedData:
         return out
 
 
+def _center_faults(p: PremodularData, labels: tuple[int, ...], tol: float) -> list[str]:
+    """``twist != 1 at ...`` for transparent ``labels`` not even, then ``dimension > 1 at ...``."""
+    faults = []
+    for what, values in (("twist != 1", p.theta_values), ("dimension > 1", p.dims)):
+        bad = [p.names[a] for a in labels if not abs(values[a] - 1) <= tol]
+        if bad:
+            faults.append(f"{what} at {', '.join(bad)}")
+    return faults
+
+
 def degenerate_group(p: PremodularData, *, tol: float = DEFAULT_TOL):
     """Group structure on the transparent labels; rejects non-even or non-pointed centers."""
     center = muger_center(p, tol=tol)
     _require_transparent_unit(p, center)
+    faults = _center_faults(p, center.degenerate, tol)
     if not center.is_even:
-        bad = [p.names[a] for a in center.degenerate if abs(p.theta_values[a] - 1) > tol]
         raise ModularizationError(
-            f"transparent subcategory is not even (twist != 1 at {', '.join(bad)}); "
-            "modularization is undefined"
+            f"transparent subcategory is not even ({faults[0]}); modularization is undefined"
         )
     if not center.is_pointed:
-        bad = [p.names[a] for a in center.degenerate if abs(p.dims[a] - 1) > tol]
-        raise ModularizationError(
-            f"transparent subcategory is not pointed (dimension > 1 at {', '.join(bad)})"
-        )
+        raise ModularizationError(f"transparent subcategory is not pointed ({faults[0]})")
     return center.degenerate, center.group_table
 
 
@@ -349,15 +358,35 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
     return CondensedData(source=p, decomposition=dec, labels=labels, solutions=(cand,), best_residual=resid)
 
 
-def _require_minimal(
-    hat: PremodularData, delta: SubcategorySelection | Iterable, tol: float
-) -> MinimalityReport:
-    """The minimality report of ``delta`` in ``hat``; raises ``MinimalityError``
-    naming the condition that fails, a singular S' before minimality.
+@dataclass(frozen=True, eq=False)
+class PairingBracket:
+    """Dimension-weighted pairing of extension labels through a subcategory."""
 
-    Inconsistent data, such as a subcategory whose unit is not transparent,
-    raises the report's own error first.
+    table: np.ndarray  # real, indexed by label pairs of the extension
+    support: np.ndarray  # boolean, True where some fusion channel lies in the subcategory
+    report: MinimalityReport
+
+    @property
+    def dim_sub(self) -> float:
+        return self.report.dim_sub
+
+
+def pairing_bracket(
+    hat: PremodularData,
+    delta: SubcategorySelection | Iterable,
+    *,
+    tol: float = DEFAULT_TOL,
+) -> PairingBracket:
+    """The pairing table of a minimal extension, with its invariants asserted.
+
+    ``[lambda, mu] = (1/dim_hat) * sum_{nu in sub} N[lambda, dual mu, nu] d(nu)``
+    (Muger, Adv. Math. 150 (2000)) is symmetric and non-negative; for a minimal
+    extension it is ``d(lambda) d(mu) / dim_hat`` on the support, the pairs whose
+    ``lambda ⊗ dual(mu)`` meets the subcategory, and zero off it.  A failed
+    precondition raises ``MinimalityError`` naming it, a singular S' before
+    minimality, after the errors of the minimality report itself.
     """
+    delta = full_subcategory(hat.fusion, delta)
     report = check_minimal_extension(hat, delta, tol=tol)
     if not hat.sprime_invertible(tol=tol):
         raise MinimalityError(
@@ -375,12 +404,25 @@ def _require_minimal(
             f"extension is not minimal: dimension {report.dim_total:.12g} differs from "
             f"dim(sub) * dim(transparent part) = {report.dim_sub:.12g} * {report.dim_center:.12g}"
         )
-    return report
+    members = list(delta.members)
+    weights = np.zeros(hat.rank)
+    weights[members] = hat.dims[members]
+    t = hat.fusion.tensor[:, list(hat.fusion.dual)]
+    table = np.einsum("abc,c->ab", t.astype(float), weights) / hat.total_dim
+    support = t[..., members].sum(-1) > 0
 
-
-def _pairing_support(hat: PremodularData, delta: SubcategorySelection) -> np.ndarray:
-    """``[a, b]`` is True when some fusion channel of ``a ⊗ dual(b)`` lies in ``delta``."""
-    return hat.fusion.tensor[:, list(hat.fusion.dual)][..., list(delta.members)].sum(-1) > 0
+    dev_sym = float(np.abs(table - table.T).max())
+    if dev_sym > tol:
+        raise InconsistentDataError(f"pairing table is not symmetric (deviation {dev_sym:.3g})")
+    if float(table.min()) < -tol:
+        raise InconsistentDataError("pairing table has a negative entry")
+    full = np.outer(hat.dims, hat.dims) / hat.total_dim
+    dev = float(np.abs(np.where(support, table - full, table)).max())
+    if dev > tol * max(1.0, float(full.max())):
+        raise InconsistentDataError(
+            f"pairing table violates the all-or-nothing support identity (deviation {dev:.3g})"
+        )
+    return PairingBracket(table=table, support=support, report=report)
 
 
 def double_data(
@@ -392,17 +434,16 @@ def double_data(
     """Quantum-double data of a subcategory inside a minimal modular extension.
 
     Condenses R, the centralizer of the diagonal transparent group ``G`` in ``hat``
-    times its conjugate: the pairs ``(a, b)`` whose ``a ⊗ dual(b)`` meets the subcategory
+    times its conjugate: the support of ``pairing_bracket``, which checks minimality
     (Muger, Adv. Math. 150 (2000)).  ``dim R = dim(hat)^2 / |G|``, ``dim(double) = dim(sub)^2``.
     """
-    delta = full_subcategory(hat.fusion, delta)
-    report = _require_minimal(hat, delta, tol)
-    if not (report.center_even and report.center_pointed):
-        raise MinimalityError(
-            "transparent part of the subcategory must be even and pointed for the double"
-        )
+    pb = pairing_bracket(hat, delta, tol=tol)
+    faults = _center_faults(hat, pb.report.degenerate_labels, tol)
+    if faults:
+        raise MinimalityError("transparent part of the subcategory must be even and pointed "
+                              f"for the double ({'; '.join(faults)})")
 
-    ia, ib = np.nonzero(_pairing_support(hat, delta))
+    ia, ib = np.nonzero(pb.support)
     pos = np.full((hat.rank, hat.rank), -1)
     pos[ia, ib] = np.arange(len(ia))
     t, sp, dual = hat.fusion.tensor, hat.sprime, np.array(hat.fusion.dual)
@@ -415,17 +456,17 @@ def double_data(
         fusion=fus, dims=hat.dims[ia] * hat.dims[ib], sprime=sp[np.ix_(ia, ia)] * sp[np.ix_(ib, ib)].conj(),
         theta=tuple(hat.theta[a] * hat.theta[b].conjugate() for a, b in zip(ia, ib)),
     )
-    expected = hat.total_dim**2 / len(report.degenerate_labels)
+    expected = hat.total_dim**2 / len(pb.report.degenerate_labels)
     if abs(restricted.total_dim - expected) > 1e3 * tol * max(1.0, hat.total_dim**2):
         raise InconsistentDataError(
             f"centralizer dimension {restricted.total_dim:.12g} deviates from dim/dim(sub) = {expected:.12g}"
         )
     cond = condense(restricted, tol=tol)
-    if set(cond.decomposition.group_labels) != set(pos.diagonal()[list(report.degenerate_labels)]):
+    if set(cond.decomposition.group_labels) != set(pos.diagonal()[list(pb.report.degenerate_labels)]):
         raise InconsistentDataError(
             "transparent part of the restricted product does not match the embedded group"
         )
-    dim_sub = report.dim_sub
+    dim_sub = pb.dim_sub
     if cond.status == "unique" and abs(cond.data.total_dim - dim_sub**2) > 1e-8 * max(1.0, dim_sub**2):
         raise InconsistentDataError(
             f"double dimension {cond.data.total_dim:.12g} deviates from {dim_sub**2:.12g}"

@@ -8,7 +8,8 @@ evaluated from the extension's data alone:
 where the pairing ``[lambda, mu] = (1/dim_hat) * sum_{nu in sub} N[lambda, dual mu, nu] d(nu)``
 vanishes unless every fusion channel of ``lambda ⊗ dual(mu)`` lies in the
 subcategory.  The double sum is evaluated as one contraction over label
-pairs, pruned to the pairing's support.
+pairs, pruned to the support of ``condense.pairing_bracket``, the check
+that ``double_data`` starts from too.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .condense import _pairing_support, _require_minimal
-from .fusion import DEFAULT_TOL, InconsistentDataError, SubcategorySelection, full_subcategory
+from .condense import PairingBracket, pairing_bracket
+from .fusion import DEFAULT_TOL, SubcategorySelection
 from .modular import PremodularData
 from .plumbing import (
     DEFAULT_TERM_CAP,
@@ -38,52 +39,6 @@ __all__ = [
     "FactorizationCheck",
     "factorization_check",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PairingBracket:
-    """Dimension-weighted pairing of extension labels through a subcategory."""
-
-    table: np.ndarray  # real, indexed by label pairs of the extension
-    support: np.ndarray  # boolean, True where some fusion channel lies in the subcategory
-    dim_sub: float
-
-
-def pairing_bracket(
-    hat: PremodularData,
-    delta: SubcategorySelection | Iterable,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> PairingBracket:
-    """The pairing table, with its invariants asserted.
-
-    The table is symmetric and non-negative; for a minimal extension each
-    entry is ``d(lambda) d(mu) / dim_hat`` on full support and zero off
-    support (all-or-nothing by the weighted fusion-support identity).
-    """
-    delta = full_subcategory(hat.fusion, delta)
-    report = _require_minimal(hat, delta, tol)
-    n = hat.rank
-    dual = list(hat.fusion.dual)
-    members = list(delta.members)
-    weights = np.zeros(n)
-    weights[members] = hat.dims[members]
-    table = np.einsum("abc,c->ab", hat.fusion.tensor[:, dual, :].astype(float), weights)
-    support = _pairing_support(hat, delta)
-    table /= hat.total_dim
-
-    dev_sym = float(np.abs(table - table.T).max())
-    if dev_sym > tol:
-        raise InconsistentDataError(f"pairing table is not symmetric (deviation {dev_sym:.3g})")
-    if float(table.min()) < -tol:
-        raise InconsistentDataError("pairing table has a negative entry")
-    full = np.outer(hat.dims, hat.dims) / hat.total_dim
-    dev = float(np.abs(np.where(support, table - full, table)).max())
-    if dev > tol * max(1.0, float(full.max())):
-        raise InconsistentDataError(
-            f"pairing table violates the all-or-nothing support identity (deviation {dev:.3g})"
-        )
-    return PairingBracket(table=table, support=support, dim_sub=report.dim_sub)
 
 
 def tau_double(

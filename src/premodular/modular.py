@@ -459,16 +459,17 @@ class CenterReport:
         return len(self.degenerate) == 1
 
 
-def _degenerate_labels(p: PremodularData, tol: float, cols=slice(None)) -> tuple[int, ...]:
-    """Labels ``a`` with ``S'(a, b) = d_a d_b`` for every label ``b`` in ``cols`` (all by default)."""
-    dev = np.abs(p.sprime[:, cols] - np.outer(p.dims, p.dims[cols])).max(axis=1)
-    cut = tol * max(1.0, p.total_dim)
-    return tuple(int(a) for a in np.nonzero(dev <= cut)[0])
+def _degenerate_labels(p: PremodularData, tol: float, cols=slice(None), rows=slice(None)) -> tuple[int, ...]:
+    """Labels ``a`` in ``rows`` with ``S'(a, b) = d_a d_b`` for every ``b`` in ``cols`` (all by
+    default), cut at ``tol * max(1, sum of d_a^2 over the rows)``."""
+    d = p.dims[rows]
+    dev = np.abs(p.sprime[rows][:, cols] - np.outer(d, p.dims[cols])).max(axis=1)
+    cut = tol * max(1.0, float(np.sum(d**2)))
+    return tuple(int(a) for a in np.arange(len(p.dims))[rows][dev <= cut])
 
 
-def muger_center(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CenterReport:
-    """Labels transparent against the whole category, via ``S'(a, b) = d_a d_b``."""
-    deg = _degenerate_labels(p, tol)
+def _center_report(p: PremodularData, deg: tuple[int, ...], tol: float) -> CenterReport:
+    """Evenness and pointedness of the transparent labels ``deg``, and their group table when pointed."""
     th = p.theta_values
     is_even = all(abs(th[a] - 1.0) <= tol for a in deg)
     is_pointed = all(abs(p.dims[a] - 1.0) <= tol for a in deg)
@@ -486,9 +487,12 @@ def muger_center(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CenterReport
                 f"({p.names[a]}, {p.names[b]})"
             )
         table = inside @ np.arange(len(deg))
-    return CenterReport(
-        degenerate=deg, is_even=is_even, is_pointed=is_pointed, group_table=table
-    )
+    return CenterReport(degenerate=deg, is_even=is_even, is_pointed=is_pointed, group_table=table)
+
+
+def muger_center(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CenterReport:
+    """Labels transparent against the whole category, via ``S'(a, b) = d_a d_b``."""
+    return _center_report(p, _degenerate_labels(p, tol), tol)
 
 
 def _require_transparent_unit(p: PremodularData, center: CenterReport):
@@ -524,7 +528,7 @@ def centralizer(
     return result
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MinimalityReport:
     """Comparison of a subcategory's transparent part with its centralizer."""
 
@@ -559,19 +563,19 @@ def check_minimal_extension(
     """
     delta = full_subcategory(hat.fusion, delta)
     members = list(delta.members)
-    restricted = hat.restrict(delta)
-    sub_center = muger_center(restricted, tol=tol)
-    _require_transparent_unit(restricted, sub_center)
-    deg_parent = tuple(members[i] for i in sub_center.degenerate)
+    # the subcategory's own Muger center, read on the extension's labels
+    sub_center = _center_report(hat, _degenerate_labels(hat, tol, members, members), tol)
+    _require_transparent_unit(hat, sub_center)
+    deg = sub_center.degenerate
     cent = centralizer(hat, delta, tol=tol)
     dim_total = hat.total_dim
     dim_sub = float(np.sum(hat.dims[members] ** 2))
-    dim_center = float(np.sum(hat.dims[list(deg_parent)] ** 2))
-    minimal = set(cent) == set(deg_parent)
+    dim_center = float(np.sum(hat.dims[list(deg)] ** 2))
+    minimal = set(cent) == set(deg)
     dim_ok = abs(dim_total - dim_sub * dim_center) <= 1e3 * tol * max(1.0, dim_total)
     return MinimalityReport(
         centralizer_labels=cent,
-        degenerate_labels=deg_parent,
+        degenerate_labels=deg,
         minimal=minimal,
         dim_identity_ok=dim_ok,
         dim_total=dim_total,

@@ -15,6 +15,7 @@ enforced as the term cap.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -309,15 +310,23 @@ def _contract_forest(
     """
     total = 1.0 + 0.0j
     message: dict[str, np.ndarray] = {}
-    for v, children, is_root in g._schedule:
-        msg = weights[v]
-        for ch in children:
-            msg = msg * (edge_matrix @ message.pop(ch))
-        if is_root:
-            total *= complex(np.sum(msg))
-        else:
-            message[v] = msg
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
+        for v, children, is_root in g._schedule:
+            msg = weights[v]
+            for ch in children:
+                msg = msg * (edge_matrix @ message.pop(ch))
+            if is_root:
+                total *= complex(np.sum(msg))
+            else:
+                message[v] = msg
+    return _finite(total, g)
+
+
+def _finite(value: complex, g: PlumbingGraph) -> complex:
+    """``value``, or ``OverflowError`` naming the vertex count when it is not finite."""
+    if not cmath.isfinite(value):
+        raise OverflowError(f"the invariant of the {g.n}-vertex plumbing is not finite in floating point")
+    return value
 
 
 def bracket(
@@ -350,8 +359,11 @@ def rt_invariant(
     gauss = p.gauss_sums()
     sigma = _forest_signature(g)
     br = bracket(p, g, term_cap=term_cap)
-    value = gauss.delta_plus**sigma * gauss.total ** float(-sigma - g.n - 1) * br.value
-    return InvariantValue(value=value, tolerance=tol)
+    try:
+        value = gauss.delta_plus**sigma * gauss.total ** float(-sigma - g.n - 1) * br.value
+    except OverflowError:  # a power of delta_plus or D beyond the float range
+        value = cmath.inf
+    return InvariantValue(value=_finite(value, g), tolerance=tol)
 
 
 def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -16,13 +17,15 @@ from premodular import families
 from premodular.condense import (
     MinimalityError,
     ModularizationError,
+    PairingBracket,
     ResolutionError,
     condense,
     degenerate_group,
     double_data,
     orbit_decomposition,
+    pairing_bracket,
 )
-from premodular.double_rt import pairing_bracket
+from premodular.double_rt import tau_double
 from premodular.formats import condensed_to_doc, doc_sha256
 from premodular.fusion import DEFAULT_TOL, FusionData, InconsistentDataError
 from premodular.modular import (
@@ -36,6 +39,7 @@ from premodular.modular import (
     premodular_from_twists,
     verify_premodular,
 )
+from premodular.plumbing import plumbing
 
 
 def _even(k):
@@ -78,6 +82,16 @@ class TestDegenerateGroup:
         p = families.su2(2).restrict([0, 2])
         with pytest.raises(ModularizationError, match="not even"):
             degenerate_group(p)
+
+    def test_rejections_name_the_labels(self, even_su2_4):
+        with pytest.raises(ModularizationError) as exc:
+            degenerate_group(families.su2(2).restrict([0, 2]))
+        assert str(exc.value) == ("transparent subcategory is not even (twist != 1 at 2); "
+                                  "modularization is undefined")
+        p = premodular_from_twists(even_su2_4.fusion, [1.0, 1.0, 1.0], dims=even_su2_4.dims)
+        with pytest.raises(ModularizationError) as exc:
+            degenerate_group(p)
+        assert str(exc.value) == "transparent subcategory is not pointed (dimension > 1 at 2)"
 
     def test_non_pointed_center_rejected(self, even_su2_4):
         # the same fusion ring with all twists 1 makes every label transparent,
@@ -437,6 +451,30 @@ class TestDoubleData:
         p = families.su2(2)
         with pytest.raises(MinimalityError, match="even and pointed"):
             double_data(p, [0, 2])
+
+    def test_non_even_center_names_the_label(self):
+        with pytest.raises(MinimalityError) as exc:
+            double_data(families.su2(2), [0, 2])
+        assert str(exc.value) == ("transparent part of the subcategory must be even and pointed "
+                                  "for the double (twist != 1 at 2)")
+
+    def test_pairing_gates_run_for_the_double(self):
+        # d(1) off by 1e-8 keeps minimality within tolerance, but [1, 1] = (d0 + d2) / dim
+        # misses d(1)^2 / dim: both routes to the double stop at the same pairing gate
+        hat = families.su2(4)
+        dims = hat.dims.copy()
+        dims[1] += 1e-8
+        bad = dataclasses.replace(hat, dims=dims)
+        gate = "pairing table violates the all-or-nothing support identity"
+        assert check_minimal_extension(bad, [0, 2, 4]).passed
+        with pytest.raises(InconsistentDataError, match=gate):
+            double_data(bad, [0, 2, 4])
+        with pytest.raises(InconsistentDataError, match=gate):
+            tau_double(bad, [0, 2, 4], plumbing([]))
+
+    def test_pairing_bracket_lives_with_the_double(self):
+        assert premodular.pairing_bracket is pairing_bracket is premodular.double_rt.pairing_bracket
+        assert premodular.PairingBracket is PairingBracket is premodular.double_rt.PairingBracket
 
 
 def restricted_product_oracle(hat, delta):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from premodular.fusion import full_subcategory
 from premodular.modular import centralizer, check_minimal_extension
 from premodular.plumbing import (
     TermCapExceeded,
+    bracket,
     kirby_moves,
     plumbing,
     random_forest,
@@ -184,3 +186,28 @@ def test_label_list_and_selection_give_identical_results(su2_4, entry):
     selection = full_subcategory(su2_4.fusion, [0, 2, 4])
     assert full_subcategory(su2_4.fusion, selection) is selection
     np.testing.assert_equal(fn(su2_4, selection), fn(su2_4, [0, 2, 4]))
+
+
+# 300 isolated 0-framed vertices on su2:4: every vertex contributes dim = 12 to the
+# bracket and to the double's sum, and 12**300 is beyond the largest float
+NOT_FINITE = {
+    "bracket": lambda p, g: bracket(p, g, term_cap=math.inf),
+    "rt_invariant": lambda p, g: rt_invariant(p, g, term_cap=math.inf),
+    "tau_double": lambda p, g: tau_double(p, range(p.rank), g, term_cap=math.inf),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(NOT_FINITE))
+def test_value_that_is_not_finite_raises_overflow_naming_the_vertex_count(su2_4, entry):
+    g = plumbing([0] * 300)
+    with pytest.raises(OverflowError, match="^the invariant of the 300-vertex plumbing is not finite"):
+        NOT_FINITE[entry](su2_4, g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_gauss_sum_power_raises_overflow_naming_the_vertex_count():
+    # sigma = 450: delta_plus**450 is beyond a complex, though the invariant itself is not
+    g = plumbing([2] * 450)
+    with pytest.raises(OverflowError, match="^the invariant of the 450-vertex plumbing is not finite"):
+        rt_invariant(families.su2(8), g, term_cap=math.inf)

@@ -671,6 +671,25 @@ class TestCLI:
         assert main(["rt", "--builtin", "su2:8", "-g", str(tmp_path / "chain.json"), *option]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("builtin, framing, n, chained", [
+        ("su2:8", 2, 450, False),  # delta_plus**450 overflowed in complex exponentiation
+        ("su2:4", -2, 1000, True),  # the messages overflowed to NaN and "nan nan" exited 0
+    ], ids=["isolated", "chain"])
+    def test_invariant_that_is_not_finite_exits_1(self, tmp_path, capsys, builtin, framing, n, chained):
+        edges = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)] if chained else []
+        save_plumbing(tmp_path / "g.json", plumbing([(f"v{i}", framing) for i in range(n)], edges))
+        assert main(["rt", "--builtin", builtin, "-g", str(tmp_path / "g.json"), "--term-cap", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the invariant of the {n}-vertex plumbing "
+                                "is not finite in floating point\n")
+
+    def test_double_names_the_label_that_is_not_even(self, tmp_path, capsys):
+        assert main(["double", "--builtin", "su2:2", "--delta", "0,2", "-o", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == ("error: transparent part of the subcategory must be even and "
+                                           "pointed for the double (twist != 1 at 2)\n")
+
     def test_infinite_term_cap_turns_the_cap_off(self, workdir):
         assert main(["rt", "--builtin", "su2:8", "-g", str(workdir / "hopf.json"),
                      "--term-cap", "inf"]) == 0

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import premodular
 from premodular import double_rt, families
 from premodular.fusion import (
+    DEFAULT_TOL,
     ClosureError,
     FusionData,
     InconsistentDataError,
@@ -25,7 +26,18 @@ from premodular.fusion import (
     perron_frobenius_dims,
     validate_fusion,
 )
-from premodular.modular import Twist, _row_multiplicativity_dev, _twist_powers, is_modular, verify_premodular
+from premodular.modular import (
+    MinimalityReport,
+    Twist,
+    _require_transparent_unit,
+    _row_multiplicativity_dev,
+    _twist_powers,
+    centralizer,
+    check_minimal_extension,
+    is_modular,
+    muger_center,
+    verify_premodular,
+)
 from premodular.plumbing import (
     PlumbingGraph,
     _forest_signature,
@@ -462,6 +474,96 @@ def test_restrict_and_relabelled_are_bitwise_the_per_entry_take(name):
         sub = list(sub)
         assert _label_set_data(p.restrict(sub)) == take_per_entry(p, sub)
         assert _label_set_data(p.restrict(full_subcategory(p.fusion, sub))) == take_per_entry(p, sub)
+
+
+def check_minimal_extension_by_restriction(hat, delta, tol):
+    """Oracle: the minimality report with the subcategory's transparent part
+    taken as the Muger center of a restricted copy."""
+    delta = full_subcategory(hat.fusion, delta)
+    members = list(delta.members)
+    restricted = hat.restrict(delta)
+    sub_center = muger_center(restricted, tol=tol)
+    _require_transparent_unit(restricted, sub_center)
+    deg = tuple(members[i] for i in sub_center.degenerate)
+    cent = centralizer(hat, delta, tol=tol)
+    dim_total = hat.total_dim
+    dim_sub = float(np.sum(hat.dims[members] ** 2))
+    dim_center = float(np.sum(hat.dims[list(deg)] ** 2))
+    return MinimalityReport(
+        centralizer_labels=cent, degenerate_labels=deg, minimal=set(cent) == set(deg),
+        dim_identity_ok=abs(dim_total - dim_sub * dim_center) <= 1e3 * tol * max(1.0, dim_total),
+        dim_total=dim_total, dim_sub=dim_sub, dim_center=dim_center,
+        center_even=sub_center.is_even, center_pointed=sub_center.is_pointed,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def all_full_subcategories(f):
+    """Every full subcategory of ``f``, each grown from a smaller one by one label."""
+    found = {tuple(fusion_closure(f, []))}
+    frontier = list(found)
+    while frontier:
+        sub = frontier.pop()
+        for x in sorted(set(range(f.rank)) - set(sub)):
+            grown = tuple(fusion_closure(f, [*sub, x]))
+            if grown not in found:
+                found.add(grown)
+                frontier.append(grown)
+    return sorted(found)
+
+
+@cache
+def minimality_cases():
+    """Case name -> (data, members): every full subcategory of the suite, its conjugates,
+    the even parts of su2:4/8/12 and two broken copies of su2:4."""
+    cats = dict(suite_rings())
+    cats.update((f"conj({name})", p.conjugate()) for name, p in suite_rings().items())
+    for k in (4, 8, 12):
+        cats[f"even(su2:{k})"] = families.su2(k).restrict(range(0, k + 1, 2))
+    su2_4 = families.su2(4)
+    # 4 x 4 = 0 + 2: the transparent part {0, 4} of {0, 2, 4} is pointed but fuses like no group
+    tensor = su2_4.fusion.tensor.copy()
+    tensor[4, 4, 2] = 1
+    cats["su2:4 with 4x4>2"] = replace(su2_4, fusion=replace(su2_4.fusion, tensor=tensor))
+    # the S' of su2:4 against doubled dimensions: the unit is transparent in no subcategory
+    cats["su2:4 with doubled dims"] = replace(su2_4, dims=2 * su2_4.dims)
+    return {f"{name} {list(members)}": (p, members)
+            for name, p in cats.items() for members in all_full_subcategories(p.fusion)}
+
+
+_MUTATED = ("su2:4 with 4x4>2 [0, 2, 4]", "su2:4 with doubled dims [0, 2, 4]")
+
+
+@given(case=st.sampled_from(sorted(minimality_cases())),
+       tol=st.sampled_from([1e-13, 1e-9, 1e-6, 1e-3, 0.1, 0.6]))
+@example(case=_MUTATED[0], tol=1e-9)
+@example(case=_MUTATED[1], tol=1e-9)
+@settings(max_examples=300, deadline=None)
+def test_minimality_report_is_the_restriction_oracle(case, tol):
+    hat, members = minimality_cases()[case]
+    assert _outcome(check_minimal_extension, hat, members, tol=tol) == _outcome(
+        check_minimal_extension_by_restriction, hat, members, tol)
+
+
+def test_every_full_subcategory_matches_the_restriction_oracle():
+    outcomes = set()
+    for hat, members in minimality_cases().values():
+        got = _outcome(check_minimal_extension, hat, members, tol=DEFAULT_TOL)
+        assert got == _outcome(check_minimal_extension_by_restriction, hat, members, DEFAULT_TOL)
+        outcomes.add(got[0] if isinstance(got, tuple) else type(got))
+    # reports, and the group-likeness and transparent-unit errors, are all compared
+    assert outcomes == {MinimalityReport, InconsistentDataError}
+    assert _outcome(check_minimal_extension, *minimality_cases()[_MUTATED[0]]) == (
+        InconsistentDataError, "pointed degenerate labels do not fuse like a group at (4, 4)")
+    assert _outcome(check_minimal_extension, *minimality_cases()[_MUTATED[1]])[1].startswith(
+        "the unit '0' is not transparent")
 
 
 # -- the plumbing forest: contraction order and Kirby neighbours ------------------
