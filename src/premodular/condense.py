@@ -30,6 +30,7 @@ from .fusion import (
     FusionData,
     InconsistentDataError,
     SubcategorySelection,
+    _member_indices,
     full_subcategory,
 )
 from .modular import (
@@ -58,6 +59,9 @@ __all__ = [
     "condense",
     "double_data",
 ]
+
+_PAIRING_LIMIT = 16  # pairing tables kept per extension, by (subcategory, tol)
+
 
 class ModularizationError(ValueError):
     """The transparent subcategory is not condensable (not even or not pointed)."""
@@ -385,8 +389,23 @@ def pairing_bracket(
     ``lambda ⊗ dual(mu)`` meets the subcategory, and zero off it.  A failed
     precondition raises ``MinimalityError`` naming it, a singular S' before
     minimality, after the errors of the minimality report itself.
+
+    The result depends on ``hat``, the subcategory and ``tol`` alone, so it is
+    kept on ``hat`` (up to ``_PAIRING_LIMIT`` of them) and its arrays are
+    read-only; a failure is not kept, and raises again on the next call.
     """
-    delta = full_subcategory(hat.fusion, delta)
+    members = _member_indices(hat.fusion, delta)
+    key = (members, tol)
+    pb = hat._pairings.get(key)
+    if pb is None:
+        selection = delta if isinstance(delta, SubcategorySelection) else members
+        pb = _pairing_bracket(hat, full_subcategory(hat.fusion, selection), tol)
+        if len(hat._pairings) < _PAIRING_LIMIT:
+            hat._pairings[key] = pb
+    return pb
+
+
+def _pairing_bracket(hat: PremodularData, delta: SubcategorySelection, tol: float) -> PairingBracket:
     report = check_minimal_extension(hat, delta, tol=tol)
     if not hat.sprime_invertible(tol=tol):
         raise MinimalityError(
@@ -422,6 +441,8 @@ def pairing_bracket(
         raise InconsistentDataError(
             f"pairing table violates the all-or-nothing support identity (deviation {dev:.3g})"
         )
+    table.setflags(write=False)
+    support.setflags(write=False)
     return PairingBracket(table=table, support=support, report=report)
 
 

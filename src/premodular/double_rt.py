@@ -62,11 +62,11 @@ def tau_double(
     pb = pairing_bracket(hat, delta, tol=tol)
 
     ia, ib = np.nonzero(pb.support)
-    edge = hat.sprime[np.ix_(ia, ia)] * hat.sprime.conj()[np.ix_(ib, ib)]
+    sp = hat.sprime
+    edge = sp[ia[:, None], ia] * sp[ib[:, None], ib].conj()
 
-    w = _vertex_weights(hat, g)
-    weights = dict(zip(g.ids, w[:, ia] * w[:, ib].conj() / hat.total_dim))
-    value = _contract_forest(g, weights, edge) / pb.dim_sub
+    w = np.reshape(_vertex_weights(hat, g), (g.n, hat.rank))
+    value = _contract_forest(g, w[:, ia] * w[:, ib].conj() / hat.total_dim, edge) / pb.dim_sub
     return InvariantValue(value=value, tolerance=tol)
 
 

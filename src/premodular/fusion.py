@@ -449,6 +449,13 @@ class SubcategorySelection:
         return _take(self.parent, self.members)
 
 
+def _member_indices(f: FusionData, members: Iterable | SubcategorySelection) -> tuple[int, ...]:
+    """The sorted label indices of ``members``: names, indices, or a selection by index."""
+    if isinstance(members, SubcategorySelection):
+        members = members.members
+    return tuple(sorted({f.index(x) for x in members}))
+
+
 def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) -> SubcategorySelection:
     """Select a label subset after verifying it is a full fusion subcategory.
 
@@ -457,11 +464,9 @@ def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) ->
     the first offending triple ``(a, b, c)``.  A selection of ``f`` passes
     through unchanged; a selection of another ring is checked again by index.
     """
-    if isinstance(members, SubcategorySelection):
-        if members.parent is f:
-            return members
-        members = members.members
-    idx = sorted({f.index(x) for x in members})
+    if isinstance(members, SubcategorySelection) and members.parent is f:
+        return members
+    idx = list(_member_indices(f, members))
     inside = np.zeros(f.rank, dtype=bool)
     inside[idx] = True
     if not inside[f.unit]:

@@ -84,6 +84,8 @@ class Twist:
     @classmethod
     def from_complex(cls, z, *, tol: float = DEFAULT_TOL) -> "Twist":
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise PremodularityError(f"twist {z} is not finite")
         if abs(abs(z) - 1.0) > tol:
             raise PremodularityError(f"twist {z} is not unit modulus")
         return cls(turns=None, approx=z / abs(z))
@@ -117,10 +119,13 @@ class Twist:
 
 def _as_twists(theta, fusion: FusionData) -> tuple[Twist, ...]:
     out = []
-    for i in range(fusion.rank):
-        t = theta[fusion.names[i]] if isinstance(theta, dict) else theta[i]
+    for i, name in enumerate(fusion.names):
+        t = theta[name] if isinstance(theta, dict) else theta[i]
         if not isinstance(t, Twist):
-            t = Twist.from_complex(complex(t))
+            try:
+                t = Twist.from_complex(complex(t))
+            except PremodularityError as e:
+                raise PremodularityError(f"theta of {name!r}: {e}") from None
         out.append(t)
     return tuple(out)
 
@@ -184,6 +189,16 @@ class PremodularData:
         nums = tuple(0 if t.turns is None else int(t.turns * denom) for t in self.theta)
         approx = tuple((i, t.approx) for i, t in enumerate(self.theta) if t.turns is None)
         return nums, denom, approx
+
+    @cached_property
+    def _weight_rows(self) -> dict[tuple[int, int], np.ndarray]:
+        # plumbing vertex weights theta^m d^(2-deg) by (m, deg), read-only rows
+        return {}
+
+    @cached_property
+    def _pairings(self) -> dict:
+        # condense.pairing_bracket results by (subcategory members, tol)
+        return {}
 
     @cached_property
     def total_dim(self) -> float:

@@ -16,12 +16,13 @@ enforced as the term cap.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_TERM_CAP = 10**8
+_WEIGHT_ROW_LIMIT = 1024  # vertex weight rows kept per category, by (framing, degree)
 
 
 class PlumbingError(ValueError):
@@ -123,40 +125,55 @@ class PlumbingGraph:
         return {v: m for v, m in self.vertices}
 
     @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        """Each vertex's neighbours, in edge order."""
-        adjacent: dict[str, list[str]] = {v: [] for v in self.ids}
-        for u, v in self.edges:
-            adjacent[u].append(v)
-            adjacent[v].append(u)
-        return {v: tuple(ns) for v, ns in adjacent.items()}
+    def _walk(self) -> "_Walk":
+        """The contraction order and each vertex's children, by position in ``ids``.
 
-    @cached_property
-    def _schedule(self) -> tuple[tuple[str, tuple[str, ...], bool], ...]:
-        """Contraction order as ``(vertex, children, is_root)``, each vertex after its children.
-
-        Each tree is rooted at its least id and the trees follow in root order;
-        children are listed in id order.
+        Each tree is rooted at its least id and walked breadth first, children
+        in id order; the trees follow in root order, and each tree is listed
+        reversed, so every vertex comes after its children.
         """
-        schedule = []
-        parent: dict[str, str | None] = {}
-        for root in sorted(self.ids):
-            if root in parent:
+        ids = self.ids
+        index = {v: i for i, v in enumerate(ids)}
+        adjacent: list[list[int]] = [[] for _ in ids]
+        for u, v in self.edges:
+            adjacent[index[u]].append(index[v])
+            adjacent[index[v]].append(index[u])
+        order: list[int] = []
+        children: list[tuple[int, ...]] = [()] * len(ids)
+        seen = [False] * len(ids)
+        for root in map(index.__getitem__, sorted(ids)):
+            if seen[root]:
                 continue
-            parent[root], tree, children = None, [root], {}
-            for v in tree:  # breadth first, so the reversed tree puts children first
-                children[v] = tuple(sorted(w for w in self._adjacency[v] if w != parent[v]))
-                parent.update(dict.fromkeys(children[v], v))
-                tree.extend(children[v])
-            schedule.extend((v, children[v], v == root) for v in reversed(tree))
-        return tuple(schedule)
+            seen[root], tree = True, [root]
+            for v in tree:  # breadth first: the loop reaches the children appended below
+                kids = [w for w in adjacent[v] if not seen[w]]  # in a forest, all but the parent
+                if kids:
+                    kids.sort(key=ids.__getitem__)
+                    for w in kids:
+                        seen[w] = True
+                    children[v] = tuple(kids)
+                    tree += kids
+            order += reversed(tree)
+        return _Walk(tuple(order), tuple(children), tuple(map(len, adjacent)))
 
     @cached_property
     def degrees(self) -> dict[str, int]:
-        return {v: len(ns) for v, ns in self._adjacency.items()}
+        return dict(zip(self.ids, self._walk.degrees))
 
     def neighbors(self, x: str) -> tuple[str, ...]:
-        return self._adjacency.get(x, ())
+        """The neighbours of ``x``, in edge order."""
+        return tuple(v if u == x else u for u, v in self.edges if x in (u, v))
+
+
+class _Walk(NamedTuple):
+    """Contraction order of a forest, by vertex position.
+
+    A vertex is a root when all its neighbours are children.
+    """
+
+    order: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
 
 
 def plumbing(vertices: Iterable, edges: Iterable = ()) -> PlumbingGraph:
@@ -250,7 +267,7 @@ def signature(m: np.ndarray) -> int:
 
 
 def _forest_signature(g: PlumbingGraph) -> int:
-    """``signature(linking_matrix(g))`` by leaf elimination along ``g._schedule``.
+    """``signature(linking_matrix(g))`` by leaf elimination along ``g._walk``.
 
     Once its children are eliminated, a vertex carries the continued-fraction
     weight ``w_v = m_v - sum 1/w_c`` over its live children ``c``; eliminating
@@ -262,12 +279,13 @@ def _forest_signature(g: PlumbingGraph) -> int:
     no gcd is taken; exact, and linear in the vertex count (W. Neumann,
     Trans. AMS 268, 1981).
     """
+    walk = g._walk
     sigma = 0
-    weight: dict[str, tuple[int, int] | None] = {}  # None once split off with a zero child
-    for v, children, _ in g._schedule:
-        w = (g.framings[v], 1)
-        for c in children:
-            wc = weight.pop(c)
+    weight: list[tuple[int, int] | None] = [None] * g.n  # None once split off with a zero child
+    for v in walk.order:
+        w = (g.vertices[v][1], 1)
+        for c in walk.children[v]:
+            wc = weight[c]
             if w is None or wc is None:
                 continue
             (num, den), (a, b) = w, wc
@@ -287,36 +305,52 @@ def _forest_signature(g: PlumbingGraph) -> int:
 # -- colored evaluation ---------------------------------------------------------
 
 
-def _vertex_weights(p: PremodularData, g: PlumbingGraph) -> np.ndarray:
-    """Per-color weights ``theta^m d^(2-deg)``, one row per vertex in ``g.ids`` order.
+def _vertex_weights(p: PremodularData, g: PlumbingGraph) -> list[np.ndarray]:
+    """Per-color weights ``theta^m d^(2-deg)``, one read-only row per vertex in ``g.ids`` order.
 
     The coloring's own ``d`` factor is folded in with the ``1 - deg`` exponent
-    of the framed-link rule.
+    of the framed-link rule.  A row depends on ``(m, deg)`` alone, so the rows
+    are kept on ``p``, up to ``_WEIGHT_ROW_LIMIT`` of them; the missing rows of
+    a call are computed in one block.
     """
-    degrees = np.array([g.degrees[v] for v in g.ids], dtype=int)
-    return _twist_powers(p, [m for _, m in g.vertices]) * p.dims.astype(complex) ** (2 - degrees)[:, None]
+    keys = list(zip([m for _, m in g.vertices], g._walk.degrees))
+    rows = p._weight_rows
+    try:
+        return [rows[k] for k in keys]
+    except KeyError:
+        pass
+    missing = [k for k in dict.fromkeys(keys) if k not in rows]
+    framings, degrees = zip(*missing)
+    block = _twist_powers(p, framings) * p.dims.astype(complex) ** (2 - np.array(degrees))[:, None]
+    block.setflags(write=False)
+    fresh = dict(zip(missing, block))
+    rows.update(itertools.islice(fresh.items(), max(0, _WEIGHT_ROW_LIMIT - len(rows))))
+    return [fresh[k] if k in fresh else rows[k] for k in keys]
 
 
 def _contract_forest(
     g: PlumbingGraph,
-    weights: Mapping[str, np.ndarray],
+    weights: Sequence[np.ndarray],
     edge_matrix: np.ndarray,
 ) -> complex:
     """Sum over colorings of a forest, factorized along the trees.
 
-    ``weights[v]`` is the per-color weight of vertex ``v`` and ``edge_matrix``
-    the symmetric per-edge weight; each vertex folds in its children's
-    messages in the order of ``g._schedule``, so the result is reproducible.
+    ``weights[i]`` is the per-color weight of the vertex at position ``i`` of
+    ``g.ids`` and ``edge_matrix`` the symmetric per-edge weight; each vertex
+    folds in its children's messages in the order of ``g._walk``, so the
+    result is reproducible.
     """
+    walk = g._walk
     total = 1.0 + 0.0j
-    message: dict[str, np.ndarray] = {}
+    message: list[np.ndarray | None] = [None] * g.n
     with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
-        for v, children, is_root in g._schedule:
+        for v in walk.order:
             msg = weights[v]
+            children = walk.children[v]
             for ch in children:
-                msg = msg * (edge_matrix @ message.pop(ch))
-            if is_root:
-                total *= complex(np.sum(msg))
+                msg = msg * (edge_matrix @ message[ch])
+            if len(children) == walk.degrees[v]:  # a root
+                total *= complex(msg.sum())
             else:
                 message[v] = msg
     return _finite(total, g)
@@ -337,8 +371,7 @@ def bracket(
 ) -> InvariantValue:
     """Sum of ``prod_v d(c(v)) * F(g; c)`` over all colorings of the forest."""
     _check_term_cap(p.rank, g.n, term_cap)
-    weights = dict(zip(g.ids, _vertex_weights(p, g)))
-    return InvariantValue(value=_contract_forest(g, weights, p.sprime))
+    return InvariantValue(value=_contract_forest(g, _vertex_weights(p, g), p.sprime))
 
 
 def rt_invariant(

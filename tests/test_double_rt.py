@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import premodular.condense as condense_module
 from premodular import families
 from premodular.condense import MinimalityError, double_data
 from premodular.double_rt import factorization_check, pairing_bracket, tau_double
@@ -55,6 +56,30 @@ class TestPairingBracket:
     def test_requires_minimal_extension(self, su2_4):
         with pytest.raises(MinimalityError, match="minimal"):
             pairing_bracket(su2_4, [0])
+
+    def test_kept_per_subcategory_and_read_only(self, su2_4):
+        pb = pairing_bracket(su2_4, [0, 2, 4])
+        assert pairing_bracket(su2_4, (4, "2", 0)) is pb
+        assert pairing_bracket(su2_4, [0, 2, 4], tol=1e-8) is not pb
+        with pytest.raises(ValueError):
+            pb.table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            pb.support[0, 1] = True
+
+    def test_failure_raises_on_every_call(self):
+        hat = families.su2(4)
+        for _ in range(3):
+            with pytest.raises(MinimalityError, match=r"^extension is not minimal: centralizer \['0', '1', '2', '3', '4'\] differs"):
+                pairing_bracket(hat, [0])
+        assert not hat._pairings
+
+    def test_tables_past_the_limit_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(condense_module, "_PAIRING_LIMIT", 1)
+        hat = families.su2(4)
+        first = pairing_bracket(hat, [0, 2, 4])
+        second = pairing_bracket(hat, range(5))
+        assert list(hat._pairings.values()) == [first]
+        assert pairing_bracket(hat, range(5)) is not second
 
 
 class TestTauDouble:

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ class TestTwist:
     def test_non_unit_modulus_rejected(self):
         with pytest.raises(PremodularityError):
             Twist.from_complex(2.0)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex(1, float("nan")), complex("inf"), complex(0, float("-inf"))])
+    def test_non_finite_value_rejected(self, z):
+        with pytest.raises(PremodularityError, match=r"is not finite"):
+            Twist.from_complex(z)
+
+    def test_nan_twist_is_named_by_its_label(self):
+        f = families.ising().fusion
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PremodularityError, match=r"^theta of 'sigma': twist \(nan\+0j\) is not finite$"):
+                premodular_from_twists(f, {"1": 1, "sigma": complex("nan"), "eps": -1})
 
 
 class TestBalancing:

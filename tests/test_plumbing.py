@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import premodular.plumbing as plumbing_module
 from premodular import families
 from premodular.condense import condense
 from premodular.modular import _twist_powers
@@ -85,11 +86,31 @@ class TestPlumbingGraph:
 
     def test_schedule_lists_children_before_parents_in_id_order(self):
         g = plumbing([("c", 0), ("a", 0), ("d", 0), ("b", 0), ("e", 0)], [("d", "c"), ("b", "a"), ("a", "d")])
-        assert g._schedule == (
-            ("c", (), False), ("d", ("c",), False), ("b", (), False), ("a", ("b", "d"), True), ("e", (), True),
-        )
+        walk = g._walk
+        assert walk.order == (0, 2, 3, 1, 4) and walk.children == ((), (3, 2), (0,), (), ())
+        assert [(g.ids[v], tuple(g.ids[c] for c in walk.children[v])) for v in walk.order] == [
+            ("c", ()), ("d", ("c",)), ("b", ()), ("a", ("b", "d")), ("e", ()),
+        ]
+        assert [g.ids[v] for v in walk.order if len(walk.children[v]) == walk.degrees[v]] == ["a", "e"]
         assert g.neighbors("a") == ("b", "d") and g.neighbors("d") == ("c", "a") and g.neighbors("x") == ()
         assert g.degrees == {"c": 1, "a": 2, "d": 2, "b": 1, "e": 0}
+
+
+class TestWeightRows:
+    def test_rows_past_the_limit_are_not_kept(self, monkeypatch):
+        # five isolated vertices: five (framing, degree) pairs against a limit of three
+        g = plumbing([("a", 1), ("b", 2), ("c", 3), ("d", -1), ("e", -2)])
+        expected = rt_invariant(families.su2(4), g).value
+        monkeypatch.setattr(plumbing_module, "_WEIGHT_ROW_LIMIT", 3)
+        p = families.su2(4)
+        for _ in range(2):
+            assert rt_invariant(p, g).value == expected
+            assert len(p._weight_rows) == 3
+
+    def test_kept_rows_are_read_only(self, su2_4):
+        row = plumbing_module._vertex_weights(su2_4, chain([-2, 1]))[0]
+        with pytest.raises(ValueError):
+            row[0] = 0
 
 
 class TestLinkingMatrix:

@@ -570,7 +570,9 @@ def test_every_full_subcategory_matches_the_restriction_oracle():
 
 
 def contract_forest_dfs(g, weights, edge_matrix):
-    """Oracle: the depth-first contraction that rebuilt its adjacency on every call."""
+    """Oracle: the depth-first contraction that rebuilt its adjacency on every call;
+    ``weights`` holds one row per vertex in ``g.ids`` order."""
+    weights = dict(zip(g.ids, weights))
     adjacency = {v: [] for v in g.ids}
     for u, v in g.edges:
         adjacency[u].append(v)
@@ -602,6 +604,63 @@ def contract_forest_dfs(g, weights, edge_matrix):
     return total
 
 
+def schedule_by_ids(g):
+    """Oracle: the contraction order as ``(vertex, children, is_root)`` by id, each
+    vertex after its children: every tree rooted at its least id and walked
+    breadth first, children in id order, the trees in root order."""
+    adjacency = {v: [] for v in g.ids}
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    schedule, parent = [], {}
+    for root in sorted(g.ids):
+        if root in parent:
+            continue
+        parent[root], tree, children = None, [root], {}
+        for v in tree:
+            children[v] = tuple(sorted(w for w in adjacency[v] if w != parent[v]))
+            parent.update(dict.fromkeys(children[v], v))
+            tree.extend(children[v])
+        schedule.extend((v, children[v], v == root) for v in reversed(tree))
+    return schedule, {v: len(ns) for v, ns in adjacency.items()}
+
+
+def weights_and_contraction_by_schedule(p, g):
+    """Oracle: the weight block ``theta^m d^(2-deg)`` built whole on every call,
+    rows by id, and the contraction along ``schedule_by_ids`` with messages by id."""
+    schedule, degrees = schedule_by_ids(g)
+    exponents = np.array([2 - degrees[v] for v in g.ids], dtype=int)
+    block = _twist_powers(p, [m for _, m in g.vertices]) * p.dims.astype(complex) ** exponents[:, None]
+
+    def contract(weights, edge_matrix):
+        total, message = 1.0 + 0.0j, {}
+        for v, children, is_root in schedule:
+            msg = weights[v]
+            for ch in children:
+                msg = msg * (edge_matrix @ message.pop(ch))
+            if is_root:
+                total *= complex(np.sum(msg))
+            else:
+                message[v] = msg
+        return total
+
+    return block, contract
+
+
+def invariants_by_schedule(p, delta, g):
+    """Oracle: ``rt_invariant``, ``bracket`` and ``tau_double`` as evaluated with
+    ``schedule_by_ids``, the pairing from a fresh copy of ``p``."""
+    block, contract = weights_and_contraction_by_schedule(p, g)
+    br = contract(dict(zip(g.ids, block)), p.sprime)
+    gauss, sigma = p.gauss_sums(), signature(linking_matrix(g))
+    rt = gauss.delta_plus**sigma * gauss.total ** float(-sigma - g.n - 1) * br
+    pb = double_rt.pairing_bracket(replace(p), delta)
+    ia, ib = np.nonzero(pb.support)
+    edge = p.sprime[np.ix_(ia, ia)] * p.sprime.conj()[np.ix_(ib, ib)]
+    tau = contract(dict(zip(g.ids, block[:, ia] * block[:, ib].conj() / p.total_dim)), edge) / pb.dim_sub
+    return [_bits(rt), _bits(br), _bits(tau)]
+
+
 def tau_double_by_pair_table(hat, delta, g):
     """Oracle: the double's invariant with the pairing table as pair weight,
     ``[lambda, mu] * (theta_lambda * conj(theta_mu))^m * (d_lambda d_mu)^(1 - deg)``."""
@@ -610,10 +669,10 @@ def tau_double_by_pair_table(hat, delta, g):
     pair_weight = pb.table[ia, ib]
     d_pair = hat.dims[ia] * hat.dims[ib]
     edge = hat.sprime[np.ix_(ia, ia)] * hat.sprime.conj()[np.ix_(ib, ib)]
-    weights = {}
+    weights = []
     for v, m in g.vertices:
         tw = _twist_powers(hat, [m])[0]
-        weights[v] = pair_weight * tw[ia] * np.conj(tw[ib]) * d_pair.astype(complex) ** (1 - g.degrees[v])
+        weights.append(pair_weight * tw[ia] * np.conj(tw[ib]) * d_pair.astype(complex) ** (1 - g.degrees[v]))
     return contract_forest_dfs(g, weights, edge) / pb.dim_sub
 
 
@@ -706,6 +765,34 @@ def test_contraction_is_bitwise_the_depth_first_oracle(g, case):
     with mock.patch.object(premodular.plumbing, "_contract_forest", contract_forest_dfs), \
             mock.patch.object(double_rt, "_contract_forest", contract_forest_dfs):
         assert got == values()
+
+
+_WARM_CASES = tuple(
+    (name, delta)
+    for name, p in sorted(suite_rings().items()) if p.sprime_invertible()
+    for delta in [range(p.rank), *([range(0, p.rank, 2)] if name in ("su2:2", "su2:4", "su2:6", "su2:8") else [])]
+)
+
+
+@given(g=forests(8), case=st.sampled_from(_WARM_CASES))
+@example(g=_THREE_TREES, case=("su2:4", range(0, 5, 2)))
+@example(g=plumbing([]), case=("fibonacci", range(2)))
+@settings(max_examples=60, deadline=None)
+def test_invariants_on_a_warm_category_are_bitwise_the_schedule_oracle(g, case):
+    # a copy of the category starts with no weight rows and no pairing kept
+    name, delta = case
+    p = replace(suite_rings()[name])
+    graphs = [g, *kirby_moves(g)]
+    expected = [invariants_by_schedule(p, delta, h) for h in graphs]
+
+    def values(h):
+        return [_bits(rt_invariant(p, h, term_cap=math.inf).value),
+                _bits(bracket(p, h, term_cap=math.inf).value),
+                _bits(double_rt.tau_double(p, delta, h, term_cap=math.inf).value)]
+
+    assert [values(h) for h in graphs] == expected  # cold: rows, pairing and walks filled here
+    assert p._weight_rows and p._pairings
+    assert [values(h) for h in graphs] == expected  # warm
 
 
 _EXTENSIONS = (
