@@ -30,8 +30,8 @@ from .fusion import (
     FusionData,
     InconsistentDataError,
     SubcategorySelection,
+    _closed_selection,
     _member_indices,
-    full_subcategory,
 )
 from .modular import (
     MinimalityReport,
@@ -59,9 +59,6 @@ __all__ = [
     "condense",
     "double_data",
 ]
-
-_PAIRING_LIMIT = 16  # pairing tables kept per extension, by (subcategory, tol)
-
 
 class ModularizationError(ValueError):
     """The transparent subcategory is not condensable (not even or not pointed)."""
@@ -391,17 +388,15 @@ def pairing_bracket(
     minimality, after the errors of the minimality report itself.
 
     The result depends on ``hat``, the subcategory and ``tol`` alone, so it is
-    kept on ``hat`` (up to ``_PAIRING_LIMIT`` of them) and its arrays are
-    read-only; a failure is not kept, and raises again on the next call.
+    kept on ``hat`` and its arrays are read-only; a failure is not kept, and
+    raises again on the next call.
     """
     members = _member_indices(hat.fusion, delta)
-    key = (members, tol)
-    pb = hat._pairings.get(key)
+    pb = hat._pairings.get((members, tol))
     if pb is None:
-        selection = delta if isinstance(delta, SubcategorySelection) else members
-        pb = _pairing_bracket(hat, full_subcategory(hat.fusion, selection), tol)
-        if len(hat._pairings) < _PAIRING_LIMIT:
-            hat._pairings[key] = pb
+        if not (isinstance(delta, SubcategorySelection) and delta.parent is hat.fusion):
+            delta = _closed_selection(hat.fusion, members)
+        pb = hat._pairings[members, tol] = _pairing_bracket(hat, delta, tol)
     return pb
 
 

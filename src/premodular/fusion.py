@@ -466,9 +466,13 @@ def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) ->
     """
     if isinstance(members, SubcategorySelection) and members.parent is f:
         return members
-    idx = list(_member_indices(f, members))
+    return _closed_selection(f, _member_indices(f, members))
+
+
+def _closed_selection(f: FusionData, idx: tuple[int, ...]) -> SubcategorySelection:
+    """``full_subcategory`` on sorted distinct label indices ``idx``."""
     inside = np.zeros(f.rank, dtype=bool)
-    inside[idx] = True
+    inside[list(idx)] = True
     if not inside[f.unit]:
         raise ClosureError("subset does not contain the unit", (f.names[f.unit],))
     for a in idx:
@@ -478,10 +482,11 @@ def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) ->
                 (f.names[a], f.names[f.dual[a]]),
             )
     # the channels of member pairs that leave the subset, in (a, b, c) order
+    rows = np.array(idx)
     outside = np.flatnonzero(~inside)
-    leaks = f.tensor[np.ix_(idx, idx, outside)] != 0
+    leaks = f.tensor[rows[:, None, None], rows[:, None], outside] != 0
     if leaks.any():
         i, j, k = np.unravel_index(int(leaks.argmax()), leaks.shape)
         a, b, c = f.names[idx[i]], f.names[idx[j]], f.names[outside[k]]
         raise ClosureError(f"subset not closed under fusion at ({a}, {b}, {c})", (a, b, c))
-    return SubcategorySelection(parent=f, members=tuple(idx))
+    return SubcategorySelection(parent=f, members=idx)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import premodular.condense as condense_module
 from premodular import families
 from premodular.condense import MinimalityError, double_data
 from premodular.double_rt import factorization_check, pairing_bracket, tau_double
@@ -72,14 +71,6 @@ class TestPairingBracket:
             with pytest.raises(MinimalityError, match=r"^extension is not minimal: centralizer \['0', '1', '2', '3', '4'\] differs"):
                 pairing_bracket(hat, [0])
         assert not hat._pairings
-
-    def test_tables_past_the_limit_are_not_kept(self, monkeypatch):
-        monkeypatch.setattr(condense_module, "_PAIRING_LIMIT", 1)
-        hat = families.su2(4)
-        first = pairing_bracket(hat, [0, 2, 4])
-        second = pairing_bracket(hat, range(5))
-        assert list(hat._pairings.values()) == [first]
-        assert pairing_bracket(hat, range(5)) is not second
 
 
 class TestTauDouble:
