@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +97,19 @@ class TestValidateFusion:
         tracemalloc.start()
         try:
             report = validate_fusion(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 64 * 2**20
+
+    def test_rank_81_memory_stays_cubic_on_the_whole_ring(self):
+        # the rank-81 product is checked on its factors; this keeps the whole-ring check under the bound
+        f = families.builtin("prod(su2:8,conj(su2:8))").fusion
+        tracemalloc.start()
+        try:
+            with mock.patch("premodular.fusion._FACTOR_MIN_RANK", math.inf):
+                report = validate_fusion(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

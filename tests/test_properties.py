@@ -21,7 +21,11 @@ from premodular.fusion import (
     ClosureError,
     FusionData,
     InconsistentDataError,
+    _FACTOR_MIN_RANK,
+    _deligne_factors,
     _exact_dtype,
+    _take,
+    deligne_product,
     full_subcategory,
     perron_frobenius_dims,
     validate_fusion,
@@ -189,6 +193,102 @@ def test_associativity_check_matches_dense_oracle(name, data):
     raised = FusionData(names=f.names, unit=f.unit, dual=f.dual, tensor=t)
     check = validate_fusion(raised)["axiom:associativity"]
     assert (check.passed, check.witness, check.residual) == dense_associativity(raised)
+
+
+# -- associativity on the factors of a Deligne product ------------------------------
+
+
+def dense_report(f):
+    """Oracle: the report with associativity checked on the whole ring, never on factors."""
+    with mock.patch("premodular.fusion._FACTOR_MIN_RANK", math.inf):
+        return _report_bits(validate_fusion(f))
+
+
+def _report_bits(report):
+    return [(c.name, c.passed, c.witness, c.residual.hex()) for c in report]
+
+
+def _relabelled(f, seed):
+    return _take(f, np.random.default_rng(seed).permutation(f.rank).tolist())
+
+
+# products of two suite rings from the crossover rank to 49, where the dense oracle stays cheap
+_FACTOR_PAIRS = tuple(
+    (a, b) for a, p in sorted(suite_rings().items()) for b, q in sorted(suite_rings().items())
+    if _FACTOR_MIN_RANK <= p.rank * q.rank <= 49
+)
+
+
+def _broken_ising():
+    """Ising with sigma x sigma = 1 + 2 eps, which is not associative."""
+    f = suite_rings()["ising"].fusion
+    t = f.tensor.copy()
+    t[f.index("sigma"), f.index("sigma"), f.index("eps")] = 2
+    return FusionData(names=f.names, unit=f.unit, dual=f.dual, tensor=t)
+
+
+@given(pair=st.sampled_from(_FACTOR_PAIRS), seed=st.integers(0, 2**32 - 1))
+@example(pair=("su2:4", "su2:4"), seed=0)  # the fusion rings of prod(su2:k,conj(su2:k)), ranks 25 and 49
+@example(pair=("su2:6", "su2:6"), seed=1)
+@settings(max_examples=40, deadline=None)
+def test_detector_finds_the_factors_of_relabelled_products(pair, seed):
+    p, q = (suite_rings()[x] for x in pair)
+    f = _relabelled(deligne_product(p.fusion, q.fusion), seed)
+    A, B, phi = _deligne_factors(f)
+    assert A.size * B.size == f.rank and set(A) & set(B) == {f.unit}
+    assert sorted(phi.ravel()) == list(range(f.rank))
+    assert deligne_product(_take(f, A), _take(f, B)).same_ring(_take(f, phi.ravel()))
+    assert _report_bits(validate_fusion(f)) == dense_report(f)
+
+
+@pytest.mark.parametrize("name", ["su2:8", "pointed:8:4", "su2:6", "su2:24", "prod(su2:8,trivial)"])
+def test_detector_finds_no_factors_of_an_unfactored_ring(name):
+    f = families.builtin(name).fusion
+    assert _deligne_factors(f) is None
+    assert _report_bits(validate_fusion(f)) == dense_report(f)
+
+
+def test_a_ring_whose_labels_generate_nothing_has_no_factors():
+    f = FusionData(names=tuple(map(str, range(24))), unit=0, dual=tuple(range(24)), tensor=np.zeros((24,) * 3, int))
+    assert _deligne_factors(f) is None
+    assert _report_bits(validate_fusion(f)) == dense_report(f)
+
+
+def _frobenius_orbit(f, cell):
+    """The cells that Frobenius reciprocity ties to ``cell``: (a,b,c) ~ (b*,a*,c*) ~ (a*,c,b)."""
+    d, orbit, todo = f.dual, set(), [cell]
+    while todo:
+        a, b, c = todo.pop()
+        if (a, b, c) not in orbit:
+            orbit.add((a, b, c))
+            todo += [(d[b], d[a], d[c]), (d[a], c, b)]
+    return orbit
+
+
+@given(pair=st.sampled_from(_FACTOR_PAIRS), seed=st.integers(0, 2**32 - 1),
+       symmetric=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mutated_products_report_what_the_dense_check_reports(pair, seed, symmetric, data):
+    p, q = (suite_rings()[x] for x in pair)
+    f = _relabelled(deligne_product(p.fusion, q.fusion), seed)
+    t = f.tensor.copy()
+    index = st.integers(min_value=0, max_value=f.rank - 1)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        cell, step = data.draw(st.tuples(index, index, index)), data.draw(st.sampled_from([-1, 1, 2]))
+        for c in _frobenius_orbit(f, cell) if symmetric else [cell]:
+            t[c] += step
+    mutated = FusionData(names=f.names, unit=f.unit, dual=f.dual, tensor=t)
+    assert _report_bits(validate_fusion(mutated)) == dense_report(mutated)
+
+
+def test_a_broken_factor_gives_the_dense_witness():
+    # the Kronecker structure holds, so the factors are found, but one is not associative
+    f = _relabelled(deligne_product(_broken_ising(), suite_rings()["su2:8"].fusion), 7)
+    assert f.rank >= _FACTOR_MIN_RANK and _deligne_factors(f) is not None
+    report = validate_fusion(f)
+    check = report["axiom:associativity"]
+    assert (check.passed, check.witness, check.residual) == dense_associativity(f)
+    assert _report_bits(report) == dense_report(f)
 
 
 @pytest.mark.parametrize("name", [*sorted(suite_rings()), "prod(su2:4,conj(su2:4))"])
@@ -801,17 +901,75 @@ _EXTENSIONS = (
 )
 
 
+def _trees(g):
+    """The components of ``g``, in order of their least ids."""
+    seen, trees = set(), []
+    for root in sorted(g.ids):
+        if root not in seen:
+            tree = [root]
+            seen.add(root)
+            for v in tree:
+                new = [w for w in g.neighbors(v) if w not in seen]
+                seen.update(new)
+                tree += new
+            keep = set(tree)
+            trees.append(PlumbingGraph(tuple(x for x in g.vertices if x[0] in keep),
+                                       tuple(e for e in g.edges if e[0] in keep)))
+    return trees
+
+
+def _disjoint_union(g, h):
+    """``g ⊔ h``, the ids of ``h`` primed."""
+    return PlumbingGraph(g.vertices + tuple((v + "'", m) for v, m in h.vertices),
+                         g.edges + tuple((u + "'", v + "'") for u, v in h.edges))
+
+
+# su2:8 with its even part: the lens-space tree v0-b0 has a value near 1e-17, rounding
+# noise that the forest's factor dim(Delta)^6 ~ 3e8 for its seven trees lifts above 1e-12
+_LENS_AND_SPHERES = plumbing([("v0", 2), ("b0", -2), ("v7", 0), ("v1", 0), *((f"v{i}", 0) for i in range(2, 7))],
+                             [("v0", "b0"), ("v7", "v1")])
+
+
 @given(g=forests(), case=st.sampled_from(_EXTENSIONS))
 @example(g=_chain(200), case=_EXTENSIONS[2])
 @example(g=_chain(200), case=_EXTENSIONS[5])
+@example(g=_LENS_AND_SPHERES, case=_EXTENSIONS[2])
 @settings(max_examples=60, deadline=None)
 def test_tau_double_is_the_pair_table_formula(g, case):
+    # tree by tree at the bound 1e-12 * max(1, |old|); the forest as the product
+    # dim(Delta)^(c-1) * prod_T old_T, on the error scale of that product
     name, delta = case
     p = _category(name)
     delta = range(p.rank) if delta is None else delta
+    trees = _trees(g)
+    old = [tau_double_by_pair_table(p, delta, tree) for tree in trees]
+    for tree, value in zip(trees, old):
+        new = double_rt.tau_double(p, delta, tree, term_cap=math.inf).value
+        assert abs(new - value) <= 1e-12 * max(1, abs(value))
+    lift = double_rt.pairing_bracket(p, delta).dim_sub ** (len(trees) - 1)
     new = double_rt.tau_double(p, delta, g, term_cap=math.inf).value
-    old = tau_double_by_pair_table(p, delta, g)
-    assert abs(new - old) <= 1e-12 * max(1, abs(old))
+    assert abs(new - lift * math.prod(old)) <= 1e-12 * lift * math.prod(max(1, abs(v)) for v in old)
+
+
+_CONNECTED_SUMS = (("su2:3", None), ("fibonacci", None), ("ising", None), ("su2:8", (0, 2, 4, 6, 8)))
+
+
+@given(g=forests(6), h=forests(6), case=st.sampled_from(_CONNECTED_SUMS))
+@example(g=plumbing([]), h=_ISOLATED, case=_CONNECTED_SUMS[0])
+@example(g=_THREE_TREES, h=plumbing([("v0", 2), ("b0", -2)], [("v0", "b0")]), case=_CONNECTED_SUMS[3])
+@settings(max_examples=60, deadline=None)
+def test_a_disjoint_union_presents_the_connected_sum(g, h, case):
+    # tau(g ⊔ h) = D tau(g) tau(h), and tau_D(g ⊔ h) = dim(Delta) tau_D(g) tau_D(h)
+    name, delta = case
+    p = _category(name)
+    if delta is None:
+        factor = p.gauss_sums().total
+        value = lambda x: rt_invariant(p, x, term_cap=math.inf).value
+    else:
+        factor = double_rt.pairing_bracket(p, delta).dim_sub
+        value = lambda x: double_rt.tau_double(p, delta, x, term_cap=math.inf).value
+    a, b = value(g), value(h)
+    assert abs(value(_disjoint_union(g, h)) - factor * a * b) <= 1e-12 * factor * max(1, abs(a)) * max(1, abs(b))
 
 
 @given(g=st.one_of(
