@@ -9,7 +9,9 @@ where the pairing ``[lambda, mu] = (1/dim_hat) * sum_{nu in sub} N[lambda, dual 
 vanishes unless every fusion channel of ``lambda ⊗ dual(mu)`` lies in the
 subcategory.  The double sum is evaluated as one contraction over label
 pairs, pruned to the support of ``condense.pairing_bracket``, the check
-that ``double_data`` starts from too.
+that ``double_data`` starts from too.  Its edges carry ``s ⊗ conj(s)``, for
+the unitary ``s = S'/D`` a ``1/dim_hat`` each, and each tree one more: the
+pairings' ``dim_hat^(-k)`` on a tree of ``k`` vertices.
 """
 
 from __future__ import annotations
@@ -53,20 +55,21 @@ def tau_double(
 
     Evaluated as a forest contraction over label pairs ``(lambda, mu)``
     restricted to the pairing's support, with per-vertex weight
-    ``F(lambda) * conj(F(mu)) / dim_hat`` (``F`` the vertex's row of the
-    bracket's weight block ``theta^m d^(2-deg)``, so that
-    ``[lambda, mu] = d_lambda d_mu / dim_hat`` on the support is folded in)
-    and per-edge weight ``S'(lambda, lambda') * conj(S'(mu, mu'))``.
+    ``F(lambda) * conj(F(mu))`` (``F`` the vertex's row of the bracket's
+    weight block ``theta^m d^(2-deg)``, so that
+    ``[lambda, mu] = d_lambda d_mu / dim_hat`` on the support is folded in),
+    per-edge weight ``s(lambda, lambda') * conj(s(mu, mu'))`` and ``1/dim_hat``
+    per tree; the sum is divided by ``dim_sub``.
     """
     _check_term_cap(hat.rank, 2 * g.n, term_cap)
     pb = pairing_bracket(hat, delta, tol=tol)
 
     ia, ib = np.nonzero(pb.support)
-    sp = hat.sprime
-    edge = sp[ia[:, None], ia] * sp[ib[:, None], ib].conj()
+    s = hat._s
+    edge = s[ia[:, None], ia] * s[ib[:, None], ib].conj()
 
     w = np.reshape(_vertex_weights(hat, g), (g.n, hat.rank))
-    value = _contract_forest(g, w[:, ia] * w[:, ib].conj() / hat.total_dim, edge) / pb.dim_sub
+    value = _contract_forest(g, w[:, ia] * w[:, ib].conj(), edge, 1 / hat.total_dim) / pb.dim_sub
     return InvariantValue(value=value, tolerance=tol)
 
 

@@ -312,11 +312,11 @@ def validate_fusion(f: FusionData) -> ValidationReport:
 
     # Frobenius reciprocity: N[a,b,c] = N[dual b, dual a, dual c] = N[dual a, c, b]
     frob1 = t[np.ix_(dual, dual, dual)].transpose(1, 0, 2)
-    frob2 = t[dual][:, :, :].transpose(0, 2, 1)
-    frob_dev = np.abs(t - frob1) + np.abs(t - frob2)
-    frob_ok = not frob_dev.any()
+    frob2 = t[dual].transpose(0, 2, 1)
+    frob_ok = np.array_equal(t, frob1) and np.array_equal(t, frob2)
     frob_wit = None
     if not frob_ok:
+        frob_dev = np.abs(t - frob1) + np.abs(t - frob2)
         a, b, c = np.unravel_index(int(frob_dev.argmax()), frob_dev.shape)
         frob_wit = (f.names[a], f.names[b], f.names[c])
     checks.append(CheckResult("axiom:frobenius_reciprocity", frob_ok, witness=frob_wit))

@@ -220,6 +220,13 @@ class PremodularData:
         return self._gauss_sums
 
     @cached_property
+    def _s(self) -> np.ndarray:
+        # the unitary s = S'/D, read-only
+        s = self.sprime / self._gauss_sums.total
+        s.setflags(write=False)
+        return s
+
+    @cached_property
     def _svd(self) -> tuple[float, np.ndarray]:
         """One SVD of S': the smallest-to-largest singular value ratio (0 for a zero S'), and V^H."""
         _, sv, vh = np.linalg.svd(self.sprime)
@@ -435,7 +442,7 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
         )
 
     g = p.gauss_sums()
-    s = p.sprime / g.total
+    s = p._s
     t = (g.delta_plus / abs(g.delta_plus)) ** (1.0 / 3.0) * np.diag(p.theta_values)
     st = s @ t
     eye = np.eye(n)

@@ -5,12 +5,13 @@ For a coloring ``c`` the framed-link invariant is the closed contraction
 
     F(g; c) = prod_v theta_{c(v)}^{m_v} d(c(v))^{1 - deg(v)} * prod_{(u,v)} S'(c(u), c(v)),
 
-the bracket sums ``prod_v d(c(v)) F(g; c)`` over all colorings, and the
-Reshetikhin-Turaev invariant normalises the bracket by Gauss-sum anomaly
-factors and the linking-matrix signature.  The coloring sum is evaluated as
-an exact factorized contraction along the forest (identical value and
-deterministic order); the coloring-space size guard ``|labels|^n`` is still
-enforced as the term cap.
+and the bracket sums ``prod_v d(c(v)) F(g; c)`` over all colorings.  The
+Reshetikhin-Turaev invariant contracts the same vertex weights with the
+unitary ``s = S'/D`` on the edges (``D`` the square root of the global
+dimension) and ``1/D`` per tree, so it never forms a huge bracket times a
+tiny power of ``D`` (see ``rt_invariant``).  The coloring sum is an exact
+factorized contraction along the forest (deterministic order); the
+coloring-space size guard ``|labels|^n`` is still enforced as the term cap.
 """
 
 from __future__ import annotations
@@ -332,13 +333,15 @@ def _contract_forest(
     g: PlumbingGraph,
     weights: Sequence[np.ndarray],
     edge_matrix: np.ndarray,
+    tree_factor: float,
 ) -> complex:
     """Sum over colorings of a forest, factorized along the trees.
 
     ``weights[i]`` is the per-color weight of the vertex at position ``i`` of
     ``g.ids`` and ``edge_matrix`` the symmetric per-edge weight; each vertex
     folds in its children's messages in the order of ``g._walk``, so the
-    result is reproducible.
+    result is reproducible.  Each tree's sum is scaled by ``tree_factor``,
+    part by part, so a factor of 1 leaves it bitwise as it is.
     """
     walk = g._walk
     total = 1.0 + 0.0j
@@ -350,7 +353,8 @@ def _contract_forest(
             for ch in children:
                 msg = msg * (edge_matrix @ message[ch])
             if len(children) == walk.degrees[v]:  # a root
-                total *= complex(msg.sum())
+                tree = complex(msg.sum())
+                total *= complex(tree.real * tree_factor, tree.imag * tree_factor)
             else:
                 message[v] = msg
     return _finite(total, g)
@@ -371,7 +375,7 @@ def bracket(
 ) -> InvariantValue:
     """Sum of ``prod_v d(c(v)) * F(g; c)`` over all colorings of the forest."""
     _check_term_cap(p.rank, g.n, term_cap)
-    return InvariantValue(value=_contract_forest(g, _vertex_weights(p, g), p.sprime))
+    return InvariantValue(value=_contract_forest(g, _vertex_weights(p, g), p.sprime, 1.0))
 
 
 def rt_invariant(
@@ -383,20 +387,18 @@ def rt_invariant(
 ) -> InvariantValue:
     """Reshetikhin-Turaev invariant of the presented closed 3-manifold.
 
-    ``tau = delta_plus^sigma * D^(-sigma - n - 1) * bracket`` with ``sigma``
-    the signature of the linking matrix.  Requires modular data (S'
-    invertible).
+    ``tau = (delta_plus/D)^sigma * D^(-1) * prod_T (Z_T / D)``, with ``sigma``
+    the signature of the linking matrix and ``Z_T`` tree ``T``'s contraction
+    with ``s = S'/D`` on its edges; that is ``delta_plus^sigma D^(-sigma-n-1)``
+    times the bracket.  Requires modular data (S' invertible).
     """
     if not p.sprime_invertible(tol=tol):
         raise ValueError("Reshetikhin-Turaev invariant requires modular data")
+    _check_term_cap(p.rank, g.n, term_cap)
     gauss = p.gauss_sums()
-    sigma = _forest_signature(g)
-    br = bracket(p, g, term_cap=term_cap)
-    try:
-        value = gauss.delta_plus**sigma * gauss.total ** float(-sigma - g.n - 1) * br.value
-    except OverflowError:  # a power of delta_plus or D beyond the float range
-        value = cmath.inf
-    return InvariantValue(value=_finite(value, g), tolerance=tol)
+    total = _contract_forest(g, _vertex_weights(p, g), p._s, 1 / gauss.total)
+    phase = (gauss.delta_plus / gauss.total) ** _forest_signature(g)
+    return InvariantValue(value=phase * total / gauss.total, tolerance=tol)
 
 
 def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:

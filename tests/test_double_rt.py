@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -205,10 +206,9 @@ def test_label_list_and_selection_give_identical_results(su2_4, entry):
 
 
 # 300 isolated 0-framed vertices on su2:4: every vertex contributes dim = 12 to the
-# bracket and to the double's sum, and 12**300 is beyond the largest float
+# bracket and to the double's sum, and 12**300 and 12**299 are beyond the largest float
 NOT_FINITE = {
     "bracket": lambda p, g: bracket(p, g, term_cap=math.inf),
-    "rt_invariant": lambda p, g: rt_invariant(p, g, term_cap=math.inf),
     "tau_double": lambda p, g: tau_double(p, range(p.rank), g, term_cap=math.inf),
 }
 
@@ -222,8 +222,43 @@ def test_value_that_is_not_finite_raises_overflow_naming_the_vertex_count(su2_4,
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_gauss_sum_power_raises_overflow_naming_the_vertex_count():
+def test_isolated_vertices_give_the_connected_sum_of_spheres(su2_4):
+    # each 0-framed vertex is S^2 x S^1, with invariant D; their connected sum is D^(n-1) = 2.1757e161
+    value = rt_invariant(su2_4, plumbing([0] * 300), term_cap=math.inf).value
+    assert value == pytest.approx(math.sqrt(12) ** 299, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gauss_sum_power_of_450_vertices_is_finite_and_a_connected_sum():
     # sigma = 450: delta_plus**450 is beyond a complex, though the invariant itself is not
-    g = plumbing([2] * 450)
-    with pytest.raises(OverflowError, match="^the invariant of the 450-vertex plumbing is not finite"):
-        rt_invariant(families.su2(8), g, term_cap=math.inf)
+    p = families.su2(8)
+    value = rt_invariant(p, plumbing([2] * 450), term_cap=math.inf).value
+    assert abs(value) == pytest.approx(6.76e-67, rel=1e-3)
+    # tau(g_1 ⊔ ... ⊔ g_k) = D^(k-1) * prod tau(g_i), compared in log space
+    part = rt_invariant(p, plumbing([2])).value
+    diff = cmath.log(value) - (449 * math.log(p.gauss_sums().total) + 450 * cmath.log(part))
+    assert abs(diff.real) <= 1e-12 * 450
+    assert abs(math.remainder(diff.imag, 2 * math.pi)) <= 1e-12 * 450
+
+
+def star(leaves, framing=-2):
+    return plumbing([("c", framing), *((f"l{i}", framing) for i in range(leaves))],
+                    [("c", f"l{i}") for i in range(leaves)])
+
+
+HIGH_DEGREE = {**NOT_FINITE, "rt_invariant": lambda p, g: rt_invariant(p, g, term_cap=math.inf)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(HIGH_DEGREE))
+def test_high_degree_vertex_that_overflows_is_named(su2_4, entry):
+    # the hub's weight d^(2 - deg) and the product of 5,000 leaf messages leave the float range
+    with pytest.raises(OverflowError, match="^the invariant of the 5001-vertex plumbing is not finite"):
+        HIGH_DEGREE[entry](su2_4, star(5000))
+
+
+@pytest.mark.filterwarnings("error")
+def test_double_of_a_300_leaf_star_is_finite(su2_4):
+    # the weight rows carry d^(2 - deg) without 1/D; the hub's (d/D)^(2 - deg) would overflow here
+    value = tau_double(su2_4, range(su2_4.rank), star(300), term_cap=math.inf).value
+    assert value.real == pytest.approx(5.4313e259, rel=1e-4)

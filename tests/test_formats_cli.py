@@ -672,18 +672,28 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("builtin, framing, n, chained", [
-        ("su2:8", 2, 450, False),  # delta_plus**450 overflowed in complex exponentiation
-        ("su2:4", -2, 1000, True),  # the messages overflowed to NaN and "nan nan" exited 0
-    ], ids=["isolated", "chain"])
-    def test_invariant_that_is_not_finite_exits_1(self, tmp_path, capsys, builtin, framing, n, chained):
-        edges = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)] if chained else []
+    @pytest.mark.parametrize("command, n, hub", [
+        ("double-rt", 300, False),  # 12**299 is beyond the largest float
+        ("rt", 5001, True),  # the hub of a 5,000-leaf star: its messages overflowed to NaN
+    ], ids=["isolated", "star"])
+    def test_invariant_that_is_not_finite_exits_1(self, tmp_path, capsys, command, n, hub):
+        edges = [("v0", f"v{i}") for i in range(1, n)] if hub else []
+        framing = -2 if hub else 0
         save_plumbing(tmp_path / "g.json", plumbing([(f"v{i}", framing) for i in range(n)], edges))
-        assert main(["rt", "--builtin", builtin, "-g", str(tmp_path / "g.json"), "--term-cap", "inf"]) == 1
+        assert main([command, "--builtin", "su2:4", "-g", str(tmp_path / "g.json"), "--term-cap", "inf"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: the invariant of the {n}-vertex plumbing "
                                 "is not finite in floating point\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_long_chain_rt_exits_0(self, tmp_path, capsys):
+        # a 1,000-vertex -2 chain, whose contraction with the unnormalised S' overflowed
+        n = 1000
+        save_plumbing(tmp_path / "g.json", plumbing([(f"v{i}", -2) for i in range(n)],
+                                                    [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]))
+        assert main(["rt", "--builtin", "su2:4", "-g", str(tmp_path / "g.json"), "--term-cap", "inf"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_double_names_the_label_that_is_not_even(self, tmp_path, capsys):
         assert main(["double", "--builtin", "su2:2", "--delta", "0,2", "-o", str(tmp_path / "x.json")]) == 1

@@ -669,9 +669,14 @@ def test_every_full_subcategory_matches_the_restriction_oracle():
 # -- the plumbing forest: contraction order and Kirby neighbours ------------------
 
 
-def contract_forest_dfs(g, weights, edge_matrix):
+def _scaled(z, factor):
+    return complex(z.real * factor, z.imag * factor)
+
+
+def contract_forest_dfs(g, weights, edge_matrix, tree_factor):
     """Oracle: the depth-first contraction that rebuilt its adjacency on every call;
-    ``weights`` holds one row per vertex in ``g.ids`` order."""
+    ``weights`` holds one row per vertex in ``g.ids`` order, and each tree's
+    sum is scaled by ``tree_factor``."""
     weights = dict(zip(g.ids, weights))
     adjacency = {v: [] for v in g.ids}
     for u, v in g.edges:
@@ -700,7 +705,7 @@ def contract_forest_dfs(g, weights, edge_matrix):
                 for ch in adjacency[node]:
                     if ch != par:
                         stack.append((ch, node, False))
-        total *= complex(np.sum(message[root]))
+        total *= _scaled(complex(np.sum(message[root])), tree_factor)
     return total
 
 
@@ -732,14 +737,14 @@ def weights_and_contraction_by_schedule(p, g):
     exponents = np.array([2 - degrees[v] for v in g.ids], dtype=int)
     block = _twist_powers(p, [m for _, m in g.vertices]) * p.dims.astype(complex) ** exponents[:, None]
 
-    def contract(weights, edge_matrix):
+    def contract(weights, edge_matrix, tree_factor):
         total, message = 1.0 + 0.0j, {}
         for v, children, is_root in schedule:
             msg = weights[v]
             for ch in children:
                 msg = msg * (edge_matrix @ message.pop(ch))
             if is_root:
-                total *= complex(np.sum(msg))
+                total *= _scaled(complex(np.sum(msg)), tree_factor)
             else:
                 message[v] = msg
         return total
@@ -749,15 +754,18 @@ def weights_and_contraction_by_schedule(p, g):
 
 def invariants_by_schedule(p, delta, g):
     """Oracle: ``rt_invariant``, ``bracket`` and ``tau_double`` as evaluated with
-    ``schedule_by_ids``, the pairing from a fresh copy of ``p``."""
+    ``schedule_by_ids``, the pairing from a fresh copy of ``p``; ``rt_invariant``
+    and ``tau_double`` contract with the unitary ``s = S'/D``."""
     block, contract = weights_and_contraction_by_schedule(p, g)
-    br = contract(dict(zip(g.ids, block)), p.sprime)
+    weights = dict(zip(g.ids, block))
+    br = contract(weights, p.sprime, 1.0)
     gauss, sigma = p.gauss_sums(), signature(linking_matrix(g))
-    rt = gauss.delta_plus**sigma * gauss.total ** float(-sigma - g.n - 1) * br
+    s = p.sprime / gauss.total
+    rt = (gauss.delta_plus / gauss.total) ** sigma * contract(weights, s, 1 / gauss.total) / gauss.total
     pb = double_rt.pairing_bracket(replace(p), delta)
     ia, ib = np.nonzero(pb.support)
-    edge = p.sprime[np.ix_(ia, ia)] * p.sprime.conj()[np.ix_(ib, ib)]
-    tau = contract(dict(zip(g.ids, block[:, ia] * block[:, ib].conj() / p.total_dim)), edge) / pb.dim_sub
+    edge = s[np.ix_(ia, ia)] * s.conj()[np.ix_(ib, ib)]
+    tau = contract(dict(zip(g.ids, block[:, ia] * block[:, ib].conj())), edge, 1 / p.total_dim) / pb.dim_sub
     return [_bits(rt), _bits(br), _bits(tau)]
 
 
@@ -773,7 +781,7 @@ def tau_double_by_pair_table(hat, delta, g):
     for v, m in g.vertices:
         tw = _twist_powers(hat, [m])[0]
         weights.append(pair_weight * tw[ia] * np.conj(tw[ib]) * d_pair.astype(complex) ** (1 - g.degrees[v]))
-    return contract_forest_dfs(g, weights, edge) / pb.dim_sub
+    return contract_forest_dfs(g, weights, edge, 1.0) / pb.dim_sub
 
 
 def kirby_moves_by_rewrites(g):
@@ -970,6 +978,27 @@ def test_a_disjoint_union_presents_the_connected_sum(g, h, case):
         value = lambda x: double_rt.tau_double(p, delta, x, term_cap=math.inf).value
     a, b = value(g), value(h)
     assert abs(value(_disjoint_union(g, h)) - factor * a * b) <= 1e-12 * factor * max(1, abs(a)) * max(1, abs(b))
+
+
+_MODULAR_SUITE = tuple(name for name, p in sorted(suite_rings().items()) if p.sprime_invertible())
+_LONG_CHAINS = ("su2:3", "fibonacci", "pointed:5:2", "conj(su2:3)")  # also at 5,000 vertices
+
+
+@pytest.mark.parametrize("name", _MODULAR_SUITE)
+def test_a_long_chain_blows_down_to_one_vertex(name):
+    # [-2]^n and [-1, n] have the same continued fraction -(n+1)/n, and blowing
+    # the (-1)-leaf of [-1, n] down leaves one vertex framed n + 1
+    p = _category(name)
+    for n in (5, 50, 200, 1000, *((5000,) if name in _LONG_CHAINS else ())):
+        chain = rt_invariant(p, _chain(n), term_cap=math.inf).value
+        assert abs(chain - rt_invariant(p, plumbing([n + 1])).value) <= 1e-11
+
+
+def test_the_double_of_a_5000_chain_is_the_squared_modulus():
+    p, g = _category("su2:4"), _chain(5000)
+    rt = rt_invariant(p, g, term_cap=math.inf).value
+    double = double_rt.tau_double(p, range(p.rank), g, term_cap=math.inf).value
+    assert abs(double - abs(rt) ** 2) <= 1e-11
 
 
 @given(g=st.one_of(
