@@ -460,25 +460,14 @@ def double_data(
                               f"for the double ({'; '.join(faults)})")
 
     ia, ib = np.nonzero(pb.support)
-    pos = np.full((hat.rank, hat.rank), -1)
-    pos[ia, ib] = np.arange(len(ia))
-    t, sp, dual = hat.fusion.tensor, hat.sprime, np.array(hat.fusion.dual)
-    fus = FusionData(
-        names=tuple(f"({hat.names[a]},{hat.names[b]})" for a, b in zip(ia, ib)),
-        unit=int(pos[hat.unit, hat.unit]), dual=tuple(pos[dual[ia], dual[ib]].tolist()),
-        tensor=t[np.ix_(ia, ia, ia)] * t[np.ix_(ib, ib, ib)],
-    )
-    restricted = PremodularData(
-        fusion=fus, dims=hat.dims[ia] * hat.dims[ib], sprime=sp[np.ix_(ia, ia)] * sp[np.ix_(ib, ib)].conj(),
-        theta=tuple(hat.theta[a] * hat.theta[b].conjugate() for a, b in zip(ia, ib)),
-    )
+    restricted = hat._on_pairs(hat.conjugate(), ia, ib)
     expected = hat.total_dim**2 / len(pb.report.degenerate_labels)
     if abs(restricted.total_dim - expected) > 1e3 * tol * max(1.0, hat.total_dim**2):
         raise InconsistentDataError(
             f"centralizer dimension {restricted.total_dim:.12g} deviates from dim/dim(sub) = {expected:.12g}"
         )
     cond = condense(restricted, tol=tol)
-    if set(cond.decomposition.group_labels) != set(pos.diagonal()[list(pb.report.degenerate_labels)]):
+    if {(ia[g], ib[g]) for g in cond.decomposition.group_labels} != {(g, g) for g in pb.report.degenerate_labels}:
         raise InconsistentDataError(
             "transparent part of the restricted product does not match the embedded group"
         )

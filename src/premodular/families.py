@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fusion import FusionData, deligne_product
+from .fusion import FusionData
 from .modular import PremodularData, Twist, premodular_from_twists
 
 __all__ = [
@@ -125,11 +125,7 @@ def ising() -> PremodularData:
 
 def product(a: PremodularData, b: PremodularData) -> PremodularData:
     """Deligne product: paired labels, multiplied dims and twists, S' Kronecker."""
-    fus = deligne_product(a.fusion, b.fusion)
-    dims = np.kron(a.dims, b.dims)
-    theta = tuple(ta * tb for ta in a.theta for tb in b.theta)
-    sprime = np.kron(a.sprime, b.sprime)
-    return PremodularData(fusion=fus, dims=dims, theta=theta, sprime=sprime)
+    return a._on_pairs(b, *np.divmod(np.arange(a.rank * b.rank), b.rank))
 
 
 def conjugate(p: PremodularData) -> PremodularData:

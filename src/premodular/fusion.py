@@ -487,13 +487,19 @@ def global_dim(f: FusionData, dims: np.ndarray) -> float:
 
 def deligne_product(a: FusionData, b: FusionData) -> FusionData:
     """Product ring on label pairs, with componentwise unit, dual, and N."""
-    names = tuple(f"({x},{y})" for x in a.names for y in b.names)
-    nb = b.rank
-    tensor = np.einsum("abc,uvw->aubvcw", a.tensor, b.tensor).reshape(
-        a.rank * nb, a.rank * nb, a.rank * nb
-    )
-    dual = tuple(a.dual[i] * nb + b.dual[j] for i in range(a.rank) for j in range(b.rank))
-    return FusionData(names=names, unit=a.unit * nb + b.unit, dual=dual, tensor=tensor)
+    return _on_pairs(a, b, *np.divmod(np.arange(a.rank * b.rank), b.rank))
+
+
+def _on_pairs(a: FusionData, b: FusionData, ia: np.ndarray, ib: np.ndarray) -> FusionData:
+    """``a ⊠ b`` on label pairs ``(ia[k], ib[k])`` named ``(x,y)``, a set holding the unit pair and closed
+    under duals and fusion.  N is multiplied in place: two |pairs|³ arrays with `FusionData`'s copy."""
+    pos = np.full((a.rank, b.rank), -1)
+    pos[ia, ib] = np.arange(len(ia))
+    tensor = a.tensor.take(ia, 2).take(ia, 1).take(ia, 0)  # last axis first: later takes copy whole rows
+    tensor *= b.tensor.take(ib, 2).take(ib, 1).take(ib, 0)
+    names = tuple(f"({a.names[x]},{b.names[y]})" for x, y in zip(ia.tolist(), ib.tolist()))
+    dual = pos[np.array(a.dual)[ia], np.array(b.dual)[ib]].tolist()
+    return FusionData(names=names, unit=int(pos[a.unit, b.unit]), dual=tuple(dual), tensor=tensor)
 
 
 def _take(f: FusionData, idx: Sequence[int]) -> FusionData:

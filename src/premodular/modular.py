@@ -30,6 +30,7 @@ from .fusion import (
     InconsistentDataError,
     SubcategorySelection,
     ValidationReport,
+    _on_pairs,
     _take,
     full_subcategory,
     global_dim,
@@ -263,6 +264,14 @@ class PremodularData:
             dims=self.dims[idx],
             theta=tuple(self.theta[i] for i in idx),
             sprime=self.sprime[np.ix_(idx, idx)],
+        )
+
+    def _on_pairs(self, other: "PremodularData", ia: np.ndarray, ib: np.ndarray) -> "PremodularData":
+        """``self ⊠ other`` on the label pairs ``(ia[k], ib[k])``, as `fusion._on_pairs`."""
+        return PremodularData(
+            fusion=_on_pairs(self.fusion, other.fusion, ia, ib), dims=self.dims[ia] * other.dims[ib],
+            theta=tuple(self.theta[x] * other.theta[y] for x, y in zip(ia.tolist(), ib.tolist())),
+            sprime=self.sprime[np.ix_(ia, ia)] * other.sprime[np.ix_(ib, ib)],
         )
 
 

@@ -27,7 +27,7 @@ from premodular.condense import (
 )
 from premodular.double_rt import tau_double
 from premodular.formats import condensed_to_doc, doc_sha256
-from premodular.fusion import DEFAULT_TOL, FusionData, InconsistentDataError
+from premodular.fusion import DEFAULT_TOL, FusionData, InconsistentDataError, deligne_product
 from premodular.modular import (
     PremodularData,
     Twist,
@@ -472,15 +472,61 @@ class TestDoubleData:
         with pytest.raises(InconsistentDataError, match=gate):
             tau_double(bad, [0, 2, 4], plumbing([]))
 
+    def test_centralizer_dimension_gate(self, su2_4, monkeypatch):
+        # a transparent part of one label expects dim R = dim(hat)^2 = 144; R has 144 / 2
+        pb = pairing_bracket(su2_4, [0, 2, 4])
+        one = dataclasses.replace(pb, report=dataclasses.replace(pb.report, degenerate_labels=(0,)))
+        monkeypatch.setattr(premodular.condense, "pairing_bracket", lambda hat, delta, tol: one)
+        with pytest.raises(InconsistentDataError, match=r"^centralizer dimension 72 deviates from dim/dim\(sub\) = 144$"):
+            double_data(su2_4, [0, 2, 4])
+
+    def test_embedded_group_gate(self, su2_4, monkeypatch):
+        # R's condensed group read as {(0,0), (0,4)}: the diagonal image of G is {(0,0), (4,4)}
+        def off_diagonal(p, tol):
+            cond = condense(p, tol=tol)
+            group = (p.names.index("(0,0)"), p.names.index("(0,4)"))
+            return dataclasses.replace(cond, decomposition=dataclasses.replace(cond.decomposition, group_labels=group))
+
+        monkeypatch.setattr(premodular.condense, "condense", off_diagonal)
+        with pytest.raises(InconsistentDataError,
+                           match="^transparent part of the restricted product does not match the embedded group$"):
+            double_data(su2_4, [0, 2, 4])
+
+    def test_double_dimension_gate(self, su2_4, monkeypatch):
+        # a condensation resolved to su2:4 itself, of dimension 12 where dim(sub)^2 = 36
+        monkeypatch.setattr(premodular.condense, "condense",
+                            lambda p, tol: dataclasses.replace(condense(p, tol=tol), solutions=(su2_4,)))
+        with pytest.raises(InconsistentDataError, match="^double dimension 12 deviates from 36$"):
+            double_data(su2_4, [0, 2, 4])
+
     def test_pairing_bracket_lives_with_the_double(self):
         assert premodular.pairing_bracket is pairing_bracket is premodular.double_rt.pairing_bracket
         assert premodular.PairingBracket is PairingBracket is premodular.double_rt.PairingBracket
 
 
+def deligne_product_oracle(a, b):
+    """Oracle: the product ring by one einsum over both tensors, labels in row-major pair order."""
+    n, nb = a.rank * b.rank, b.rank
+    return FusionData(
+        names=tuple(f"({x},{y})" for x in a.names for y in b.names),
+        unit=a.unit * nb + b.unit,
+        dual=tuple(a.dual[i] * nb + b.dual[j] for i in range(a.rank) for j in range(nb)),
+        tensor=np.einsum("abc,uvw->aubvcw", a.tensor, b.tensor).reshape(n, n, n),
+    )
+
+
+def product_oracle(a, b):
+    """Oracle: the product data, with Kronecker dims and S' and the twists multiplied pairwise."""
+    return PremodularData(
+        fusion=deligne_product_oracle(a.fusion, b.fusion), dims=np.kron(a.dims, b.dims),
+        theta=tuple(ta * tb for ta in a.theta for tb in b.theta), sprime=np.kron(a.sprime, b.sprime),
+    )
+
+
 def restricted_product_oracle(hat, delta):
     """Oracle: R through the product with the conjugate copy, the centralizer
     of the embedded diagonal transparent group, and the restriction to it."""
-    prod = families.product(hat, hat.conjugate())
+    prod = product_oracle(hat, hat.conjugate())
     embedded = [s * hat.rank + s for s in check_minimal_extension(hat, delta).degenerate_labels]
     return prod.restrict(centralizer(prod, embedded))
 
@@ -491,6 +537,45 @@ def _bitwise(p):
         p.names, p.unit, p.fusion.dual, p.fusion.tensor.dtype.str, p.fusion.tensor.tobytes(),
         p.dims.tobytes(), tuple(t.turns for t in p.theta), p.theta_values.tobytes(), p.sprime.tobytes(),
     )
+
+
+def _complex_fibonacci():
+    fib = families.fibonacci()
+    return dataclasses.replace(fib, theta=tuple(Twist.from_complex(t.approx) for t in fib.theta))
+
+
+# suite members, with a conjugate, a degenerate pointed factor, and twists given as complex numbers
+PRODUCT_FACTORS = {
+    name: (lambda name=name: families.builtin(name))
+    for name in ["su2:3", "conj(su2:3)", "pointed:2:0", "pointed:3:2", "fibonacci", "ising", "prod(fibonacci,ising)"]
+}
+PRODUCT_FACTORS["complex fibonacci"] = _complex_fibonacci
+
+
+@pytest.mark.parametrize("x, y", list(itertools.product(PRODUCT_FACTORS, repeat=2)))
+def test_products_are_bitwise_the_einsum_and_kron_oracle(x, y):
+    a, b = PRODUCT_FACTORS[x](), PRODUCT_FACTORS[y]()
+    oracle = product_oracle(a, b)
+    prod = families.product(a, b)
+    assert _bitwise(prod) == _bitwise(oracle)
+    assert _bitwise(dataclasses.replace(oracle, fusion=deligne_product(a.fusion, b.fusion))) == _bitwise(oracle)
+    assert any(t.turns is None for t in prod.theta) == ("complex fibonacci" in (x, y))
+
+
+SUBCATEGORY_PAIRS = {
+    "even(su2:4)xeven(su2:8)": ("su2:4", [0, 2, 4], "su2:8", [0, 2, 4, 6, 8]),
+    "{1}xising": ("fibonacci", [0], "ising", [0, 1, 2]),
+    "even(su2:4)xfibonacci": ("su2:4", [0, 2, 4], "fibonacci", [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBCATEGORY_PAIRS))
+def test_data_on_subcategory_pairs_is_the_restricted_product(case):
+    x, sub_a, y, sub_b = SUBCATEGORY_PAIRS[case]
+    a, b = families.builtin(x), families.builtin(y)
+    ia, ib = np.repeat(sub_a, len(sub_b)), np.tile(sub_b, len(sub_a))
+    expected = families.product(a, b).restrict((ia * b.rank + ib).tolist())
+    assert _bitwise(a._on_pairs(b, ia, ib)) == _bitwise(expected)
 
 
 RESTRICTED_PRODUCT_CASES = {
