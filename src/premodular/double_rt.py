@@ -65,8 +65,10 @@ def tau_double(
     pb = pairing_bracket(hat, delta, tol=tol)
 
     ia, ib = np.nonzero(pb.support)
-    s = hat._s
-    edge = s[ia[:, None], ia] * s[ib[:, None], ib].conj()
+    edge = None
+    if g.edges:  # then n >= 2, and the term cap's rank^(2n) >= |pairs|^2 bounds this matrix
+        s = hat._s
+        edge = s[ia[:, None], ia] * s[ib[:, None], ib].conj()
 
     w = np.reshape(_vertex_weights(hat, g), (g.n, hat.rank))
     value = _contract_forest(g, w[:, ia] * w[:, ib].conj(), edge, 1 / hat.total_dim) / pb.dim_sub

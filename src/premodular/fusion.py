@@ -492,7 +492,7 @@ def deligne_product(a: FusionData, b: FusionData) -> FusionData:
 
 def _on_pairs(a: FusionData, b: FusionData, ia: np.ndarray, ib: np.ndarray) -> FusionData:
     """``a ⊠ b`` on label pairs ``(ia[k], ib[k])`` named ``(x,y)``, a set holding the unit pair and closed
-    under duals and fusion.  N is multiplied in place: two |pairs|³ arrays with `FusionData`'s copy."""
+    under duals and fusion.  N is multiplied in place: the peak is the two factor gathers, two |pairs|³ arrays."""
     pos = np.full((a.rank, b.rank), -1)
     pos[ia, ib] = np.arange(len(ia))
     tensor = a.tensor.take(ia, 2).take(ia, 1).take(ia, 0)  # last axis first: later takes copy whole rows

@@ -152,10 +152,14 @@ class PremodularData:
 
     def __post_init__(self):
         n = self.fusion.rank
-        dims = np.ascontiguousarray(np.asarray(self.dims, dtype=float))
-        sp = np.ascontiguousarray(np.asarray(self.sprime, dtype=complex))
+        # copies, as FusionData makes of its tensor: the caller's arrays stay writable and unshared
+        dims = np.array(self.dims, dtype=float, order="C")
+        sp = np.array(self.sprime, dtype=complex, order="C")
         if dims.shape != (n,) or sp.shape != (n, n) or len(self.theta) != n:
             raise PremodularityError("field shapes do not match the label set")
+        for field, a in (("dims", dims), ("sprime", sp)):
+            if not np.isfinite(a).all():
+                raise PremodularityError(f"{field} must be finite")
         dims.setflags(write=False)
         sp.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -236,6 +240,13 @@ class PremodularData:
     def sprime_invertible(self, *, tol: float = DEFAULT_TOL) -> bool:
         return self._svd[0] > tol
 
+    @cached_property
+    def _row_multiplicativity(self) -> tuple[float, tuple[int, ...]]:
+        """The worst row-multiplicativity deviation of S' and the first ``(a, b, c)`` where it occurs."""
+        dev = np.abs(_row_multiplicativity_dev(self.fusion.tensor.astype(float), self.dims, self.sprime))
+        i = int(dev.argmax())  # the first NaN, when there is one, as max() returns NaN
+        return float(dev.flat[i]), np.unravel_index(i, dev.shape)
+
     # -- derived data ---------------------------------------------------------
 
     def conjugate(self) -> "PremodularData":
@@ -315,23 +326,10 @@ def sprime_from_balancing(
 ) -> np.ndarray:
     """S' matrix from ribbon data via the balancing identity.
 
-    Row multiplicativity is checked, and a violation beyond tolerance rejects
-    the twists as not realisable premodular data.
+    The read-only S' of `premodular_from_twists`, which rejects twists that
+    are not realisable premodular data.
     """
-    theta = _as_twists(theta, f)
-    if abs(theta[f.unit].value - 1.0) > tol:
-        raise PremodularityError("unit twist must be 1")
-    th = np.array([t.value for t in theta])
-    d = np.asarray(dims, dtype=float)
-    t = f.tensor.astype(float)
-    sp = _balanced_sprime(t, list(f.dual), th, d)
-    resid = float(np.abs(_row_multiplicativity_dev(t, d, sp)).max())
-    if not resid <= tol * max(1.0, float(np.abs(sp).max()) ** 2):  # NaN fails too
-        raise PremodularityError(
-            f"row multiplicativity fails (residual {resid:.3g}): "
-            "twists are not realisable on this fusion ring"
-        )
-    return sp
+    return premodular_from_twists(f, theta, dims=dims, tol=tol).sprime
 
 
 def premodular_from_twists(
@@ -346,20 +344,33 @@ def premodular_from_twists(
 
     Omitted dimensions come from the Perron-Frobenius eigenvector; an omitted
     S' is computed by balancing.  An explicitly supplied S' is cross-validated
-    against the balancing identity.
+    against the balancing identity.  Row multiplicativity is checked on the
+    S' the data adopts, and a violation beyond tolerance rejects the twists as
+    not realisable premodular data.
     """
     theta = _as_twists(theta, f)
+    if abs(theta[f.unit].value - 1.0) > tol:
+        raise PremodularityError("unit twist must be 1")
     d = perron_frobenius_dims(f) if dims is None else np.asarray(dims, dtype=float)
-    sp = sprime_from_balancing(f, d, theta, tol=tol)
+    th = np.array([t.value for t in theta])
+    sp = _balanced_sprime(f.tensor.astype(float), list(f.dual), th, d)
+    scale = max(1.0, float(np.abs(sp).max()))
     if sprime is not None:
         given = np.asarray(sprime, dtype=complex)
         dev = float(np.abs(given - sp).max())
-        if not dev <= tol * max(1.0, float(np.abs(sp).max())):
+        if not dev <= tol * scale:
             raise PremodularityError(
                 f"supplied S' deviates from the balancing identity by {dev:.3g}"
             )
         sp = given
-    return PremodularData(fusion=f, dims=d, theta=theta, sprime=sp)
+    p = PremodularData(fusion=f, dims=d, theta=theta, sprime=sp)
+    resid = p._row_multiplicativity[0]
+    if not resid <= tol * scale**2:  # NaN fails too
+        raise PremodularityError(
+            f"row multiplicativity fails (residual {resid:.3g}): "
+            "twists are not realisable on this fusion ring"
+        )
+    return p
 
 
 # -- verification --------------------------------------------------------------
@@ -372,6 +383,8 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     entry.  The Gauss-sum identities apply only to modular data and are
     reported as skipped when S' is singular.
     """
+    # read first: on data assembled elsewhere it is evaluated here, and t below is not yet held
+    row_resid, row_ix = p._row_multiplicativity
     d, th, sp = p.dims, p.theta_values, p.sprime
     nm = p.names
     dual = list(p.fusion.dual)
@@ -379,13 +392,15 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     scale = max(1.0, float(np.abs(sp).max()))
     checks: list[CheckResult] = []
 
-    def entry(name: str, dev: np.ndarray, witness_axes: int):
-        resid = float(np.abs(dev).max()) if dev.size else 0.0
-        wit = None
-        if resid > tol * scale:
-            ix = np.unravel_index(int(np.abs(dev).argmax()), dev.shape)
-            wit = tuple(nm[i] for i in ix[:witness_axes])
+    def record(name: str, resid: float, where, witness_axes: int):
+        # ``where()`` gives the worst entry's index, asked for only when the check fails
+        wit = tuple(nm[i] for i in where()[:witness_axes]) if resid > tol * scale else None
         checks.append(CheckResult(name, resid <= tol * scale, witness=wit, residual=resid))
+
+    def entry(name: str, dev: np.ndarray, witness_axes: int):
+        a = np.abs(dev)
+        record(name, float(a.max()) if a.size else 0.0,
+               lambda: np.unravel_index(int(a.argmax()), a.shape), witness_axes)
 
     entry("dims:unit", np.array([d[p.unit] - 1.0]), 0)
     entry("dims:dual", d[dual] - d, 1)
@@ -400,7 +415,7 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     entry("sprime:unit_row", sp[p.unit] - d, 1)
     entry("sprime:conjugate_row", sp[dual, :] - sp.conj(), 2)
 
-    entry("sprime:row_multiplicative", _row_multiplicativity_dev(t, d, sp), 3)
+    record("sprime:row_multiplicative", row_resid, lambda: row_ix, 3)
     entry("sprime:balancing", sp - _balanced_sprime(t, dual, th, d), 2)
 
     g = p.gauss_sums()

@@ -332,13 +332,14 @@ def _vertex_weights(p: PremodularData, g: PlumbingGraph) -> list[np.ndarray]:
 def _contract_forest(
     g: PlumbingGraph,
     weights: Sequence[np.ndarray],
-    edge_matrix: np.ndarray,
+    edge_matrix: np.ndarray | None,
     tree_factor: float,
 ) -> complex:
     """Sum over colorings of a forest, factorized along the trees.
 
     ``weights[i]`` is the per-color weight of the vertex at position ``i`` of
-    ``g.ids`` and ``edge_matrix`` the symmetric per-edge weight; each vertex
+    ``g.ids`` and ``edge_matrix`` the symmetric per-edge weight (unread, and
+    may be None, when the forest has no edges); each vertex
     folds in its children's messages in the order of ``g._walk``, so the
     result is reproducible.  Each tree's sum is scaled by ``tree_factor``,
     part by part, so a factor of 1 leaves it bitwise as it is.

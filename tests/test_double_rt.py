@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,21 @@ class TestTauDouble:
         with pytest.raises(TermCapExceeded) as err:
             tau_double(su2_4, [0, 2, 4], chain([-2] * 220))
         assert err.value.terms == pytest.approx(5.0**440)
+
+    def test_a_forest_without_edges_builds_no_pair_matrix(self):
+        # one vertex counts rank^2 colorings, which the term cap admits at any rank; the pair
+        # matrix here would be 2401^2 complex entries, 92 MB, that the contraction never reads
+        hat = families.builtin("prod(su2:6,conj(su2:6))")
+        g = plumbing([("v", 3)])
+        tracemalloc.start()
+        try:
+            value = tau_double(hat, range(hat.rank), g).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        tau = rt_invariant(hat, g).value
+        assert abs(value - abs(tau) ** 2) <= 1e-9 * max(1.0, abs(value))
 
 
 class TestFactorization:

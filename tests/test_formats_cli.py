@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import premodular
-from premodular import families
+from premodular import families, modular
 from premodular.cli import build_parser, main
 from premodular.condense import condense, double_data
 from premodular.formats import (
@@ -281,6 +281,16 @@ class TestCLI:
 
     def test_verify_file(self, workdir):
         assert main(["verify", str(workdir / "su2_4.json")]) == 0
+
+    @pytest.mark.parametrize("name", ["su2:4", "prod(fibonacci,ising)"])
+    def test_verify_evaluates_row_multiplicativity_once(self, tmp_path, monkeypatch, name):
+        # assembly's gate and the report's entry read one evaluation on the data
+        save_category(tmp_path / "doc.json", families.builtin(name))
+        assert "sprime" in json.loads((tmp_path / "doc.json").read_text())
+        dev, calls = modular._row_multiplicativity_dev, []
+        monkeypatch.setattr(modular, "_row_multiplicativity_dev", lambda *a: calls.append(a) or dev(*a))
+        assert main(["verify", str(tmp_path / "doc.json")]) == 0
+        assert len(calls) == 1
 
     def test_verify_broken_associativity_exits_1_with_witness(self, tmp_path, capsys):
         # sigma x sigma = 1 + 2 eps is genuinely non-associative

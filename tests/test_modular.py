@@ -93,6 +93,40 @@ class TestBalancing:
         with pytest.raises(PremodularityError, match="row multiplicativity"):
             sprime_from_balancing(p.fusion, np.zeros(3), p.theta)
 
+    def test_unrealisable_supplied_sprime_is_checked_on_what_the_data_adopts(self):
+        # twists and S' that fail both checks: S' is compared first, so the message names it
+        fib = families.fibonacci()
+        theta = [Twist.one(), Twist.from_turns(1, 4)]
+        with pytest.raises(PremodularityError, match="deviates"):
+            premodular_from_twists(fib.fusion, theta, dims=fib.dims, sprime=fib.sprime)
+
+    def test_callers_arrays_stay_writable_and_unshared(self):
+        p = families.ising()
+        dims, sp = p.dims.copy(), p.sprime.copy()
+        results = [
+            PremodularData(fusion=p.fusion, dims=dims, theta=p.theta, sprime=sp),
+            premodular_from_twists(p.fusion, p.theta, dims=dims, sprime=sp),
+            sprime_from_balancing(p.fusion, dims, p.theta),
+        ]
+        for r in results:
+            for own in (r.dims, r.sprime) if isinstance(r, PremodularData) else (r,):
+                assert not own.flags.writeable
+                assert not np.shares_memory(own, dims) and not np.shares_memory(own, sp)
+        assert dims.flags.writeable and sp.flags.writeable
+        dims[0] = sp[0, 0] = 7.0
+        assert results[0].dims[0] == 1.0 and results[0].sprime[0, 0] == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field, value", [("dims", np.nan), ("dims", -np.inf), ("sprime", np.nan), ("sprime", complex(0, np.inf))]
+    )
+    def test_non_finite_arrays_rejected_by_name(self, field, value):
+        p = families.ising()
+        arrays = {"dims": p.dims.copy(), "sprime": p.sprime.copy()}
+        arrays[field][1] = value
+        with pytest.raises(PremodularityError, match=f"^{field} must be finite$"):
+            PremodularData(fusion=p.fusion, theta=p.theta, **arrays)
+
     def test_explicit_sprime_cross_validated(self):
         p = families.su2(2)
         ok = premodular_from_twists(p.fusion, p.theta, dims=p.dims, sprime=p.sprime)

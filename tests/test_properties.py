@@ -32,7 +32,9 @@ from premodular.fusion import (
 )
 from premodular.modular import (
     MinimalityReport,
+    PremodularData,
     Twist,
+    _balanced_sprime,
     _require_transparent_unit,
     _row_multiplicativity_dev,
     _twist_powers,
@@ -40,6 +42,7 @@ from premodular.modular import (
     check_minimal_extension,
     is_modular,
     muger_center,
+    premodular_from_twists,
     verify_premodular,
 )
 from premodular.plumbing import (
@@ -298,6 +301,52 @@ def test_row_multiplicativity_matches_einsum(name):
     expect = sp[:, :, None] * sp[:, None, :] / d[:, None, None] - np.einsum("bce,ae->abc", t, sp)
     got = _row_multiplicativity_dev(t, d, sp)
     assert np.abs(got - expect).max() <= 1e-12 * max(1.0, float(np.abs(expect).max()))
+
+
+def row_multiplicative_entry(p, tol=DEFAULT_TOL):
+    """Oracle: ``sprime:row_multiplicative`` from one direct evaluation on the data's own S'."""
+    dev = np.abs(_row_multiplicativity_dev(p.fusion.tensor.astype(float), p.dims, p.sprime))
+    resid = float(dev.max())
+    cut = tol * max(1.0, float(np.abs(p.sprime).max()))
+    witness = None
+    if resid > cut:
+        witness = tuple(p.names[i] for i in np.unravel_index(int(dev.argmax()), dev.shape))
+    return resid <= cut, witness, resid
+
+
+@cache
+def row_multiplicativity_inputs():
+    data = dict(suite_rings())
+    data.update({f"conj({name})": p.conjugate() for name, p in suite_rings().items()})
+    for a, b in (("su2:3", "ising"), ("pointed:4:2", "fibonacci"), ("su2:2", "conj(su2:3)")):
+        data[f"prod({a},{b})"] = families.product(suite_rings()[a], suite_rings()[b])
+    data["prod(su2:4,conj(su2:4))"] = families.builtin("prod(su2:4,conj(su2:4))")
+    return data
+
+
+@given(name=st.sampled_from(sorted(row_multiplicativity_inputs())),
+       mutate=st.sampled_from(["twist", "sprime"]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_row_multiplicative_entry_reads_the_datas_own_sprime(name, mutate, data):
+    p = row_multiplicativity_inputs()[name]
+    f, label = p.fusion, st.integers(0, p.rank - 1)
+    if mutate == "twist":
+        theta = list(p.theta)
+        i = data.draw(label)
+        theta[i] = theta[i] * Twist.from_turns(data.draw(st.integers(1, 11)), 12)
+        th = np.array([t.value for t in theta])
+        sp = _balanced_sprime(f.tensor.astype(float), list(f.dual), th, p.dims)
+    else:
+        theta, sp = p.theta, p.sprime.copy()
+        sp[data.draw(label), data.draw(label)] += data.draw(st.sampled_from([1e-12, 1e-3, -0.5, 1j]))
+    # the source's entry first, so that a cache shared across the fusion ring would be read stale
+    for q in (
+        p,
+        premodular_from_twists(f, p.theta, dims=p.dims, sprime=p.sprime),  # evaluated by assembly
+        PremodularData(fusion=f, dims=p.dims, theta=theta, sprime=sp),
+    ):
+        check = verify_premodular(q)["sprime:row_multiplicative"]
+        assert (check.passed, check.witness, check.residual) == row_multiplicative_entry(q)
 
 
 @pytest.mark.parametrize("seed", range(3))
