@@ -19,8 +19,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -53,7 +54,7 @@ _WEIGHT_ROW_LIMIT = 1024  # vertex weight rows kept per category, by (framing, d
 
 
 class PlumbingError(ValueError):
-    """Malformed plumbing graph (duplicate ids, bad edges, or a cycle)."""
+    """Malformed plumbing graph (bad ids or framings, bad edges, or a cycle)."""
 
 
 class TermCapExceeded(RuntimeError):
@@ -80,27 +81,30 @@ def _check_term_cap(rank: int, n: int, cap: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PlumbingGraph:
-    """A forest of framed vertices; edges are unordered id pairs."""
+    """A forest of framed vertices; edges are unordered id pairs.
+
+    Construction checks the graph and walks it once: ``ids`` lists the vertex
+    ids in order and ``_walk`` is the contraction order every evaluation reads.
+    """
 
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
+    ids: tuple[str, ...] = field(init=False, repr=False)
+    _walk: "_Walk" = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = [v for v, _ in self.vertices]
-        if len(set(ids)) != len(ids):
+        for v, m in self.vertices:
+            if type(m) is not int or type(v) is not str:
+                object.__setattr__(self, "vertices", tuple(_vertex(v, m) for v, m in self.vertices))
+                break
+        ids = tuple(v for v, _ in self.vertices)
+        index = {v: i for i, v in enumerate(ids)}
+        if len(index) != len(ids):
             raise PlumbingError("duplicate vertex ids")
-        known = set(ids)
+        adjacent: list[list[int]] = [[] for _ in ids]
         seen_edges = set()
-        parent = {v: v for v in ids}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
-            if u not in known or v not in known:
+            if u not in index or v not in index:
                 raise PlumbingError(f"edge ({u}, {v}) references an unknown vertex")
             if u == v:
                 raise PlumbingError(f"self-loop at {u}")
@@ -108,37 +112,12 @@ class PlumbingGraph:
             if key in seen_edges:
                 raise PlumbingError(f"duplicate edge ({u}, {v})")
             seen_edges.add(key)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise PlumbingError(f"edge ({u}, {v}) closes a cycle")
-            parent[ru] = rv
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.vertices)
-
-    @cached_property
-    def framings(self) -> dict[str, int]:
-        return {v: m for v, m in self.vertices}
-
-    @cached_property
-    def _walk(self) -> "_Walk":
-        """The contraction order and each vertex's children, by position in ``ids``.
-
-        Each tree is rooted at its least id and walked breadth first, children
-        in id order; the trees follow in root order, and each tree is listed
-        reversed, so every vertex comes after its children.
-        """
-        ids = self.ids
-        index = {v: i for i, v in enumerate(ids)}
-        adjacent: list[list[int]] = [[] for _ in ids]
-        for u, v in self.edges:
             adjacent[index[u]].append(index[v])
             adjacent[index[v]].append(index[u])
+        # Each tree is rooted at its least id and walked breadth first, children
+        # in id order; the trees follow in root order, and each tree is listed
+        # reversed, so every vertex comes after its children.
+        degrees = tuple(map(len, adjacent))
         order: list[int] = []
         children: list[tuple[int, ...]] = [()] * len(ids)
         seen = [False] * len(ids)
@@ -147,15 +126,28 @@ class PlumbingGraph:
                 continue
             seen[root], tree = True, [root]
             for v in tree:  # breadth first: the loop reaches the children appended below
-                kids = [w for w in adjacent[v] if not seen[w]]  # in a forest, all but the parent
+                kids = adjacent[v]  # all but its parent, taken out when v was reached
+                for w in kids:
+                    if seen[w]:  # reached before, so the edge v - w closes a cycle
+                        u, w = next(edge for edge in self.edges if set(edge) == {ids[v], ids[w]})
+                        raise PlumbingError(f"edge ({u}, {w}) closes a cycle")
+                    seen[w] = True
+                    adjacent[w].remove(v)
                 if kids:
                     kids.sort(key=ids.__getitem__)
-                    for w in kids:
-                        seen[w] = True
                     children[v] = tuple(kids)
                     tree += kids
             order += reversed(tree)
-        return _Walk(tuple(order), tuple(children), tuple(map(len, adjacent)))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_walk", _Walk(tuple(order), tuple(children), degrees))
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    @cached_property
+    def framings(self) -> dict[str, int]:
+        return {v: m for v, m in self.vertices}
 
     @cached_property
     def degrees(self) -> dict[str, int]:
@@ -164,6 +156,18 @@ class PlumbingGraph:
     def neighbors(self, x: str) -> tuple[str, ...]:
         """The neighbours of ``x``, in edge order."""
         return tuple(v if u == x else u for u, v in self.edges if x in (u, v))
+
+
+def _vertex(v, m) -> tuple[str, int]:
+    """The vertex ``(v, m)`` with its framing as a Python int, or ``PlumbingError``
+    when the id ``v`` is not a string or the framing ``m`` is not integral."""
+    if not isinstance(v, str):
+        raise PlumbingError(f"vertex id {v!r} is not a string")
+    if isinstance(m, (int, np.integer)) and not isinstance(m, bool):
+        return v, int(m)
+    if isinstance(m, (float, np.floating)) and float(m).is_integer():
+        return v, int(m)
+    raise PlumbingError(f"vertex {v} has framing {m!r}, not an integer")
 
 
 class _Walk(NamedTuple):
@@ -181,11 +185,11 @@ def plumbing(vertices: Iterable, edges: Iterable = ()) -> PlumbingGraph:
     """Build a graph from ``(id, framing)`` pairs (or bare framings) and edges."""
     verts = []
     for i, v in enumerate(vertices):
-        if isinstance(v, (int, np.integer)):
-            verts.append((f"v{i}", int(v)))
+        if isinstance(v, numbers.Number):
+            verts.append((f"v{i}", v))
         else:
             vid, m = v
-            verts.append((str(vid), int(m)))
+            verts.append((str(vid), m))
     return PlumbingGraph(tuple(verts), tuple((str(u), str(v)) for u, v in edges))
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 import premodular.plumbing as plumbing_module
 from premodular import families
 from premodular.condense import condense
+from premodular.double_rt import tau_double
 from premodular.modular import _twist_powers
 from premodular.plumbing import (
     PlumbingError,
+    PlumbingGraph,
     TermCapExceeded,
     _forest_signature,
     bracket,
@@ -83,6 +86,52 @@ class TestPlumbingGraph:
             plumbing([("a", 0)], [("a", "a")])
         with pytest.raises(PlumbingError, match="duplicate edge"):
             plumbing([("a", 0), ("b", 0)], [("a", "b"), ("b", "a")])
+
+    def test_edge_defects_are_reported_before_a_cycle(self):
+        with pytest.raises(PlumbingError, match=r"duplicate edge \(b, a\)"):
+            plumbing([("a", 0), ("b", 0), ("c", 0)], [("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")])
+        with pytest.raises(PlumbingError, match="unknown vertex"):
+            plumbing([("a", 0), ("b", 0), ("c", 0)], [("a", "b"), ("b", "c"), ("c", "a"), ("c", "x")])
+
+    @pytest.mark.parametrize("framing", [1.5, -0.25, math.nan, math.inf, -math.inf, "1", None, True, 1j])
+    def test_framing_that_is_not_an_integer_rejected(self, framing):
+        message = f"vertex a has framing {framing!r}, not an integer"
+        with pytest.raises(PlumbingError, match=re.escape(message)):
+            PlumbingGraph((("a", framing),), ())
+        with pytest.raises(PlumbingError, match=re.escape(message)):
+            plumbing([("a", framing)])
+        if not isinstance(framing, str) and framing is not None:  # a bare number is a bare framing
+            with pytest.raises(PlumbingError, match=re.escape(f"vertex v0 has framing {framing!r}")):
+                plumbing([framing])
+
+    def test_integral_framings_are_stored_as_python_ints(self, su2_4):
+        g = plumbing([("a", 2.0), ("b", np.int64(-3)), np.int32(1), np.float32(4.0), 1e20], [("a", "b")])
+        assert g.vertices == (("a", 2), ("b", -3), ("v2", 1), ("v3", 4), ("v4", 10**20))
+        assert all(type(m) is int for _, m in g.vertices)
+        h = PlumbingGraph((("a", 2), ("b", -3), ("v2", 1), ("v3", 4), ("v4", 10**20)), (("a", "b"),))
+        assert rt_invariant(su2_4, g).value == rt_invariant(su2_4, h).value
+
+    def test_vertex_id_that_is_not_a_string_rejected(self):
+        with pytest.raises(PlumbingError, match="vertex id 1 is not a string"):
+            PlumbingGraph(((1, 0), ("b", 0)), ())
+        with pytest.raises(PlumbingError, match=r"vertex id \('a',\) is not a string"):
+            PlumbingGraph(((("a",), 0),), ())
+
+    def test_construction_walks_once_and_evaluation_never(self, monkeypatch):
+        walks = []
+        build = plumbing_module._Walk
+        monkeypatch.setattr(plumbing_module, "_Walk", lambda *fields: walks.append(fields) or build(*fields))
+        g = e8_plumbing()
+        assert len(walks) == 1
+        moves = kirby_moves(g)
+        assert len(walks) == 1 + len(moves)
+        walks.clear()
+        p = families.su2(3)
+        for h in (g, *moves):
+            rt_invariant(p, h, term_cap=math.inf)
+            tau_double(p, range(p.rank), h, term_cap=math.inf)
+            bracket(p, h, term_cap=math.inf)
+        assert walks == []
 
     def test_schedule_lists_children_before_parents_in_id_order(self):
         g = plumbing([("c", 0), ("a", 0), ("d", 0), ("b", 0), ("e", 0)], [("d", "c"), ("b", "a"), ("a", "d")])

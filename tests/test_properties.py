@@ -1,8 +1,10 @@
 """Property-based checks over randomly generated inputs."""
 
 import cmath
+import itertools
 import math
 import random
+import re
 import struct
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import premodular
@@ -46,6 +48,7 @@ from premodular.modular import (
     verify_premodular,
 )
 from premodular.plumbing import (
+    PlumbingError,
     PlumbingGraph,
     _forest_signature,
     bracket,
@@ -1077,6 +1080,73 @@ def test_forest_signature_is_the_sylvester_signature(g):
 @settings(max_examples=150, deadline=None)
 def test_kirby_moves_are_the_composed_rewrites(g):
     assert [(h.vertices, h.edges) for h in kirby_moves(g)] == kirby_moves_by_rewrites(g)
+
+
+@given(g=forests())
+@example(g=plumbing([]))
+@example(g=_THREE_TREES)
+@settings(max_examples=150, deadline=None)
+def test_walk_is_the_schedule_oracle(g):
+    walk = g._walk
+    schedule = [(g.ids[v], tuple(g.ids[c] for c in walk.children[v]), len(walk.children[v]) == walk.degrees[v])
+                for v in walk.order]
+    assert (schedule, dict(zip(g.ids, walk.degrees))) == schedule_by_ids(g)
+
+
+@given(g=forests(), data=st.data())
+@example(g=plumbing([("u", 0), ("v", 0), ("w", 0)], [("u", "v"), ("v", "w")]), data=None)
+@settings(max_examples=150, deadline=None)
+def test_an_edge_within_a_tree_closes_a_cycle_that_the_error_names(g, data):
+    # one more edge between two non-adjacent vertices of one tree: the graph has
+    # one cycle, and removing any edge of it leaves a forest
+    chords = [(u, v) for tree in _trees(g) for u, v in itertools.permutations(tree.ids, 2)
+              if v not in tree.neighbors(u)]
+    assume(chords)
+    if data is None:
+        edges = [*g.edges, ("w", "u")]
+    else:
+        edges = list(g.edges)
+        edges.insert(data.draw(st.integers(0, len(edges))), data.draw(st.sampled_from(chords)))
+    with pytest.raises(PlumbingError, match="closes a cycle") as error:
+        PlumbingGraph(g.vertices, tuple(edges))
+    named = re.fullmatch(r"edge \((\S+), (\S+)\) closes a cycle", str(error.value)).groups()
+    edges.remove(named)
+    PlumbingGraph(g.vertices, tuple(edges))
+
+
+def _blow_up(g, edge, e):
+    """Neumann's edge blow-up: ``u - v`` becomes ``u - x - v``, the fresh vertex
+    ``x`` framed ``e = ±1`` and the framings of ``u`` and ``v`` shifted by ``e``."""
+    u, v = edge
+    x = next(f"x{i}" for i in itertools.count() if f"x{i}" not in g.ids)
+    vertices = tuple((w, m + e if w in edge else m) for w, m in g.vertices) + ((x, e),)
+    return PlumbingGraph(vertices, tuple(f for f in g.edges if f != edge) + ((u, x), (x, v)))
+
+
+_BLOW_UP_CASES = (("su2:3", None), ("fibonacci", None), ("ising", None), ("su2:5", None), ("su2:4", (0, 2, 4)))
+
+
+@given(g=forests(), case=st.sampled_from(_BLOW_UP_CASES), data=st.data())
+@example(g=_THREE_TREES, case=_BLOW_UP_CASES[4], data=None)
+@example(g=_chain(6), case=_BLOW_UP_CASES[0], data=None)
+@settings(max_examples=150, deadline=None)
+def test_edge_blow_up_keeps_the_invariant(g, case, data):
+    # rt_invariant on modular data; tau_double of the double of Delta on su2:4's even part
+    assume(g.edges)
+    name, delta = case
+    p = _category(name)
+    if data is None:
+        edge, e = g.edges[0], -1
+    else:
+        edge, e = data.draw(st.sampled_from(g.edges)), data.draw(st.sampled_from((1, -1)))
+
+    def invariant(h):
+        if delta is None:
+            return rt_invariant(p, h, term_cap=math.inf).value
+        return double_rt.tau_double(p, delta, h, term_cap=math.inf).value
+
+    tau = invariant(g)
+    assert abs(invariant(_blow_up(g, edge, e)) - tau) <= 1e-12 * max(1, abs(tau))
 
 
 def _reversed(g):
