@@ -114,32 +114,8 @@ class PlumbingGraph:
             seen_edges.add(key)
             adjacent[index[u]].append(index[v])
             adjacent[index[v]].append(index[u])
-        # Each tree is rooted at its least id and walked breadth first, children
-        # in id order; the trees follow in root order, and each tree is listed
-        # reversed, so every vertex comes after its children.
-        degrees = tuple(map(len, adjacent))
-        order: list[int] = []
-        children: list[tuple[int, ...]] = [()] * len(ids)
-        seen = [False] * len(ids)
-        for root in map(index.__getitem__, sorted(ids)):
-            if seen[root]:
-                continue
-            seen[root], tree = True, [root]
-            for v in tree:  # breadth first: the loop reaches the children appended below
-                kids = adjacent[v]  # all but its parent, taken out when v was reached
-                for w in kids:
-                    if seen[w]:  # reached before, so the edge v - w closes a cycle
-                        u, w = next(edge for edge in self.edges if set(edge) == {ids[v], ids[w]})
-                        raise PlumbingError(f"edge ({u}, {w}) closes a cycle")
-                    seen[w] = True
-                    adjacent[w].remove(v)
-                if kids:
-                    kids.sort(key=ids.__getitem__)
-                    children[v] = tuple(kids)
-                    tree += kids
-            order += reversed(tree)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_walk", _Walk(tuple(order), tuple(children), degrees))
+        object.__setattr__(self, "_walk", _walk_forest(ids, adjacent, self.edges))
 
     @property
     def n(self) -> int:
@@ -179,6 +155,47 @@ class _Walk(NamedTuple):
     order: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
+
+
+def _built(vertices, edges, ids, walk) -> PlumbingGraph:
+    """A ``PlumbingGraph`` with these fields, built without checks or a walk:
+    for graphs whose checks hold by construction."""
+    g = object.__new__(PlumbingGraph)
+    g.__dict__.update(vertices=vertices, edges=edges, ids=ids, _walk=walk)
+    return g
+
+
+def _walk_forest(ids: tuple[str, ...], adjacent: list[list[int]], edges) -> _Walk:
+    """The walk of the graph with vertex ``ids`` and adjacency ``adjacent`` by
+    position, which it uses up; a cycle raises ``PlumbingError`` naming its
+    closing edge in ``edges``.
+
+    Each tree is rooted at its least id and walked breadth first, children in
+    id order; the trees follow in root order, and each tree is listed reversed,
+    so every vertex comes after its children.
+    """
+    degrees = tuple(map(len, adjacent))
+    order: list[int] = []
+    children: list[tuple[int, ...]] = [()] * len(ids)
+    seen = [False] * len(ids)
+    for root in sorted(range(len(ids)), key=ids.__getitem__):
+        if seen[root]:
+            continue
+        seen[root], tree = True, [root]
+        for v in tree:  # breadth first: the loop reaches the children appended below
+            kids = adjacent[v]  # all but its parent, taken out when v was reached
+            for w in kids:
+                if seen[w]:  # reached before, so the edge v - w closes a cycle
+                    u, w = next(edge for edge in edges if set(edge) == {ids[v], ids[w]})
+                    raise PlumbingError(f"edge ({u}, {w}) closes a cycle")
+                seen[w] = True
+                adjacent[w].remove(v)
+            if kids:
+                kids.sort(key=ids.__getitem__)
+                children[v] = tuple(kids)
+                tree += kids
+        order += reversed(tree)
+    return _Walk(tuple(order), tuple(children), degrees)
 
 
 def plumbing(vertices: Iterable, edges: Iterable = ()) -> PlumbingGraph:
@@ -414,21 +431,42 @@ def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:
     ``e``; remove such a leaf while shifting its neighbor back.  All preserve
     the presented 3-manifold (removals only apply when the pattern exists).
     """
-    used = set(g.ids)
-    b = next(f"b{i}" for i in range(g.n + 1) if f"b{i}" not in used)  # the least fresh id
-    out = [PlumbingGraph(g.vertices + ((b, e),), g.edges) for e in (1, -1)]
-    for v, m in g.vertices:
-        if m in (1, -1) and g.degrees[v] == 0:
-            out.append(PlumbingGraph(tuple(x for x in g.vertices if x[0] != v), g.edges))
-    for v, m in g.vertices:
-        for e in (1, -1):
-            shifted = tuple((u, mu + e if u == v else mu) for u, mu in g.vertices)
-            out.append(PlumbingGraph(shifted + ((b, e),), g.edges + ((v, b),)))
-    for w, mw in g.vertices:
-        if mw in (1, -1) and g.degrees[w] == 1:
-            (v,) = g.neighbors(w)
-            kept = tuple((u, mu - mw if u == v else mu) for u, mu in g.vertices if u != w)
-            out.append(PlumbingGraph(kept, tuple(edge for edge in g.edges if w not in edge)))
+    ids, vertices, n = g.ids, g.vertices, g.n
+    used = set(ids)
+    b = next(f"b{i}" for i in range(n + 1) if f"b{i}" not in used)  # the least fresh id
+    # Each neighbour is g's checked graph with one vertex, and at most one leaf
+    # edge, added or removed, so its checks hold and it is built from g's
+    # adjacency without them; the twins e = +1 and -1 of a move share one walk.
+    adjacent = [list(kids) for kids in g._walk.children]
+    for v, kids in enumerate(g._walk.children):
+        for c in kids:
+            adjacent[c].append(v)
+
+    def shifted(i: int, by: int) -> tuple[tuple[str, int], ...]:
+        return vertices[:i] + ((ids[i], vertices[i][1] + by),) + vertices[i + 1:]
+
+    def with_b(at: int | None) -> list[PlumbingGraph]:  # b framed e, isolated or a leaf at `at` shifted by e
+        adj, edges, grown = [a[:] for a in adjacent] + [[]], g.edges, ids + (b,)
+        if at is not None:
+            adj[at].append(n)
+            adj[n].append(at)
+            edges += ((ids[at], b),)
+        walk = _walk_forest(grown, adj, edges)
+        return [_built((vertices if at is None else shifted(at, e)) + ((b, e),), edges, grown, walk)
+                for e in (1, -1)]
+
+    def without(j: int, framed: tuple[tuple[str, int], ...]) -> PlumbingGraph:  # `framed` less vertex j, its edges
+        adj = [[u - (u > j) for u in a if u != j] for i, a in enumerate(adjacent) if i != j]
+        edges, rest = tuple(edge for edge in g.edges if ids[j] not in edge), ids[:j] + ids[j + 1:]
+        return _built(framed[:j] + framed[j + 1:], edges, rest, _walk_forest(rest, adj, edges))
+
+    out = with_b(None)
+    out += [without(j, vertices) for j, (_, m) in enumerate(vertices) if m in (1, -1) and not adjacent[j]]
+    for i in range(n):
+        out += with_b(i)
+    for j, (_, m) in enumerate(vertices):
+        if m in (1, -1) and len(adjacent[j]) == 1:
+            out.append(without(j, shifted(adjacent[j][0], -m)))
     return tuple(out)
 
 

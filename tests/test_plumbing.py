@@ -124,7 +124,11 @@ class TestPlumbingGraph:
         g = e8_plumbing()
         assert len(walks) == 1
         moves = kirby_moves(g)
-        assert len(walks) == 1 + len(moves)
+        # one walk per neighbour shape: the e = +1 and -1 twins of a move share theirs
+        assert len(walks) == 1 + len({(h.ids, h.edges) for h in moves}) == 10
+        twins = [h for h in moves if h.n > g.n]
+        assert len(twins) == 2 + 2 * g.n
+        assert all(h._walk is k._walk for h, k in zip(twins[::2], twins[1::2]))
         walks.clear()
         p = families.su2(3)
         for h in (g, *moves):

@@ -871,14 +871,19 @@ def kirby_moves_by_rewrites(g):
 
 
 @st.composite
-def forests(draw, max_vertices=12, framing=st.integers(-3, 3)):
+def forests(draw, max_vertices=12, framing=st.integers(-3, 3), names=None):
     """Forests whose insertion, edge and endpoint orders differ from id order.
 
     Each vertex attaches to an earlier one or starts a tree; ids such as
     ``v10`` sort before ``v2``, and ``b0`` collides with the Kirby moves' fresh id.
+    Distinct ids drawn from ``names`` replace these when it is given.
     """
-    n = draw(st.integers(0, max_vertices))
-    ids = draw(st.permutations([f"v{i}" for i in range(n - 1)] + ["b0"] * (n > 0)))
+    if names is None:
+        n = draw(st.integers(0, max_vertices))
+        ids = draw(st.permutations([f"v{i}" for i in range(n - 1)] + ["b0"] * (n > 0)))
+    else:
+        ids = draw(st.lists(names, unique=True, max_size=max_vertices))
+        n = len(ids)
     edges = []
     for i in range(1, n):
         j = draw(st.integers(0, i))
@@ -1080,6 +1085,25 @@ def test_forest_signature_is_the_sylvester_signature(g):
 @settings(max_examples=150, deadline=None)
 def test_kirby_moves_are_the_composed_rewrites(g):
     assert [(h.vertices, h.edges) for h in kirby_moves(g)] == kirby_moves_by_rewrites(g)
+
+
+# ids that sort before the Kirby moves' fresh id b0, after it, or take b0, b1 and b2
+_AROUND_B0 = st.sampled_from(["0", "B", "a", "b", "b0", "b1", "b2", "b10", "c", "v0", "v1", "z"])
+
+
+@given(g=st.one_of(forests(8, st.integers(-2, 2), _AROUND_B0), forests()))
+@example(g=plumbing([]))
+@example(g=plumbing([("c", 1), ("a", -1), ("b0", 1), ("z", -1)]))
+# blowing the leaf a down re-roots its tree at c
+@example(g=plumbing([("c", 0), ("a", 1), ("d", 2)], [("c", "a"), ("c", "d")]))
+# the fresh leaf b0 sorts before c and d, so it roots the blown-up tree
+@example(g=plumbing([("d", -2), ("c", 3)], [("d", "c")]))
+@settings(max_examples=200, deadline=None)
+def test_kirby_neighbours_are_the_constructed_graphs(g):
+    for h in kirby_moves(g):
+        built = PlumbingGraph(h.vertices, h.edges)
+        assert (h.vertices, h.edges, h.ids, h._walk, h.degrees, h.framings) == (
+            built.vertices, built.edges, built.ids, built._walk, built.degrees, built.framings)
 
 
 @given(g=forests())
