@@ -201,6 +201,12 @@ class PremodularData:
         return {}
 
     @cached_property
+    def _leaf_parts(self) -> dict[tuple[int, int], np.ndarray | complex]:
+        # rt_invariant's contraction: by (m, 1) a leaf's message s @ row sent to
+        # its parent, by (m, 0) an isolated vertex's sum of its row (_contract_forest)
+        return {}
+
+    @cached_property
     def _pairings(self) -> dict:
         # condense.pairing_bracket results by (subcategory members, tol)
         return {}
@@ -243,7 +249,7 @@ class PremodularData:
     @cached_property
     def _row_multiplicativity(self) -> tuple[float, tuple[int, ...]]:
         """The worst row-multiplicativity deviation of S' and the first ``(a, b, c)`` where it occurs."""
-        dev = np.abs(_row_multiplicativity_dev(self.fusion.tensor.astype(float), self.dims, self.sprime))
+        dev = np.abs(_row_multiplicativity_dev(self.fusion._float_tensor, self.dims, self.sprime))
         i = int(dev.argmax())  # the first NaN, when there is one, as max() returns NaN
         return float(dev.flat[i]), np.unravel_index(i, dev.shape)
 
@@ -353,7 +359,7 @@ def premodular_from_twists(
         raise PremodularityError("unit twist must be 1")
     d = perron_frobenius_dims(f) if dims is None else np.asarray(dims, dtype=float)
     th = np.array([t.value for t in theta])
-    sp = _balanced_sprime(f.tensor.astype(float), list(f.dual), th, d)
+    sp = _balanced_sprime(f._float_tensor, list(f.dual), th, d)
     scale = max(1.0, float(np.abs(sp).max()))
     if sprime is not None:
         given = np.asarray(sprime, dtype=complex)
@@ -383,12 +389,11 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     entry.  The Gauss-sum identities apply only to modular data and are
     reported as skipped when S' is singular.
     """
-    # read first: on data assembled elsewhere it is evaluated here, and t below is not yet held
     row_resid, row_ix = p._row_multiplicativity
     d, th, sp = p.dims, p.theta_values, p.sprime
     nm = p.names
     dual = list(p.fusion.dual)
-    t = p.fusion.tensor.astype(float)
+    t = p.fusion._float_tensor
     scale = max(1.0, float(np.abs(sp).max()))
     checks: list[CheckResult] = []
 

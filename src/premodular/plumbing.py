@@ -84,13 +84,15 @@ class PlumbingGraph:
     """A forest of framed vertices; edges are unordered id pairs.
 
     Construction checks the graph and walks it once: ``ids`` lists the vertex
-    ids in order and ``_walk`` is the contraction order every evaluation reads.
+    ids in order and ``_walk`` is the contraction order every evaluation reads;
+    ``_sigma`` is the signature of the linking matrix.
     """
 
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
     ids: tuple[str, ...] = field(init=False, repr=False)
     _walk: "_Walk" = field(init=False, repr=False)
+    _sigma: int = field(init=False, repr=False)
 
     def __post_init__(self):
         for v, m in self.vertices:
@@ -116,6 +118,7 @@ class PlumbingGraph:
             adjacent[index[v]].append(index[u])
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_walk", _walk_forest(ids, adjacent, self.edges))
+        object.__setattr__(self, "_sigma", _forest_signature(self))
 
     @property
     def n(self) -> int:
@@ -157,11 +160,11 @@ class _Walk(NamedTuple):
     degrees: tuple[int, ...]
 
 
-def _built(vertices, edges, ids, walk) -> PlumbingGraph:
-    """A ``PlumbingGraph`` with these fields, built without checks or a walk:
-    for graphs whose checks hold by construction."""
+def _built(vertices, edges, ids, walk, sigma) -> PlumbingGraph:
+    """A ``PlumbingGraph`` with these fields, built without checks, a walk or
+    leaf elimination: for graphs whose checks and signature hold by construction."""
     g = object.__new__(PlumbingGraph)
-    g.__dict__.update(vertices=vertices, edges=edges, ids=ids, _walk=walk)
+    g.__dict__.update(vertices=vertices, edges=edges, ids=ids, _walk=walk, _sigma=sigma)
     return g
 
 
@@ -297,30 +300,32 @@ def _forest_signature(g: PlumbingGraph) -> int:
     weight 0 spans a hyperbolic plane with its parent: the pair adds 0 and
     splits off, so the parent passes nothing on, and a further zero-weight
     child is a zero row.  Each weight is an unreduced pair of Python ints
-    ``(num, den)`` with ``den > 0``, so only the sign of ``num`` is read and
-    no gcd is taken; exact, and linear in the vertex count (W. Neumann,
-    Trans. AMS 268, 1981).
+    ``num / den`` with ``den > 0``, kept in two lists, so only the sign of
+    ``num`` is read and no gcd is taken; exact, and linear in the vertex
+    count (W. Neumann, Trans. AMS 268, 1981).
     """
-    walk = g._walk
+    walk, vertices = g._walk, g.vertices
+    children_of = walk.children
     sigma = 0
-    weight: list[tuple[int, int] | None] = [None] * g.n  # None once split off with a zero child
+    nums = [0] * g.n
+    dens = [0] * g.n  # 0 once split off with a zero child
     for v in walk.order:
-        w = (g.vertices[v][1], 1)
-        for c in walk.children[v]:
-            wc = weight[c]
-            if w is None or wc is None:
+        num, den = vertices[v][1], 1
+        for c in children_of[v]:
+            b = dens[c]
+            if not (den and b):
                 continue
-            (num, den), (a, b) = w, wc
+            a = nums[c]
             # num/den - b/a, over the positive denominator den*|a|
             if a > 0:
-                w = (num * a - b * den, den * a)
+                num, den = num * a - b * den, den * a
             elif a < 0:
-                w = (b * den - num * a, -den * a)
+                num, den = b * den - num * a, -den * a
             else:
-                w = None
-        weight[v] = w
-        if w is not None:
-            sigma += (w[0] > 0) - (w[0] < 0)
+                den = 0
+        nums[v], dens[v] = num, den
+        if den:
+            sigma += (num > 0) - (num < 0)
     return sigma
 
 
@@ -355,30 +360,48 @@ def _contract_forest(
     weights: Sequence[np.ndarray],
     edge_matrix: np.ndarray | None,
     tree_factor: float,
+    memo: dict | None = None,
 ) -> complex:
     """Sum over colorings of a forest, factorized along the trees.
 
     ``weights[i]`` is the per-color weight of the vertex at position ``i`` of
     ``g.ids`` and ``edge_matrix`` the symmetric per-edge weight (unread, and
     may be None, when the forest has no edges); each vertex
-    folds in its children's messages in the order of ``g._walk``, so the
-    result is reproducible.  Each tree's sum is scaled by ``tree_factor``,
-    part by part, so a factor of 1 leaves it bitwise as it is.
+    folds in its children's messages in the order of ``g._walk`` and sends
+    its own across the edge to its parent, so the result is reproducible.
+    Each tree's sum is scaled by ``tree_factor``, part by part, so a factor
+    of 1 leaves it bitwise as it is.
+
+    A leaf's sent message and an isolated vertex's sum depend only on its
+    ``(framing, degree)`` key, when ``weights`` and ``edge_matrix`` come from
+    one category: ``memo`` then keeps them by that key, read-only, up to
+    ``_WEIGHT_ROW_LIMIT`` of them, and is read before they are computed.
     """
-    walk = g._walk
+    walk, vertices = g._walk, g.vertices
+    children_of, degrees = walk.children, walk.degrees
     total = 1.0 + 0.0j
-    message: list[np.ndarray | None] = [None] * g.n
+    sent: list[np.ndarray | None] = [None] * g.n
     with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
         for v in walk.order:
-            msg = weights[v]
-            children = walk.children[v]
-            for ch in children:
-                msg = msg * (edge_matrix @ message[ch])
-            if len(children) == walk.degrees[v]:  # a root
-                tree = complex(msg.sum())
-                total *= complex(tree.real * tree_factor, tree.imag * tree_factor)
+            children = children_of[v]
+            root = len(children) == degrees[v]
+            key = part = None
+            if memo is not None and not children:
+                key = (vertices[v][1], degrees[v])
+                part = memo.get(key)
+            if part is None:
+                msg = weights[v]
+                for ch in children:
+                    msg = msg * sent[ch]
+                part = complex(np.add.reduce(msg)) if root else edge_matrix @ msg
+                if key is not None and len(memo) < _WEIGHT_ROW_LIMIT:
+                    if not root:
+                        part.setflags(write=False)
+                    memo[key] = part
+            if root:
+                total *= complex(part.real * tree_factor, part.imag * tree_factor)
             else:
-                message[v] = msg
+                sent[v] = part
     return _finite(total, g)
 
 
@@ -418,8 +441,8 @@ def rt_invariant(
         raise ValueError("Reshetikhin-Turaev invariant requires modular data")
     _check_term_cap(p.rank, g.n, term_cap)
     gauss = p.gauss_sums()
-    total = _contract_forest(g, _vertex_weights(p, g), p._s, 1 / gauss.total)
-    phase = (gauss.delta_plus / gauss.total) ** _forest_signature(g)
+    total = _contract_forest(g, _vertex_weights(p, g), p._s, 1 / gauss.total, p._leaf_parts)
+    phase = (gauss.delta_plus / gauss.total) ** g._sigma
     return InvariantValue(value=phase * total / gauss.total, tolerance=tol)
 
 
@@ -431,12 +454,14 @@ def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:
     ``e``; remove such a leaf while shifting its neighbor back.  All preserve
     the presented 3-manifold (removals only apply when the pattern exists).
     """
-    ids, vertices, n = g.ids, g.vertices, g.n
+    ids, vertices, n, sigma = g.ids, g.vertices, g.n, g._sigma
     used = set(ids)
     b = next(f"b{i}" for i in range(n + 1) if f"b{i}" not in used)  # the least fresh id
     # Each neighbour is g's checked graph with one vertex, and at most one leaf
     # edge, added or removed, so its checks hold and it is built from g's
     # adjacency without them; the twins e = +1 and -1 of a move share one walk.
+    # Adding a vertex framed e = +-1 makes the linking form congruent to L + (e),
+    # so it adds e to the signature, and removing one subtracts its framing (Kirby).
     adjacent = [list(kids) for kids in g._walk.children]
     for v, kids in enumerate(g._walk.children):
         for c in kids:
@@ -452,13 +477,14 @@ def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:
             adj[n].append(at)
             edges += ((ids[at], b),)
         walk = _walk_forest(grown, adj, edges)
-        return [_built((vertices if at is None else shifted(at, e)) + ((b, e),), edges, grown, walk)
+        return [_built((vertices if at is None else shifted(at, e)) + ((b, e),), edges, grown, walk, sigma + e)
                 for e in (1, -1)]
 
     def without(j: int, framed: tuple[tuple[str, int], ...]) -> PlumbingGraph:  # `framed` less vertex j, its edges
         adj = [[u - (u > j) for u in a if u != j] for i, a in enumerate(adjacent) if i != j]
         edges, rest = tuple(edge for edge in g.edges if ids[j] not in edge), ids[:j] + ids[j + 1:]
-        return _built(framed[:j] + framed[j + 1:], edges, rest, _walk_forest(rest, adj, edges))
+        return _built(framed[:j] + framed[j + 1:], edges, rest, _walk_forest(rest, adj, edges),
+                      sigma - vertices[j][1])
 
     out = with_b(None)
     out += [without(j, vertices) for j, (_, m) in enumerate(vertices) if m in (1, -1) and not adjacent[j]]

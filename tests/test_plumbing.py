@@ -165,6 +165,24 @@ class TestWeightRows:
         with pytest.raises(ValueError):
             row[0] = 0
 
+    def test_leaf_parts_past_the_limit_are_not_kept(self, monkeypatch):
+        # three leaves and two isolated vertices: five (framing, degree) keys against a limit of three
+        g = plumbing([("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", -1), ("f", -2)],
+                     [("a", "b"), ("a", "c"), ("a", "d")])
+        expected = rt_invariant(families.su2(4), g).value
+        monkeypatch.setattr(plumbing_module, "_WEIGHT_ROW_LIMIT", 3)
+        p = families.su2(4)
+        for _ in range(2):
+            assert rt_invariant(p, g).value == expected
+            assert len(p._leaf_parts) == 3
+
+    def test_kept_leaf_messages_are_read_only(self):
+        # c1 is c0's leaf, framed 1: its message to c0 is kept by (1, 1)
+        p = families.su2(4)
+        rt_invariant(p, chain([-2, 1]))
+        with pytest.raises(ValueError):
+            p._leaf_parts[(1, 1)][0] = 0
+
 
 class TestLinkingMatrix:
     def test_single_vertex(self):

@@ -1102,8 +1102,22 @@ _AROUND_B0 = st.sampled_from(["0", "B", "a", "b", "b0", "b1", "b2", "b10", "c", 
 def test_kirby_neighbours_are_the_constructed_graphs(g):
     for h in kirby_moves(g):
         built = PlumbingGraph(h.vertices, h.edges)
-        assert (h.vertices, h.edges, h.ids, h._walk, h.degrees, h.framings) == (
-            built.vertices, built.edges, built.ids, built._walk, built.degrees, built.framings)
+        assert (h.vertices, h.edges, h.ids, h._walk, h._sigma, h.degrees, h.framings) == (
+            built.vertices, built.edges, built.ids, built._walk, built._sigma, built.degrees, built.framings)
+
+
+@given(g=st.one_of(forests(8, st.integers(-2, 2), _AROUND_B0), forests()))
+@example(g=plumbing([]))
+# removing the isolated vertices a and z, framed -1 and 1
+@example(g=plumbing([("z", 1), ("a", -1), ("m", 2), ("n", -3)], [("m", "n")]))
+# blowing the leaf a down re-roots its tree at c
+@example(g=plumbing([("c", 0), ("a", 1), ("d", 2)], [("c", "a"), ("c", "d")]))
+@settings(max_examples=200, deadline=None)
+def test_kirby_neighbours_carry_their_signature(g):
+    # a neighbour's signature is its parent's shifted by the move, never recomputed
+    assert g._sigma == signature(linking_matrix(g))
+    for h in kirby_moves(g):
+        assert h._sigma == signature(linking_matrix(h))
 
 
 @given(g=forests())

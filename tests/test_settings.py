@@ -1,9 +1,13 @@
-"""The repository's pytest settings, as a test session under them meets them."""
+"""The repository's settings: pytest's, as a test session under them meets
+them, and the package version."""
 
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
+
+import premodular
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -33,3 +37,10 @@ def test_a_failing_property_fails_cleanly(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "Falsifying example" in run.stdout
     assert "PASSED test_property.py::test_plain" in run.stdout
+
+
+def test_the_package_version_is_the_project_version():
+    # by a regex, not tomllib, which Python 3.10 lacks
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    version = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
+    assert premodular.__version__ == version.group(1)
