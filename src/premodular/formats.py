@@ -131,6 +131,14 @@ def _numbers(values, field: str, shape: tuple, integral: bool = False) -> np.nda
     return a.astype(np.int64 if integral else float, copy=False)
 
 
+def _twist(entry: dict, field: str, tol: float) -> Twist:
+    rational = "rational" in entry  # [p, q] for exp(2 pi i p/q), else "complex": [re, im]
+    x, y = _numbers(entry.get("rational" if rational else "complex"), field, (2,), rational).tolist()
+    if rational and y == 0:
+        raise CategoryFormatError(f"{field} has denominator 0")
+    return Twist.from_turns(x, y) if rational else Twist.from_complex(complex(x, y), tol=tol)
+
+
 def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
     fusion = fusion_from_doc(doc)
     labels, n = fusion.names, fusion.rank
@@ -138,14 +146,17 @@ def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
     if not (isinstance(theta_doc, dict) and isinstance(dims_doc, dict)
             and all(isinstance(entry, dict) for entry in theta_doc.values())):
         raise CategoryFormatError("theta, its twists and dims must be JSON objects")
-    twists = []
-    for name in labels:
-        entry, field = theta_doc.get(name, {"rational": [0, 1]}), f"theta of {name!r}"
-        rational = "rational" in entry  # [p, q] for exp(2 pi i p/q), else "complex": [re, im]
-        x, y = _numbers(entry.get("rational" if rational else "complex"), field, (2,), rational).tolist()
-        if rational and y == 0:
-            raise CategoryFormatError(f"{field} has denominator 0")
-        twists.append(Twist.from_turns(x, y) if rational else Twist.from_complex(complex(x, y), tol=tol))
+    entries = [theta_doc.get(name, {"rational": [0, 1]}) for name in labels]
+    turns = None
+    if all("rational" in entry for entry in entries):  # every twist read at once
+        try:
+            turns = _numbers([entry["rational"] for entry in entries], "theta", (n, 2), True).tolist()
+        except CategoryFormatError:
+            pass
+    if turns is not None and all(q for _, q in turns):
+        twists = [Twist.from_turns(x, y) for x, y in turns]
+    else:  # label by label, so that an error names the first label at fault
+        twists = [_twist(entry, f"theta of {name!r}", tol) for name, entry in zip(labels, entries)]
     dims = _numbers([dims_doc.get(name) for name in labels], "dims", (n,)) if dims_doc else None
     sprime = doc.get("sprime") or None
     if sprime is not None:

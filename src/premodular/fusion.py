@@ -62,7 +62,7 @@ class InconsistentDataError(ValueError):
     """Numerical data violates an identity it is required to satisfy."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckResult:
     """Outcome of one named check: pass/fail, witness of failure, residual size."""
 
@@ -70,6 +70,11 @@ class CheckResult:
     passed: bool
     witness: object = None
     residual: float = 0.0
+
+    def __init__(self, name: str, passed: bool, witness: object = None, residual: float = 0.0):
+        # one dict update: the generated frozen __init__ calls object.__setattr__
+        # once per field, which is most of its cost
+        self.__dict__.update(name=name, passed=passed, witness=witness, residual=residual)
 
     def __str__(self) -> str:
         status = "ok" if self.passed else "FAIL"
@@ -288,25 +293,17 @@ def validate_fusion(f: FusionData) -> ValidationReport:
     distinct from the axiom checks.
     """
     checks: list[CheckResult] = []
-    n, u, t = f.rank, f.unit, f.tensor
+    n, u, t, dual = f.rank, f.unit, f.tensor, f.dual
 
-    checks.append(
-        CheckResult("structure:labels", len(set(f.names)) == n and n > 0)
-    )
-    neg = np.argwhere(t < 0)
-    checks.append(
-        CheckResult(
-            "structure:multiplicities",
-            neg.size == 0,
-            witness=tuple(f.names[i] for i in neg[0]) if neg.size else None,
-        )
-    )
-    checks.append(
-        CheckResult("structure:dual_bijective", sorted(f.dual) == list(range(n)))
-    )
+    checks.append(CheckResult("structure:labels", len(set(f.names)) == n and n > 0))
+    neg = None
+    if t.min() < 0:  # the witness is looked for only when the sign fails
+        neg = tuple(f.names[i] for i in np.argwhere(t < 0)[0])
+    checks.append(CheckResult("structure:multiplicities", neg is None, neg))
+    checks.append(CheckResult("structure:dual_bijective", sorted(dual) == list(range(n))))
 
     eye = np.eye(n, dtype=int)
-    unit_ok = np.array_equal(t[u], eye) and np.array_equal(t[:, u, :], eye)
+    unit_ok = bool((t[u] == eye).all() and (t[:, u] == eye).all())
     unit_wit = None
     if not unit_ok:
         bad = np.argwhere(t[u] != eye)
@@ -315,28 +312,27 @@ def validate_fusion(f: FusionData) -> ValidationReport:
         else:
             bad = np.argwhere(t[:, u, :] != eye)
             unit_wit = (f.names[bad[0][0]], "unit", f.names[bad[0][1]])
-    checks.append(CheckResult("axiom:unit", unit_ok, witness=unit_wit))
+    checks.append(CheckResult("axiom:unit", unit_ok, unit_wit))
 
-    dual = np.asarray(f.dual)
-    invol_ok = bool(np.all(dual[dual] == np.arange(n)) and dual[u] == u)
+    invol_ok = dual[u] == u and all(dual[b] == a for a, b in enumerate(dual))
     checks.append(CheckResult("axiom:dual_involution", invol_ok))
 
-    # Frobenius reciprocity: N[a,b,c] = N[dual b, dual a, dual c] = N[dual a, c, b]
-    frob1 = t[np.ix_(dual, dual, dual)].transpose(1, 0, 2)
-    frob2 = t[dual].transpose(0, 2, 1)
-    frob_ok = np.array_equal(t, frob1) and np.array_equal(t, frob2)
+    # Frobenius reciprocity: N[a,b,c] = N[dual b, dual a, dual c] = N[dual a, c, b];
+    # chained gathers, each freeing the one before it
+    ix = np.array(dual)
+    frob1 = t.take(ix, 0).take(ix, 1).take(ix, 2).transpose(1, 0, 2)
+    frob2 = t.take(ix, 0).transpose(0, 2, 1)
+    frob_ok = bool((t == frob1).all() and (t == frob2).all())
     frob_wit = None
     if not frob_ok:
         frob_dev = np.abs(t - frob1) + np.abs(t - frob2)
         a, b, c = np.unravel_index(int(frob_dev.argmax()), frob_dev.shape)
         frob_wit = (f.names[a], f.names[b], f.names[c])
-    checks.append(CheckResult("axiom:frobenius_reciprocity", frob_ok, witness=frob_wit))
+    checks.append(CheckResult("axiom:frobenius_reciprocity", frob_ok, frob_wit))
 
     residual, worst = _checked_associativity(f)
     assoc_wit = None if worst is None else tuple(f.names[i] for i in worst)
-    checks.append(
-        CheckResult("axiom:associativity", worst is None, witness=assoc_wit, residual=residual)
-    )
+    checks.append(CheckResult("axiom:associativity", worst is None, assoc_wit, residual))
 
     return ValidationReport(tuple(checks))
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .fusion import (
     SubcategorySelection,
     ValidationReport,
     _on_pairs,
+    _readonly,
     _take,
     full_subcategory,
     global_dim,
@@ -158,7 +160,7 @@ class PremodularData:
         if dims.shape != (n,) or sp.shape != (n, n) or len(self.theta) != n:
             raise PremodularityError("field shapes do not match the label set")
         for field, a in (("dims", dims), ("sprime", sp)):
-            if not np.isfinite(a).all():
+            if np.count_nonzero(np.isfinite(a)) < a.size:  # cheaper than .all() on small arrays
                 raise PremodularityError(f"{field} must be finite")
         dims.setflags(write=False)
         sp.setflags(write=False)
@@ -187,11 +189,18 @@ class PremodularData:
         return v
 
     @cached_property
+    def _balanced(self) -> np.ndarray:
+        # S' by the balancing identity on this data, read-only (`premodular_from_twists` hands on its own)
+        f = self.fusion
+        return _readonly(_balanced_sprime(f._float_tensor, list(f.dual), self.theta_values, self.dims))
+
+    @cached_property
     def _twist_table(self) -> tuple[tuple[int, ...], int, tuple[tuple[int, complex], ...]]:
         # rational twists as integer turns over one common denominator (0 for
         # complex twists), and the complex twists by index
         denom = math.lcm(*(t.turns.denominator for t in self.theta if t.turns is not None))
-        nums = tuple(0 if t.turns is None else int(t.turns * denom) for t in self.theta)
+        nums = tuple(0 if t.turns is None else t.turns.numerator * (denom // t.turns.denominator)
+                     for t in self.theta)
         approx = tuple((i, t.approx) for i, t in enumerate(self.theta) if t.turns is None)
         return nums, denom, approx
 
@@ -295,12 +304,16 @@ class PremodularData:
 def _twist_powers(p: PremodularData, framings: Sequence[int]) -> np.ndarray:
     """``theta_a**m`` for every label ``a`` (columns) and framing ``m`` (rows).
 
-    Rational turns are reduced exactly on Python ints, which do not overflow
-    whatever the common denominator, and one exponential takes the whole
-    block; a complex twist is raised to each framing directly.
+    Rational turns are reduced exactly: in int64 while every product of a
+    framing and a numerator, and the common denominator, stay below 2**62,
+    and otherwise on Python ints, which do not overflow.  One exponential
+    takes the whole block; a complex twist is raised to each framing directly.
     """
     nums, denom, approx = p._twist_table
-    phase = np.array([[(n * m) % denom for n in nums] for m in framings]).reshape(len(framings), p.rank)
+    if max(map(abs, framings), default=0) * max(*nums, 1) < 2**62 and denom < 2**62:
+        phase = np.array(framings, dtype=np.int64)[:, None] * np.array(nums) % denom
+    else:
+        phase = np.array([[(n * m) % denom for n in nums] for m in framings]).reshape(len(framings), p.rank)
     out = np.exp(2j * np.pi * (phase / denom))
     for i, z in approx:
         out[:, i] = [z**m for m in framings]
@@ -312,7 +325,7 @@ def _twist_powers(p: PremodularData, framings: Sequence[int]) -> np.ndarray:
 
 def _balanced_sprime(t: np.ndarray, dual: list[int], th: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The balancing identity on a float multiplicity tensor ``t``."""
-    return np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th)
+    return np.einsum("abc,c->ab", t.take(dual, 0), th * d) / (th[:, None] * th)
 
 
 def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> np.ndarray:
@@ -358,18 +371,21 @@ def premodular_from_twists(
     if abs(theta[f.unit].value - 1.0) > tol:
         raise PremodularityError("unit twist must be 1")
     d = perron_frobenius_dims(f) if dims is None else np.asarray(dims, dtype=float)
-    th = np.array([t.value for t in theta])
-    sp = _balanced_sprime(f._float_tensor, list(f.dual), th, d)
-    scale = max(1.0, float(np.abs(sp).max()))
+    th = _readonly(np.array([t.value for t in theta], dtype=complex))
+    balanced = _readonly(_balanced_sprime(f._float_tensor, list(f.dual), th, d))
+    scale = max(1.0, float(np.abs(balanced).max()))
+    sp = balanced
     if sprime is not None:
-        given = np.asarray(sprime, dtype=complex)
-        dev = float(np.abs(given - sp).max())
+        sp = np.asarray(sprime, dtype=complex)
+        dev = float(np.abs(sp - balanced).max())
         if not dev <= tol * scale:
             raise PremodularityError(
                 f"supplied S' deviates from the balancing identity by {dev:.3g}"
             )
-        sp = given
     p = PremodularData(fusion=f, dims=d, theta=theta, sprime=sp)
+    # the data's cached slots take what was computed here
+    object.__setattr__(p, "theta_values", th)
+    object.__setattr__(p, "_balanced", balanced)
     resid = p._row_multiplicativity[0]
     if not resid <= tol * scale**2:  # NaN fails too
         raise PremodularityError(
@@ -391,46 +407,46 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     """
     row_resid, row_ix = p._row_multiplicativity
     d, th, sp = p.dims, p.theta_values, p.sprime
-    nm = p.names
-    dual = list(p.fusion.dual)
-    t = p.fusion._float_tensor
-    scale = max(1.0, float(np.abs(sp).max()))
-    checks: list[CheckResult] = []
-
-    def record(name: str, resid: float, where, witness_axes: int):
-        # ``where()`` gives the worst entry's index, asked for only when the check fails
-        wit = tuple(nm[i] for i in where()[:witness_axes]) if resid > tol * scale else None
-        checks.append(CheckResult(name, resid <= tol * scale, witness=wit, residual=resid))
-
-    def entry(name: str, dev: np.ndarray, witness_axes: int):
-        a = np.abs(dev)
-        record(name, float(a.max()) if a.size else 0.0,
-               lambda: np.unravel_index(int(a.argmax()), a.shape), witness_axes)
-
-    entry("dims:unit", np.array([d[p.unit] - 1.0]), 0)
-    entry("dims:dual", d[dual] - d, 1)
-    entry("dims:positive", np.minimum(d - 1.0, 0.0), 1)
-    entry("dims:multiplicative", np.outer(d, d) - np.einsum("abc,c->ab", t, d), 2)
-
-    entry("twist:unit_modulus", np.abs(th) - 1.0, 1)
-    entry("twist:unit", np.array([th[p.unit] - 1.0]), 0)
-    entry("twist:dual", th[dual] - th, 1)
-
-    entry("sprime:symmetric", sp - sp.T, 2)
-    entry("sprime:unit_row", sp[p.unit] - d, 1)
-    entry("sprime:conjugate_row", sp[dual, :] - sp.conj(), 2)
-
-    record("sprime:row_multiplicative", row_resid, lambda: row_ix, 3)
-    entry("sprime:balancing", sp - _balanced_sprime(t, dual, th, d), 2)
-
+    u, dual = p.unit, list(p.fusion.dual)
+    lim = tol * max(1.0, float(np.abs(sp).max()))
     g = p.gauss_sums()
-    if p.sprime_invertible(tol=tol):
-        entry("gauss:product", np.array([g.delta_plus * g.delta_minus - g.dim]), 0)
-        entry("gauss:modulus", np.array([abs(g.delta_plus) - g.total]), 0)
-    else:
+    modular = p.sprime_invertible(tol=tol)
+
+    # (name, deviation, its label axes); row multiplicativity enters evaluated:
+    # its residual, as a scalar, and its worst entry row_ix
+    entries = [
+        ("dims:unit", d[u] - 1.0, 0),
+        ("dims:dual", d[dual] - d, 1),
+        ("dims:positive", np.minimum(d - 1.0, 0.0), 1),
+        ("dims:multiplicative", d[:, None] * d - np.einsum("abc,c->ab", p.fusion._float_tensor, d), 2),
+        ("twist:unit_modulus", np.abs(th) - 1.0, 1),
+        ("twist:unit", th[u] - 1.0, 0),
+        ("twist:dual", th[dual] - th, 1),
+        ("sprime:symmetric", sp - sp.T, 2),
+        ("sprime:unit_row", sp[u] - d, 1),
+        ("sprime:conjugate_row", sp[dual] - sp.conj(), 2),
+        ("sprime:row_multiplicative", row_resid, 0),
+        ("sprime:balancing", sp - p._balanced, 2),
+    ]
+    if modular:
+        entries.append(("gauss:product", g.delta_plus * g.delta_minus - g.dim, 0))
+        entries.append(("gauss:modulus", abs(g.delta_plus) - g.total, 0))
+    # one absolute value over all deviations (real ones as complex, the same
+    # values) and one maximum per entry
+    a = np.abs(np.concatenate([dev for _, dev, _ in entries], axis=None))
+    n = p.rank
+    ends = list(accumulate(n**k for _, _, k in entries))
+    starts = [0, *ends[:-1]]
+    checks = []
+    for (name, _, k), r, lo, hi in zip(entries, np.maximum.reduceat(a, starts).tolist(), starts, ends):
+        wit = None
+        if r > lim:  # a NaN residual fails without a witness
+            worst = np.unravel_index(int(a[lo:hi].argmax()), (n,) * k)
+            wit = tuple(p.names[i] for i in (row_ix if name == "sprime:row_multiplicative" else worst))
+        checks.append(CheckResult(name, r <= lim, wit, r))
+    if not modular:
         checks.append(CheckResult("gauss:product", True, witness="skipped: S' singular"))
         checks.append(CheckResult("gauss:modulus", True, witness="skipped: S' singular"))
-
     return ValidationReport(tuple(checks))
 
 
@@ -459,8 +475,7 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
     """
     n = p.rank
     c = np.zeros((n, n))
-    for a in range(n):
-        c[a, p.fusion.dual[a]] = 1.0
+    c[np.arange(n), p.fusion.dual] = 1.0
 
     ratio, vh = p._svd
     if ratio <= tol:
@@ -472,15 +487,17 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
 
     g = p.gauss_sums()
     s = p._s
-    t = (g.delta_plus / abs(g.delta_plus)) ** (1.0 / 3.0) * np.diag(p.theta_values)
+    tau = (g.delta_plus / abs(g.delta_plus)) ** (1.0 / 3.0) * p.theta_values
+    t = np.diag(tau)
     st = s @ t
-    eye = np.eye(n)
+    # T is diagonal: T C - C T and T T^dagger - 1 entrywise on tau, as the
+    # matrix products' other terms are exact zeros
     resid = max(
         float(np.abs(s @ s - c).max()),
         float(np.abs(st @ st @ st - c).max()),
-        float(np.abs(t @ c - c @ t).max()),
-        float(np.abs(s @ s.conj().T - eye).max()),
-        float(np.abs(t @ t.conj().T - eye).max()),
+        float(np.abs(tau - tau[list(p.fusion.dual)]).max()),
+        float(np.abs(s @ s.conj().T - np.eye(n)).max()),
+        float(np.abs(tau * tau.conj() - 1.0).max()),
     )
     return ModularityReport(
         modular=resid <= tol * max(1.0, g.total),

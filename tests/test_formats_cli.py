@@ -100,6 +100,31 @@ class TestCategoryFormat:
         assert [t.turns for t in back.theta] == [t.turns for t in p.theta]
         assert back.sprime.tobytes() == p.sprime.tobytes()
 
+    def test_exact_integers_beside_integral_floats_are_read_label_by_label(self):
+        # read at once, the floats would make 2**60 a float beyond 2**53, which is refused
+        p = families.ising()
+        doc = category_to_doc(p)
+        doc["theta"]["sigma"] = {"rational": [1.0, 16.0]}
+        doc["theta"]["eps"] = {"rational": [2**60, 2**61]}
+        back = category_from_doc(json.loads(json.dumps(doc)))
+        assert [t.turns for t in back.theta] == [t.turns for t in p.theta]
+
+    @pytest.mark.parametrize(
+        "eps, sigma, message",  # eps comes before sigma among Ising's labels
+        [
+            ({"rational": [1, 0]}, {"rational": [True, 2]}, "theta of 'eps' has denominator 0"),
+            ({"rational": [1, 2]}, {"rational": [1, 0]}, "theta of 'sigma' has denominator 0"),
+            ({"complex": [math.nan, 0]}, {"rational": [1, 0]}, "theta of 'eps' must be finite"),
+            ({"rational": ["1", 2]}, {"rational": [1, 0]}, r"theta of 'eps' must be numbers of shape \(2,\)"),
+        ],
+        ids=["denominator-first", "denominator-second", "complex-first", "string-first"],
+    )
+    def test_a_twist_error_names_the_first_label_at_fault(self, eps, sigma, message):
+        doc = category_to_doc(families.ising())
+        doc["theta"].update(sigma=sigma, eps=eps)
+        with pytest.raises(CategoryFormatError, match=f"^{message}$"):
+            category_from_doc(json.loads(json.dumps(doc)))
+
     @pytest.mark.parametrize(
         "field, mutate",
         [

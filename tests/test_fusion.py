@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -7,6 +10,7 @@ import pytest
 
 from premodular import families
 from premodular.fusion import (
+    CheckResult,
     ClosureError,
     FusionData,
     FusionError,
@@ -56,6 +60,30 @@ def broken_ising_ring():
             ("sigma", "sigma", "1", 1), ("sigma", "sigma", "eps", 2),
         ],
     )
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainCheckResult:
+    """Oracle: `CheckResult` with the frozen dataclass's generated ``__init__``."""
+
+    name: str
+    passed: bool
+    witness: object = None
+    residual: float = 0.0
+
+
+@pytest.mark.parametrize("fields", [("a", True), ("b", False, ("x", "y"), 0.5), ("c", True, "skipped", 1e-300)])
+def test_check_result_behaves_as_the_plain_dataclass(fields):
+    c, plain = CheckResult(*fields), PlainCheckResult(*fields)
+    assert repr(c) == repr(plain).replace("PlainCheckResult", "CheckResult")
+    assert dataclasses.astuple(c) == dataclasses.astuple(plain) and vars(c) == vars(plain)
+    assert hash(c) == hash(plain) and c == CheckResult(*fields[:2], *fields[2:])
+    assert c != CheckResult(fields[0] + "'", *fields[1:])
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c)), dataclasses.replace(c)):
+        assert type(twin) is CheckResult and repr(twin) == repr(c) and hash(twin) == hash(c)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.passed = not c.passed
+    assert CheckResult(name="d", passed=True, residual=2.0) == CheckResult("d", True, None, 2.0)
 
 
 class TestValidateFusion:

@@ -159,6 +159,25 @@ class TestVerifyPremodular:
         bad = report["sprime:row_multiplicative"]
         assert not bad.passed and bad.residual > 1e-3
 
+    @pytest.mark.parametrize("name", ["fibonacci", "ising", "su2:4", "pointed:4:2", "prod(su2:2,conj(su2:3))"])
+    @pytest.mark.parametrize("shift", [0.0, 1e-12], ids=["balanced", "shifted"])
+    def test_assembled_and_constructed_data_report_alike(self, name, shift):
+        p = families.builtin(name)
+        sp = p.sprime + shift  # a supplied S' within tolerance of the balancing one
+        assembled = premodular_from_twists(p.fusion, p.theta, dims=p.dims, sprime=sp)
+        built = PremodularData(fusion=p.fusion, dims=p.dims, theta=p.theta, sprime=sp)
+        # assembly hands on its balanced S' and twist values; the constructor leaves both to be computed
+        handed = ("_balanced", "theta_values")
+        assert set(handed) <= vars(assembled).keys() and not set(handed) & vars(built).keys()
+        for attr in handed:
+            value = getattr(assembled, attr)
+            assert not value.flags.writeable
+            assert value.tobytes() == getattr(built, attr).tobytes()
+        with pytest.raises(ValueError):
+            assembled._balanced[0, 0] = 0.0
+        bits = [[(c.name, c.passed, c.witness, repr(c.residual)) for c in verify_premodular(q)] for q in (assembled, built)]
+        assert bits[0] == bits[1]
+
 
 class TestIsModular:
     def test_su2_4_relations(self, su2_4):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import struct
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -171,6 +172,44 @@ def test_twist_table_matches_scalar_powers(turns, framings, shift):
     exact = [i for i, t in enumerate(theta) if t.turns is not None]
     shifted = _twist_powers(p, [m + shift * denom for m in framings])
     assert shifted[:, exact].tobytes() == block[:, exact].tobytes()
+
+
+def twist_powers_on_python_ints(p, framings):
+    """Oracle: `_twist_powers` with every phase reduced on Python ints, whatever their size."""
+    nums, denom, approx = p._twist_table
+    phase = np.array([[(n * m) % denom for n in nums] for m in framings]).reshape(len(framings), p.rank)
+    out = np.exp(2j * np.pi * (phase / denom))
+    for i, z in approx:
+        out[:, i] = [z**m for m in framings]
+    return out
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.fractions(min_value=-4, max_value=4, max_denominator=48),
+            st.integers(1, _BIG_PRIME - 1).map(lambda k: Fraction(k, _BIG_PRIME)),
+            st.floats(min_value=-1, max_value=1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.one_of(st.integers(-60, 60), st.integers(-(10**18), 10**18)), max_size=5),
+)
+# both tiers at framings of 10**18: int64 below 2**62, Python ints beyond
+@example(turns=[Fraction(0), Fraction(5, 12), Fraction(1, 3)], framings=[10**18, -(10**18), 7])
+@example(turns=[Fraction(0), Fraction(_BIG_PRIME - 1, _BIG_PRIME)], framings=[10**18, -(10**18) + 1])
+@example(turns=[Fraction(0), Fraction(1, 2)], framings=[])
+@settings(max_examples=80, deadline=None)
+def test_twist_powers_are_bitwise_the_python_int_reduction(turns, framings):
+    theta = tuple(
+        Twist.from_turns(x) if isinstance(x, Fraction) else Twist.from_complex(cmath.exp(2j * cmath.pi * x))
+        for x in turns
+    )
+    p = replace(families.pointed_cyclic(len(theta), 0), theta=theta)
+    got, expect = _twist_powers(p, framings), twist_powers_on_python_ints(p, framings)
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    assert got.tobytes() == expect.tobytes()
 
 
 @cache
@@ -350,6 +389,139 @@ def test_row_multiplicative_entry_reads_the_datas_own_sprime(name, mutate, data)
     ):
         check = verify_premodular(q)["sprime:row_multiplicative"]
         assert (check.passed, check.witness, check.residual) == row_multiplicative_entry(q)
+
+
+# -- the premodular report and the fusion structure checks, entry by entry ----------
+
+
+def verify_premodular_per_entry(p, tol=DEFAULT_TOL):
+    """Oracle: ``verify_premodular``'s report bits, one absolute value, maximum and
+    witness per entry, with the balanced S' evaluated afresh."""
+    row_resid, row_ix = p._row_multiplicativity
+    d, sp = p.dims, p.sprime
+    th = np.array([t.value for t in p.theta], dtype=complex)
+    nm, dual = p.names, list(p.fusion.dual)
+    t = p.fusion.tensor.astype(float)
+    scale = max(1.0, float(np.abs(sp).max()))
+    checks = []
+
+    def record(name, resid, where, witness_axes):
+        wit = tuple(nm[i] for i in where()[:witness_axes]) if resid > tol * scale else None
+        checks.append((name, resid <= tol * scale, wit, resid.hex()))
+
+    def entry(name, dev, witness_axes):
+        a = np.abs(dev)
+        record(name, float(a.max()), lambda: np.unravel_index(int(a.argmax()), a.shape), witness_axes)
+
+    entry("dims:unit", np.array([d[p.unit] - 1.0]), 0)
+    entry("dims:dual", d[dual] - d, 1)
+    entry("dims:positive", np.minimum(d - 1.0, 0.0), 1)
+    entry("dims:multiplicative", np.outer(d, d) - np.einsum("abc,c->ab", t, d), 2)
+    entry("twist:unit_modulus", np.abs(th) - 1.0, 1)
+    entry("twist:unit", np.array([th[p.unit] - 1.0]), 0)
+    entry("twist:dual", th[dual] - th, 1)
+    entry("sprime:symmetric", sp - sp.T, 2)
+    entry("sprime:unit_row", sp[p.unit] - d, 1)
+    entry("sprime:conjugate_row", sp[dual, :] - sp.conj(), 2)
+    record("sprime:row_multiplicative", row_resid, lambda: row_ix, 3)
+    entry("sprime:balancing", sp - np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th), 2)
+    g = p.gauss_sums()
+    if p.sprime_invertible(tol=tol):
+        entry("gauss:product", np.array([g.delta_plus * g.delta_minus - g.dim]), 0)
+        entry("gauss:modulus", np.array([abs(g.delta_plus) - g.total]), 0)
+    else:
+        checks += [(name, True, "skipped: S' singular", (0.0).hex()) for name in ("gauss:product", "gauss:modulus")]
+    return checks
+
+
+def fusion_structure_per_entry(f):
+    """Oracle: the report bits of ``validate_fusion``'s checks before associativity,
+    by ``np.array_equal`` against an identity matrix and ``np.ix_`` gathers."""
+    n, u, t = f.rank, f.unit, f.tensor
+    neg = np.argwhere(t < 0)
+    eye = np.eye(n, dtype=int)
+    unit_ok = np.array_equal(t[u], eye) and np.array_equal(t[:, u, :], eye)
+    unit_wit = None
+    if not unit_ok:
+        bad = np.argwhere(t[u] != eye)
+        if bad.size:
+            unit_wit = ("unit", f.names[bad[0][0]], f.names[bad[0][1]])
+        else:
+            bad = np.argwhere(t[:, u, :] != eye)
+            unit_wit = (f.names[bad[0][0]], "unit", f.names[bad[0][1]])
+    dual = np.asarray(f.dual)
+    frob1 = t[np.ix_(dual, dual, dual)].transpose(1, 0, 2)
+    frob2 = t[dual].transpose(0, 2, 1)
+    frob_ok = np.array_equal(t, frob1) and np.array_equal(t, frob2)
+    frob_wit = None
+    if not frob_ok:
+        frob_dev = np.abs(t - frob1) + np.abs(t - frob2)
+        frob_wit = tuple(f.names[i] for i in np.unravel_index(int(frob_dev.argmax()), frob_dev.shape))
+    checks = [
+        ("structure:labels", len(set(f.names)) == n and n > 0, None),
+        ("structure:multiplicities", neg.size == 0, tuple(f.names[i] for i in neg[0]) if neg.size else None),
+        ("structure:dual_bijective", sorted(f.dual) == list(range(n)), None),
+        ("axiom:unit", unit_ok, unit_wit),
+        ("axiom:dual_involution", bool(np.all(dual[dual] == np.arange(n)) and dual[u] == u), None),
+        ("axiom:frobenius_reciprocity", frob_ok, frob_wit),
+    ]
+    return [(name, passed, wit, (0.0).hex()) for name, passed, wit in checks]
+
+
+_MUTATIONS = ("none", "negative", "unit", "dual", "frobenius", "dims", "twist", "sprime", "nan twist")
+
+
+def _mutated(p, kind, data):
+    """``p`` with one defect of ``kind``, built directly so that no constructor check rejects it."""
+    label = st.integers(0, p.rank - 1)
+    t, dual, dims, theta, sp = p.fusion.tensor.copy(), list(p.fusion.dual), p.dims.copy(), list(p.theta), p.sprime.copy()
+    if kind == "negative":
+        t[data.draw(st.tuples(label, label, label))] = -data.draw(st.integers(1, 3))
+    elif kind == "unit":
+        b, c = data.draw(label), data.draw(label)
+        if data.draw(st.booleans()):
+            t[p.unit, b, c] += 1
+        else:
+            t[b, p.unit, c] += 1
+    elif kind == "dual":
+        dual[data.draw(label)] = data.draw(label)
+    elif kind == "frobenius":
+        t[data.draw(st.tuples(label, label, label))] += data.draw(st.integers(1, 2))
+    elif kind == "dims":
+        dims[data.draw(label)] += data.draw(st.sampled_from([1e-12, 1e-3, -0.5, 2.0]))
+    elif kind == "twist":
+        i = data.draw(label)
+        theta[i] = theta[i] * Twist.from_turns(data.draw(st.integers(1, 11)), 12)
+    elif kind == "sprime":
+        sp[data.draw(label), data.draw(label)] += data.draw(st.sampled_from([1e-12, 1e-3, -0.5, 1j]))
+    elif kind == "nan twist":  # Twist.from_complex refuses NaN; the data constructor takes what it is given
+        theta[data.draw(label)] = Twist(turns=None, approx=complex(math.nan, data.draw(st.sampled_from([0.0, 1.0]))))
+    f = FusionData(names=p.names, unit=p.unit, dual=tuple(dual), tensor=t)
+    return PremodularData(fusion=f, dims=dims, theta=tuple(theta), sprime=sp)
+
+
+def _assert_reports_match_oracles(q):
+    # a NaN twist makes the Gauss sums' complex division warn, as it always has
+    with np.errstate(invalid="ignore") if np.isnan(q.theta_values).any() else nullcontext():
+        assert _report_bits(verify_premodular(q)) == verify_premodular_per_entry(q)
+        assert _report_bits(validate_fusion(q.fusion))[:6] == fusion_structure_per_entry(q.fusion)
+        r, oracle = is_modular(q), modularity_per_root(q)
+    assert (r.modular, r.residual.hex(), r.singular_ratio) == (oracle[0], oracle[1].hex(), oracle[2])
+
+
+@given(name=st.sampled_from(sorted(row_multiplicativity_inputs())), kind=st.sampled_from(_MUTATIONS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_reports_are_bitwise_their_per_entry_oracles(name, kind, data):
+    _assert_reports_match_oracles(_mutated(row_multiplicativity_inputs()[name], kind, data))
+
+
+def test_a_nan_twist_fails_without_a_witness():
+    p = suite_rings()["ising"]
+    q = replace(p, theta=(p.theta[0], Twist(turns=None, approx=complex(math.nan, 0.0)), p.theta[2]))
+    _assert_reports_match_oracles(q)
+    nan = [c for c in verify_premodular(q) if math.isnan(c.residual)]
+    assert {c.name for c in nan} >= {"twist:unit_modulus", "sprime:balancing"}
+    assert all(not c.passed and c.witness is None for c in nan)
 
 
 @pytest.mark.parametrize("seed", range(3))
