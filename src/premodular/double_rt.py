@@ -23,13 +23,14 @@ import numpy as np
 
 from .condense import PairingBracket, pairing_bracket
 from .fusion import DEFAULT_TOL, SubcategorySelection
-from .modular import PremodularData
+from .modular import PremodularData, _overflow_free_size
 from .plumbing import (
     DEFAULT_TERM_CAP,
     InvariantValue,
     PlumbingGraph,
     _check_term_cap,
     _contract_forest,
+    _vertex_keys,
     _vertex_weights,
     rt_invariant,
 )
@@ -70,9 +71,12 @@ def tau_double(
         s = hat._s
         edge = s[ia[:, None], ia] * s[ib[:, None], ib].conj()
 
-    w = np.reshape(_vertex_weights(hat, g), (g.n, hat.rank))
-    value = _contract_forest(g, w[:, ia] * w[:, ib].conj(), edge, 1 / hat.total_dim) / pb.dim_sub
-    return InvariantValue(value=value, tolerance=tol)
+    w = np.reshape(_vertex_weights(hat, _vertex_keys(g)), (g.n, hat.rank))
+    # a pair's weight and edge entries are products of two: W^2 and max |s|^2 bound them
+    bound = hat._contraction_bound
+    limit = _overflow_free_size(len(ia), bound.s_max**2, 2 * bound.log_w)
+    value = _contract_forest(g, w[:, ia] * w[:, ib].conj(), edge, 1 / hat.total_dim, limit) / pb.dim_sub
+    return InvariantValue(value, tol)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,6 +143,36 @@ class GaussSums:
     dim: float
 
 
+_LOG_FLOAT_RANGE = 700.0  # below log(1.8e308) = 709.78; the rest is the margin for rounding
+
+
+def _overflow_free_size(r: int, e: float, log_w: float) -> float:
+    """The most vertices a plumbing forest may have for its contraction to stay in float range.
+
+    The contraction sums over ``r`` colours per vertex, with edge entries of
+    modulus at most ``e`` and vertex weights of modulus at most ``W^|2 - deg|``
+    for ``log_w = log W``, ``W >= 1`` (exact rational twists have modulus 1).
+    A message sent up an edge is then at most ``r max(e, 1)`` times its
+    vertex's weight times its children's messages, and since
+    ``sum |2 - deg| <= 4n``, every product and sum of an ``n``-vertex
+    contraction is below ``exp(n (log(r max(e, 1)) + 4 log W))``; the trees'
+    factors are applied to Python floats, outside numpy.  An infinite
+    ``log_w`` (no such ``W``) gives 0, and a contraction that cannot grow has
+    no limit.
+    """
+    rate = math.log(max(r, 1) * max(e, 1.0)) + 4 * log_w
+    return math.floor(_LOG_FLOAT_RANGE / rate) if rate > 0 else math.inf
+
+
+class _ContractionBound(NamedTuple):
+    """The overflow-free forest sizes of one category's plumbing contractions."""
+
+    rt: float  # rt_invariant's: the rank, max |s| on the edges
+    bracket: float  # bracket's: the rank, max |S'| on the edges
+    log_w: float  # log W bounding the vertex weights; inf for a complex twist or a zero dimension
+    s_max: float  # max |s|, which tau_double squares for its pairs
+
+
 @dataclass(frozen=True, eq=False)
 class PremodularData:
     """Fusion data together with dimensions, twists, and the S' matrix."""
@@ -230,7 +260,7 @@ class PremodularData:
         th = self.theta_values
         dim = self.total_dim
         return GaussSums(
-            delta_plus=complex(np.sum(d2 / th)),
+            delta_plus=complex(np.sum(_over_twists(d2, th, th))),
             delta_minus=complex(np.sum(d2 * th)),
             total=float(np.sqrt(dim)),
             dim=dim,
@@ -238,6 +268,22 @@ class PremodularData:
 
     def gauss_sums(self) -> GaussSums:
         return self._gauss_sums
+
+    @cached_property
+    def _contraction_bound(self) -> _ContractionBound:
+        # W, the largest of |d| and 1/|d|, bounds theta^m d^(2-deg) by W^|2-deg|
+        # while every twist is an exact rational: |z**m| of a complex twist drifts from 1
+        a = [abs(d) for d in self.dims.tolist()]
+        log_w = math.inf
+        if not self._twist_table[2] and min(a) > 0:
+            log_w = math.log(max(max(a), 1 / min(a)))
+        s_max = float(np.abs(self._s).max())
+        return _ContractionBound(
+            rt=_overflow_free_size(self.rank, s_max, log_w),
+            bracket=_overflow_free_size(self.rank, float(np.abs(self.sprime).max()), log_w),
+            log_w=log_w,
+            s_max=s_max,
+        )
 
     @cached_property
     def _s(self) -> np.ndarray:
@@ -323,9 +369,22 @@ def _twist_powers(p: PremodularData, framings: Sequence[int]) -> np.ndarray:
 # -- S' construction ----------------------------------------------------------
 
 
+def _over_twists(num: np.ndarray, den: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """``num / den`` for a ``den`` formed from the twist vector ``th``.
+
+    A NaN twist, which the data constructor takes as ``Twist(turns=None,
+    approx=nan)``, raises the invalid flag in complex division: its quotients
+    are NaN, and fail the checks that read them, without a warning.
+    """
+    if not np.count_nonzero(np.isnan(th)):
+        return num / den
+    with np.errstate(invalid="ignore"):
+        return num / den
+
+
 def _balanced_sprime(t: np.ndarray, dual: list[int], th: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The balancing identity on a float multiplicity tensor ``t``."""
-    return np.einsum("abc,c->ab", t.take(dual, 0), th * d) / (th[:, None] * th)
+    return _over_twists(np.einsum("abc,c->ab", t.take(dual, 0), th * d), th[:, None] * th, th)
 
 
 def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> np.ndarray:
@@ -487,18 +546,23 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
 
     g = p.gauss_sums()
     s = p._s
-    tau = (g.delta_plus / abs(g.delta_plus)) ** (1.0 / 3.0) * p.theta_values
+    # modular data has |delta_plus| = D; a vanishing Gauss sum has no phase, and any
+    # normalisation of T then fails (S T)^3 = C
+    phase = g.delta_plus / abs(g.delta_plus) if g.delta_plus else 1.0
+    tau = phase ** (1.0 / 3.0) * p.theta_values
     t = np.diag(tau)
     st = s @ t
     # T is diagonal: T C - C T and T T^dagger - 1 entrywise on tau, as the
     # matrix products' other terms are exact zeros
-    resid = max(
+    residuals = (
         float(np.abs(s @ s - c).max()),
         float(np.abs(st @ st @ st - c).max()),
         float(np.abs(tau - tau[list(p.fusion.dual)]).max()),
         float(np.abs(s @ s.conj().T - np.eye(n)).max()),
         float(np.abs(tau * tau.conj() - 1.0).max()),
     )
+    # max() passes over a NaN that is not first; their sum does not (a NaN twist)
+    resid = math.nan if math.isnan(sum(residuals)) else max(residuals)
     return ModularityReport(
         modular=resid <= tol * max(1.0, g.total),
         s=s, t=t, c=c, residual=resid, singular_ratio=ratio,

@@ -213,12 +213,17 @@ def plumbing(vertices: Iterable, edges: Iterable = ()) -> PlumbingGraph:
     return PlumbingGraph(tuple(verts), tuple((str(u), str(v)) for u, v in edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InvariantValue:
     """A complex invariant with its evaluation tolerance."""
 
     value: complex
     tolerance: float = DEFAULT_TOL
+
+    def __init__(self, value: complex, tolerance: float = DEFAULT_TOL):
+        # one dict update, as CheckResult's: the generated frozen __init__
+        # calls object.__setattr__ once per field
+        self.__dict__.update(value=value, tolerance=tolerance)
 
     def isclose(self, other) -> bool:
         tol = self.tolerance
@@ -332,15 +337,20 @@ def _forest_signature(g: PlumbingGraph) -> int:
 # -- colored evaluation ---------------------------------------------------------
 
 
-def _vertex_weights(p: PremodularData, g: PlumbingGraph) -> list[np.ndarray]:
-    """Per-color weights ``theta^m d^(2-deg)``, one read-only row per vertex in ``g.ids`` order.
+def _vertex_keys(g: PlumbingGraph) -> list[tuple[int, int]]:
+    """The ``(framing, degree)`` of each vertex in ``g.ids`` order: all that its
+    weight row, and a leaf's message, depend on."""
+    return list(zip([m for _, m in g.vertices], g._walk.degrees))
+
+
+def _vertex_weights(p: PremodularData, keys: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Per-color weights ``theta^m d^(2-deg)``, one read-only row per ``(m, deg)`` in ``keys``.
 
     The coloring's own ``d`` factor is folded in with the ``1 - deg`` exponent
-    of the framed-link rule.  A row depends on ``(m, deg)`` alone, so the rows
+    of the framed-link rule.  A row depends on its key alone, so the rows
     are kept on ``p``, up to ``_WEIGHT_ROW_LIMIT`` of them; the missing rows of
     a call are computed in one block.
     """
-    keys = list(zip([m for _, m in g.vertices], g._walk.degrees))
     rows = p._weight_rows
     try:
         return [rows[k] for k in keys]
@@ -360,7 +370,9 @@ def _contract_forest(
     weights: Sequence[np.ndarray],
     edge_matrix: np.ndarray | None,
     tree_factor: float,
+    limit: float,
     memo: dict | None = None,
+    keys: Sequence[tuple[int, int]] = (),
 ) -> complex:
     """Sum over colorings of a forest, factorized along the trees.
 
@@ -369,47 +381,51 @@ def _contract_forest(
     may be None, when the forest has no edges); each vertex
     folds in its children's messages in the order of ``g._walk`` and sends
     its own across the edge to its parent, so the result is reproducible.
-    Each tree's sum is scaled by ``tree_factor``, part by part, so a factor
-    of 1 leaves it bitwise as it is.
+    Each tree's sum is scaled by ``tree_factor``, part by part, in Python
+    floats, so a factor of 1 leaves it bitwise as it is.  A value that is not
+    finite raises ``OverflowError`` naming the vertex count.
+
+    ``limit`` is the forest's overflow-free size on these weights and edges
+    (``modular._overflow_free_size``): up to it no product or sum can leave
+    the float range; a larger forest is contracted with numpy's overflow and
+    invalid-value warnings off, as its value is checked at the end.
 
     A leaf's sent message and an isolated vertex's sum depend only on its
-    ``(framing, degree)`` key, when ``weights`` and ``edge_matrix`` come from
-    one category: ``memo`` then keeps them by that key, read-only, up to
-    ``_WEIGHT_ROW_LIMIT`` of them, and is read before they are computed.
+    ``(framing, degree)`` key ``keys[v]``, when ``weights`` and ``edge_matrix``
+    come from one category: ``memo`` then keeps them by that key, read-only,
+    up to ``_WEIGHT_ROW_LIMIT`` of them, and is read before they are computed.
     """
-    walk, vertices = g._walk, g.vertices
+    if g.n > limit:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _contract_forest(g, weights, edge_matrix, tree_factor, math.inf, memo, keys)
+    walk = g._walk
     children_of, degrees = walk.children, walk.degrees
     total = 1.0 + 0.0j
     sent: list[np.ndarray | None] = [None] * g.n
-    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
-        for v in walk.order:
-            children = children_of[v]
-            root = len(children) == degrees[v]
-            key = part = None
-            if memo is not None and not children:
-                key = (vertices[v][1], degrees[v])
-                part = memo.get(key)
-            if part is None:
-                msg = weights[v]
-                for ch in children:
-                    msg = msg * sent[ch]
-                part = complex(np.add.reduce(msg)) if root else edge_matrix @ msg
-                if key is not None and len(memo) < _WEIGHT_ROW_LIMIT:
-                    if not root:
-                        part.setflags(write=False)
-                    memo[key] = part
-            if root:
-                total *= complex(part.real * tree_factor, part.imag * tree_factor)
-            else:
-                sent[v] = part
-    return _finite(total, g)
-
-
-def _finite(value: complex, g: PlumbingGraph) -> complex:
-    """``value``, or ``OverflowError`` naming the vertex count when it is not finite."""
-    if not cmath.isfinite(value):
+    for v in walk.order:
+        children = children_of[v]
+        root = len(children) == degrees[v]
+        key = part = None
+        if memo is not None and not children:
+            key = keys[v]
+            part = memo.get(key)
+        if part is None:
+            msg = weights[v]
+            for ch in children:
+                msg = msg * sent[ch]
+            # .dot calls the same BLAS gemv as @, for about half the overhead
+            part = complex(np.add.reduce(msg)) if root else edge_matrix.dot(msg)
+            if key is not None and len(memo) < _WEIGHT_ROW_LIMIT:
+                if not root:
+                    part.setflags(write=False)
+                memo[key] = part
+        if root:
+            total *= complex(part.real * tree_factor, part.imag * tree_factor)
+        else:
+            sent[v] = part
+    if not cmath.isfinite(total):
         raise OverflowError(f"the invariant of the {g.n}-vertex plumbing is not finite in floating point")
-    return value
+    return total
 
 
 def bracket(
@@ -420,7 +436,8 @@ def bracket(
 ) -> InvariantValue:
     """Sum of ``prod_v d(c(v)) * F(g; c)`` over all colorings of the forest."""
     _check_term_cap(p.rank, g.n, term_cap)
-    return InvariantValue(value=_contract_forest(g, _vertex_weights(p, g), p.sprime, 1.0))
+    limit = p._contraction_bound.bracket
+    return InvariantValue(_contract_forest(g, _vertex_weights(p, _vertex_keys(g)), p.sprime, 1.0, limit))
 
 
 def rt_invariant(
@@ -437,13 +454,14 @@ def rt_invariant(
     with ``s = S'/D`` on its edges; that is ``delta_plus^sigma D^(-sigma-n-1)``
     times the bracket.  Requires modular data (S' invertible).
     """
-    if not p.sprime_invertible(tol=tol):
+    if not p._svd[0] > tol:  # p.sprime_invertible(tol=tol)
         raise ValueError("Reshetikhin-Turaev invariant requires modular data")
     _check_term_cap(p.rank, g.n, term_cap)
-    gauss = p.gauss_sums()
-    total = _contract_forest(g, _vertex_weights(p, g), p._s, 1 / gauss.total, p._leaf_parts)
+    gauss, keys = p._gauss_sums, _vertex_keys(g)
+    total = _contract_forest(g, _vertex_weights(p, keys), p._s, 1 / gauss.total, p._contraction_bound.rt,
+                             p._leaf_parts, keys)
     phase = (gauss.delta_plus / gauss.total) ** g._sigma
-    return InvariantValue(value=phase * total / gauss.total, tolerance=tol)
+    return InvariantValue(phase * total / gauss.total, tol)
 
 
 def kirby_moves(g: PlumbingGraph) -> tuple[PlumbingGraph, ...]:

@@ -2,16 +2,18 @@ import cmath
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from premodular import families
+from premodular import double_rt, families, plumbing as plumbing_module
 from premodular.condense import MinimalityError, double_data
 from premodular.double_rt import factorization_check, pairing_bracket, tau_double
 from premodular.fusion import full_subcategory
-from premodular.modular import centralizer, check_minimal_extension
+from premodular.modular import Twist, centralizer, check_minimal_extension, premodular_from_twists
 from premodular.plumbing import (
     TermCapExceeded,
     bracket,
@@ -278,3 +280,81 @@ def test_double_of_a_300_leaf_star_is_finite(su2_4):
     # the weight rows carry d^(2 - deg) without 1/D; the hub's (d/D)^(2 - deg) would overflow here
     value = tau_double(su2_4, range(su2_4.rank), star(300), term_cap=math.inf).value
     assert value.real == pytest.approx(5.4313e259, rel=1e-4)
+
+
+# -- the overflow-free forest size -------------------------------------------------
+
+
+def yang_lee():
+    """The Galois conjugate of Fibonacci: d = 1 - phi, so 1/|d| = phi sets the weight bound."""
+    fib = families.fibonacci()
+    dims = np.array([1.0, 1 - (1 + math.sqrt(5)) / 2])
+    return premodular_from_twists(fib.fusion, [Twist.one(), Twist.from_turns(1, 5)], dims=dims)
+
+
+def _categories(entry):
+    """The suite categories ``entry`` takes, with the Galois conjugate of Fibonacci.
+
+    ``bracket`` takes any data: the all-ones S' of pointed:k:0, and twice it,
+    make a chain's messages grow by exactly k max|S'| per vertex, the rate
+    the size allows.  ``tau_double`` refuses the conjugate, whose pairing
+    d_a d_b / dim is negative.
+    """
+    out = [(name, p) for name, p in families.builtin_suite() if entry == "bracket" or p.sprime_invertible()]
+    if entry == "bracket":
+        z2 = families.builtin("pointed:2:0")
+        out.append(("pointed:2:0, S' doubled", replace(z2, sprime=2 * z2.sprime)))
+    return out if entry == "tau_double" else [*out, ("yang-lee", yang_lee())]
+
+
+GUARDED = {
+    "rt_invariant": lambda p, g: rt_invariant(p, g, term_cap=math.inf).value,
+    "bracket": lambda p, g: bracket(p, g, term_cap=math.inf).value,
+    "tau_double": lambda p, g: tau_double(p, range(p.rank), g, term_cap=math.inf).value,
+}
+
+
+def overflow_free_size(entry, p):
+    """The size that ``entry`` hands the contraction for ``p``, read on a one-vertex call."""
+    limits = []
+
+    def spy(g, weights, edge_matrix, tree_factor, limit, *rest):
+        limits.append(limit)
+        return contract(g, weights, edge_matrix, tree_factor, limit, *rest)
+
+    contract = plumbing_module._contract_forest
+    with mock.patch.object(plumbing_module, "_contract_forest", spy), \
+            mock.patch.object(double_rt, "_contract_forest", spy):
+        GUARDED[entry](p, plumbing([1]))
+    return limits[0]  # a forest past the size is contracted again, under the guard
+
+
+@pytest.mark.parametrize("entry", sorted(GUARDED))
+def test_forests_up_to_the_overflow_free_size_raise_no_float_error(entry):
+    # the size is a proof, not a tuning: a hub of limit - 1 leaves, a chain and
+    # isolated vertices, all of one framing, stay in float range with no guard
+    for name, p in _categories(entry):
+        limit = overflow_free_size(entry, p)
+        assert limit >= 40, (name, limit)  # so that the forests are not trivial
+        for n in (limit, limit // 2):
+            for m in (-3, 0, 3, 10**18):
+                for g in (star(n - 1, m), chain([m] * n), plumbing([m] * n)):
+                    with np.errstate(over="raise", invalid="raise"):
+                        value = GUARDED[entry](p, g)
+                    assert cmath.isfinite(value), (name, n, m)
+
+
+def test_overflow_free_sizes_of_rt_invariant():
+    limits = {name: overflow_free_size("rt_invariant", p) for name, p in _categories("rt_invariant")}
+    assert {name: limits[name] for name in ("su2:4", "su2:8", "ising", "fibonacci", "prod(fibonacci,ising)")} == {
+        "su2:4": 159, "su2:8": 101, "ising": 281, "fibonacci": 267, "prod(fibonacci,ising)": 137}
+    assert limits["yang-lee"] == limits["fibonacci"]
+
+
+def test_a_complex_twist_or_a_zero_dimension_is_always_guarded():
+    fib = families.fibonacci()
+    complex_twists = replace(fib, theta=tuple(Twist.from_complex(t.value) for t in fib.theta))
+    su2_4 = families.su2(4)
+    zero = replace(su2_4, dims=np.where(np.arange(5) == 2, 0.0, su2_4.dims))
+    assert overflow_free_size("rt_invariant", complex_twists) == 0
+    assert overflow_free_size("bracket", zero) == 0

@@ -1,5 +1,8 @@
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import re
 import time
@@ -11,8 +14,10 @@ import premodular.plumbing as plumbing_module
 from premodular import families
 from premodular.condense import condense
 from premodular.double_rt import tau_double
+from premodular.fusion import DEFAULT_TOL
 from premodular.modular import _twist_powers
 from premodular.plumbing import (
+    InvariantValue,
     PlumbingError,
     PlumbingGraph,
     TermCapExceeded,
@@ -161,7 +166,7 @@ class TestWeightRows:
             assert len(p._weight_rows) == 3
 
     def test_kept_rows_are_read_only(self, su2_4):
-        row = plumbing_module._vertex_weights(su2_4, chain([-2, 1]))[0]
+        row = plumbing_module._vertex_weights(su2_4, plumbing_module._vertex_keys(chain([-2, 1])))[0]
         with pytest.raises(ValueError):
             row[0] = 0
 
@@ -406,10 +411,30 @@ class TestBracketDescent:
         assert r.skipped and not r.passed and "unresolved" in r.reason
 
 
-class TestInvariantValue:
-    def test_comparisons_use_max_tolerance(self):
-        from premodular.plumbing import InvariantValue
+@dataclasses.dataclass(frozen=True)
+class PlainInvariantValue:
+    """Oracle: `InvariantValue`'s fields with the frozen dataclass's generated ``__init__``."""
 
+    value: complex
+    tolerance: float = DEFAULT_TOL
+
+
+class TestInvariantValue:
+    @pytest.mark.parametrize("fields", [(1 + 2j,), (0.25 - 0.5j, 1e-8), (complex(0.0, -0.0), 1e-300)])
+    def test_behaves_as_the_plain_dataclass(self, fields):
+        v, plain = InvariantValue(*fields), PlainInvariantValue(*fields)
+        assert repr(v) == repr(plain).replace("PlainInvariantValue", "InvariantValue")
+        assert dataclasses.astuple(v) == dataclasses.astuple(plain) and vars(v) == vars(plain)
+        assert hash(v) == hash(plain) and v == InvariantValue(*fields[:1], *fields[1:])
+        assert v != InvariantValue(fields[0] + 1, *fields[1:])
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v)), dataclasses.replace(v)):
+            assert type(twin) is InvariantValue and repr(twin) == repr(v) and hash(twin) == hash(v)
+        assert dataclasses.replace(v, tolerance=0.5) == InvariantValue(fields[0], 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.value = 0j
+        assert InvariantValue(value=1j, tolerance=2.0) == InvariantValue(1j, 2.0)
+
+    def test_comparisons_use_max_tolerance(self):
         a = InvariantValue(1.0 + 0j, tolerance=1e-9)
         b = InvariantValue(1.0 + 5e-7j, tolerance=1e-6)
         assert a.isclose(b) and b.isclose(a)
@@ -418,7 +443,5 @@ class TestInvariantValue:
         assert a.isclose(1.0 + 1e-10j)
 
     def test_string_form(self):
-        from premodular.plumbing import InvariantValue
-
         s = str(InvariantValue(0.25 - 0.5j, tolerance=1e-8))
         assert s == "0.25 -0.5 ± 1e-08"

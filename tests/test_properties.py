@@ -6,7 +6,6 @@ import math
 import random
 import re
 import struct
-from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -424,7 +423,9 @@ def verify_premodular_per_entry(p, tol=DEFAULT_TOL):
     entry("sprime:unit_row", sp[p.unit] - d, 1)
     entry("sprime:conjugate_row", sp[dual, :] - sp.conj(), 2)
     record("sprime:row_multiplicative", row_resid, lambda: row_ix, 3)
-    entry("sprime:balancing", sp - np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th), 2)
+    with np.errstate(invalid="ignore"):  # the oracle's own division by a NaN twist
+        balanced = np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th)
+    entry("sprime:balancing", sp - balanced, 2)
     g = p.gauss_sums()
     if p.sprime_invertible(tol=tol):
         entry("gauss:product", np.array([g.delta_plus * g.delta_minus - g.dim]), 0)
@@ -501,11 +502,9 @@ def _mutated(p, kind, data):
 
 
 def _assert_reports_match_oracles(q):
-    # a NaN twist makes the Gauss sums' complex division warn, as it always has
-    with np.errstate(invalid="ignore") if np.isnan(q.theta_values).any() else nullcontext():
-        assert _report_bits(verify_premodular(q)) == verify_premodular_per_entry(q)
-        assert _report_bits(validate_fusion(q.fusion))[:6] == fusion_structure_per_entry(q.fusion)
-        r, oracle = is_modular(q), modularity_per_root(q)
+    assert _report_bits(verify_premodular(q)) == verify_premodular_per_entry(q)
+    assert _report_bits(validate_fusion(q.fusion))[:6] == fusion_structure_per_entry(q.fusion)
+    r, oracle = is_modular(q), modularity_per_root(q)
     assert (r.modular, r.residual.hex(), r.singular_ratio) == (oracle[0], oracle[1].hex(), oracle[2])
 
 
@@ -515,13 +514,28 @@ def test_reports_are_bitwise_their_per_entry_oracles(name, kind, data):
     _assert_reports_match_oracles(_mutated(row_multiplicativity_inputs()[name], kind, data))
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_nan_twist_fails_without_a_witness():
+    # and without a warning: complex division by NaN raises the invalid flag
     p = suite_rings()["ising"]
-    q = replace(p, theta=(p.theta[0], Twist(turns=None, approx=complex(math.nan, 0.0)), p.theta[2]))
+    for imag in (0.0, 1.0):
+        q = replace(p, theta=(p.theta[0], Twist(turns=None, approx=complex(math.nan, imag)), p.theta[2]))
+        _assert_reports_match_oracles(q)
+        nan = [c for c in verify_premodular(q) if math.isnan(c.residual)]
+        assert {c.name for c in nan} == {"twist:unit_modulus", "twist:dual", "sprime:balancing",
+                                         "gauss:product", "gauss:modulus"}
+        assert all(not c.passed and c.witness is None for c in nan)
+        r = is_modular(q)
+        assert math.isnan(r.residual) and not r.modular
+
+
+def test_a_vanishing_gauss_sum_is_not_modular():
+    # a half turn on one twist of Z4 makes delta_plus exactly 0, which has no phase
+    p = families.builtin("conj(pointed:4:1)")
+    q = replace(p, theta=(*p.theta[:3], p.theta[3] * Twist.from_turns(1, 2)))
+    assert q.gauss_sums().delta_plus == 0
     _assert_reports_match_oracles(q)
-    nan = [c for c in verify_premodular(q) if math.isnan(c.residual)]
-    assert {c.name for c in nan} >= {"twist:unit_modulus", "sprime:balancing"}
-    assert all(not c.passed and c.witness is None for c in nan)
+    assert not is_modular(q).modular
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -566,20 +580,20 @@ def modularity_per_root(p, tol=1e-9):
         return False, float("inf"), ratio, vh[-1].conj(), None
     g = p.gauss_sums()
     s = p.sprime / g.total
-    phase = g.delta_plus / abs(g.delta_plus)
+    phase = g.delta_plus / abs(g.delta_plus) if g.delta_plus else 1.0
     eye = np.eye(n)
     residuals = []
     for j in range(3):
         zeta = phase ** (1.0 / 3.0) * cmath.exp(2j * cmath.pi * j / 3)
         t = zeta * np.diag(p.theta_values)
         st_ = s @ t
-        residuals.append(max(
-            float(np.abs(s @ s - c).max()),
-            float(np.abs(st_ @ st_ @ st_ - c).max()),
-            float(np.abs(t @ c - c @ t).max()),
-            float(np.abs(s @ s.conj().T - eye).max()),
-            float(np.abs(t @ t.conj().T - eye).max()),
-        ))
+        residuals.append(float(np.max([  # a NaN anywhere is the residual
+            np.abs(s @ s - c).max(),
+            np.abs(st_ @ st_ @ st_ - c).max(),
+            np.abs(t @ c - c @ t).max(),
+            np.abs(s @ s.conj().T - eye).max(),
+            np.abs(t @ t.conj().T - eye).max(),
+        ])))
     return residuals[0] <= tol * max(1.0, g.total), residuals[0], ratio, None, residuals
 
 
@@ -1098,9 +1112,12 @@ def test_contraction_is_bitwise_the_depth_first_oracle(g, case):
         return [_bits(bracket(p, g, term_cap=math.inf).value),
                 _bits(double_rt.tau_double(p, delta, g, term_cap=math.inf).value)]
 
+    def oracle(g, weights, edge_matrix, tree_factor, *_):  # the overflow-free size, memo and keys unread
+        return contract_forest_dfs(g, weights, edge_matrix, tree_factor)
+
     got = values()
-    with mock.patch.object(premodular.plumbing, "_contract_forest", contract_forest_dfs), \
-            mock.patch.object(double_rt, "_contract_forest", contract_forest_dfs):
+    with mock.patch.object(premodular.plumbing, "_contract_forest", oracle), \
+            mock.patch.object(double_rt, "_contract_forest", oracle):
         assert got == values()
 
 
@@ -1357,6 +1374,48 @@ def test_edge_blow_up_keeps_the_invariant(g, case, data):
 
     tau = invariant(g)
     assert abs(invariant(_blow_up(g, edge, e)) - tau) <= 1e-12 * max(1, abs(tau))
+
+
+def lens_space(framings):
+    """The oriented lens space a chain presents, as ``(p, sign, q)``.
+
+    The chain framed ``a_1, ..., a_k`` is surgery on an unknot with coefficient
+    ``[a_1, ..., a_k] = a_1 - 1/(a_2 - ... - 1/a_k) = ±p/q``; two chains present
+    the same oriented L(p, q) when p and the sign agree and q' = q^(±1) mod p
+    (Reidemeister; Brody, Ann. Math. 71, 1960), so ``q`` is the least of q and
+    q^(-1) mod p.  Every ``|a_i| >= 2`` keeps each tail of the fraction above 1.
+    """
+    x = Fraction(framings[-1])
+    for a in reversed(framings[:-1]):
+        x = a - 1 / x
+    p, q = abs(x.numerator), x.denominator
+    return p, x > 0, min(q % p, pow(q, -1, p))
+
+
+@cache
+def _lens_classes(max_vertices=5, framings=(-4, -3, -2, 2, 3, 4)):
+    classes = {}
+    for n in range(1, max_vertices + 1):
+        for c in itertools.product(framings, repeat=n):
+            classes.setdefault(lens_space(c), []).append(c)
+    return [chains for chains in classes.values() if len(chains) > 1]
+
+
+def _chain_of(framings):
+    return plumbing([(f"c{i}", m) for i, m in enumerate(framings)],
+                    [(f"c{i}", f"c{i + 1}") for i in range(len(framings) - 1)])
+
+
+@pytest.mark.parametrize("name", ["su2:3", "su2:5", "fibonacci", "ising", "prod(fibonacci,ising)"])
+def test_chains_presenting_one_lens_space_give_one_invariant(name):
+    # every chain of 1-5 vertices framed in {±2, ±3, ±4}: no two chains of a
+    # class are one Kirby move apart, so this tests the invariant beyond the moves
+    p = suite_rings()[name]
+    classes = _lens_classes()
+    assert (len(classes), sum(map(len, classes))) == (2202, 7426)
+    for chains in classes:
+        tau = [rt_invariant(p, _chain_of(c)).value for c in chains]
+        assert max(abs(t - tau[0]) for t in tau) <= 1e-12 * max(1, abs(tau[0])), (chains, tau)
 
 
 def _reversed(g):

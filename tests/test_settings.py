@@ -39,6 +39,24 @@ def test_a_failing_property_fails_cleanly(tmp_path):
     assert "PASSED test_property.py::test_plain" in run.stdout
 
 
+def test_a_misspelled_marker_or_ini_key_fails_the_session(tmp_path):
+    # strict_markers and strict_config make both errors, not warnings
+    settings = (ROOT / "pyproject.toml").read_text()
+    cases = {
+        "neither": (settings, "", 0),
+        "marker": (settings, "@pytest.mark.filterwarning('error')\n", 1),
+        "ini key": (settings.replace("\ntestpaths =", "\ntestpath ="), "", 1),
+    }
+    for name, (config, mark, failed) in cases.items():
+        (tmp_path / "pyproject.toml").write_text(config)
+        (tmp_path / "test_x.py").write_text(f"import pytest\n\n\n{mark}def test_x():\n    pass\n")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "test_x.py"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert (run.returncode != 0) == failed, (name, run.stdout + run.stderr)
+
+
 def test_the_package_version_is_the_project_version():
     # by a regex, not tomllib, which Python 3.10 lacks
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
