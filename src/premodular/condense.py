@@ -20,6 +20,7 @@ in an extension times its conjugate, built on its own labels: the support of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -166,13 +167,15 @@ def degenerate_group(p: PremodularData, *, tol: float = DEFAULT_TOL):
     """Group structure on the transparent labels; rejects non-even or non-pointed centers."""
     center = muger_center(p, tol=tol)
     _require_transparent_unit(p, center)
-    faults = _center_faults(p, center.degenerate, tol)
     if not center.is_even:
         raise ModularizationError(
-            f"transparent subcategory is not even ({faults[0]}); modularization is undefined"
+            f"transparent subcategory is not even ({_center_faults(p, center.degenerate, tol)[0]}); "
+            "modularization is undefined"
         )
     if not center.is_pointed:
-        raise ModularizationError(f"transparent subcategory is not pointed ({faults[0]})")
+        raise ModularizationError(
+            f"transparent subcategory is not pointed ({_center_faults(p, center.degenerate, tol)[0]})"
+        )
     return center.degenerate, center.group_table
 
 
@@ -185,10 +188,12 @@ def orbit_decomposition(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Orbit
     ``b``, since each ``g`` in the group is transparent.
     """
     group, table = degenerate_group(p, tol=tol)
-    # row x of tensor[g] is the product g x: a permutation row has one nonzero entry, 1
-    rows = p.fusion.tensor[list(group)]
-    permutes = ((rows != 0).sum(-1) == 1) & (rows.sum(-1) == 1)
-    if not permutes.all():
+    # row x of tensor[g] is the product g x: a permutation row has one nonzero entry, 1.
+    # Rows that each sum to 1 have a nonzero entry each, and as many nonzero entries
+    # as rows leave one to each row
+    rows = p.fusion.tensor.take(group, 0)
+    if np.count_nonzero(rows) != len(group) * p.rank or not (rows.sum(-1) == 1).all():
+        permutes = ((rows != 0).sum(-1) == 1) & (rows.sum(-1) == 1)
         g = group[int(permutes.all(1).argmin())]
         raise InconsistentDataError(
             f"invertible label {p.names[g]} does not permute the label set"
@@ -209,19 +214,21 @@ def orbit_decomposition(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Orbit
         seen.update(members)
         orbits.append(Orbit(representative=members[0], members=tuple(members), stabilizer=stab))
 
-    # every member against its representative, in orbit order; the first failure is reported
-    members = [m for orb in orbits for m in orb.members]
-    reps = [orb.representative for orb in orbits for _ in orb.members]
-    twist_off = np.abs(p.theta_values[members] - p.theta_values[reps]) > tol
-    dev = np.abs(p.sprime[members] - p.sprime[reps]).max(1)
-    bad = twist_off | (dev > tol * max(1.0, p.total_dim))
-    if bad.any():
-        i = int(bad.argmax())
-        if twist_off[i]:
-            raise InconsistentDataError(f"twist not constant on the orbit of {p.names[reps[i]]}")
-        raise InconsistentDataError(
-            f"S' rows differ across the orbit of {p.names[reps[i]]} (deviation {dev[i]:.3g})"
-        )
+    # every other member against its representative, in orbit order; the first failure is reported
+    pairs = [(m, orb.representative) for orb in orbits for m in orb.members[1:]]
+    if pairs:
+        members, reps = zip(*pairs)
+        th, sp = p.theta_values, p.sprime
+        twist_off = np.abs(th.take(members) - th.take(reps)) > tol
+        dev = np.abs(sp.take(members, 0) - sp.take(reps, 0)).max(1)
+        bad = twist_off | (dev > tol * max(1.0, p.total_dim))
+        if bad.any():
+            i = int(bad.argmax())
+            if twist_off[i]:
+                raise InconsistentDataError(f"twist not constant on the orbit of {p.names[reps[i]]}")
+            raise InconsistentDataError(
+                f"S' rows differ across the orbit of {p.names[reps[i]]} (deviation {dev[i]:.3g})"
+            )
     return OrbitDecomposition(group_labels=group, group_table=table, orbits=tuple(orbits))
 
 
@@ -231,29 +238,32 @@ def orbit_decomposition(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Orbit
 def _finalize_candidate(
     sprime_new: np.ndarray,
     d_new: np.ndarray,
+    dim: float,
     theta_new: tuple,
+    th_new: np.ndarray,
     names_new: tuple[str, ...],
     unit_new: int,
     accept_tol: float,
 ) -> tuple[PremodularData | None, float, str]:
     """Reconstruct fusion data via Verlinde and run the full verification gate.
 
-    Returns the verified data, its worst residual and ``""``, or
-    ``(None, residual, gate)`` naming the gate that rejected the candidate:
-    Verlinde integrality, positivity, the dual pairing, fusion assembly, the
-    premodular checks or modularity.
+    ``dim`` is the sum of the squared dimensions ``d_new`` and ``th_new`` the
+    values of the twists ``theta_new``.  Returns the verified data, its worst
+    residual and ``""``, or ``(None, residual, gate)`` naming the gate that
+    rejected the candidate: Verlinde integrality, positivity, the dual
+    pairing, fusion assembly, the premodular checks or modularity.
     """
-    dim = float(np.sum(d_new**2))
-    s = sprime_new / np.sqrt(dim)
+    s = sprime_new / math.sqrt(dim)
     nver = verlinde_multiplicities(s, unit_new)
-    int_err = float(np.abs(nver - np.round(nver.real)).max())
+    rounded = np.round(nver.real)
+    int_err = float(np.abs(nver - rounded).max())
     if int_err > 1e-6:
         return None, int_err, "Verlinde integrality"
-    n_int = np.round(nver.real).astype(int)
+    n_int = rounded.astype(int)
     if n_int.min() < 0:
         return None, float(n_int.min()), "positivity"
     pairing = n_int[:, :, unit_new]
-    if not (np.all(pairing.sum(axis=0) == 1) and np.all(pairing.sum(axis=1) == 1)):
+    if not ((pairing.sum(axis=0) == 1).all() and (pairing.sum(axis=1) == 1).all()):
         return None, 1.0, "dual pairing"
     dual_new = tuple(pairing.argmax(1).tolist())
     try:
@@ -261,6 +271,12 @@ def _finalize_candidate(
         cand = PremodularData(fusion=fus, dims=d_new, theta=theta_new, sprime=sprime_new)
     except ValueError as exc:
         return None, 1.0, f"fusion assembly ({exc})"
+    # the cached slots take what was computed here, the values the data would compute
+    for obj, name, value in ((fus, "_float_tensor", n_int.astype(float)), (cand, "_s", s),
+                             (cand, "theta_values", th_new)):
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    object.__setattr__(cand, "total_dim", dim)
     report = verify_premodular(cand, tol=accept_tol)
     resid = max((c.residual for c in report.checks), default=0.0)
     if not report.passed:
@@ -317,11 +333,11 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
     labels = tuple(labels)
     names_new = tuple(lab.name for lab in labels)
     src = [lab.source for lab in labels]
-    d_new = p.dims[src] / stab
+    d_new = p.dims.take(src) / stab
     theta_new = tuple(p.theta[i] for i in src)
     unit_new = src.index(p.unit)
 
-    dim_new = float(np.sum(d_new**2))
+    dim_new = float((d_new * d_new).sum())
     if abs(dim_new * g_order - p.total_dim) > 1e-8 * max(1.0, p.total_dim):
         raise InconsistentDataError(
             f"condensed dimension {dim_new:.12g} times group order {g_order} "
@@ -343,16 +359,18 @@ def condense(p: PremodularData, *, tol: float = DEFAULT_TOL) -> CondensedData:
             "resolved only for a single fixed orbit with stabilizer order 2",
         )
 
-    sprime_new = p.sprime[np.ix_(src, src)] / np.maximum.outer(stab, stab)
+    sheets = np.array(stab)
+    sprime_new = p.sprime.take(src, 0).take(src, 1) / np.maximum(sheets[:, None], sheets)
     # mirror the upper triangle: a balanced S' is symmetric only up to rounding
-    sprime_new = np.where(np.tri(len(src), k=-1, dtype=bool), sprime_new.T, sprime_new)
+    pos = np.arange(len(src))
+    sprime_new = np.where(pos[:, None] > pos, sprime_new.T, sprime_new)
     if fixed:
         f = fixed[0].representative
-        sheets = [i for i, lab in enumerate(labels) if lab.source == f]
-        sprime_new[np.ix_(sheets, sheets)] = _fixed_point_block(p, f, dim_new)
+        i = src.index(f)  # the orbit's sheets are consecutive labels
+        sprime_new[i:i + 2, i:i + 2] = _fixed_point_block(p, f, dim_new)
 
     cand, resid, gate = _finalize_candidate(
-        sprime_new, d_new, theta_new, names_new, unit_new, max(tol, 1e-8)
+        sprime_new, d_new, dim_new, theta_new, p.theta_values.take(src), names_new, unit_new, max(tol, 1e-8)
     )
     if cand is None:
         return unresolved(resid, f"candidate rejected by the {gate} gate")

@@ -65,7 +65,8 @@ def _require_version(doc: dict, kind: str):
 
 def doc_sha256(doc: dict) -> str:
     """Hash of the canonical serialization (sorted keys, compact separators)."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
+    # the library's documents hold no cycles: skipping the check leaves the bytes as they are
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str, check_circular=False)
     return sha256(blob.encode()).hexdigest()
 
 
@@ -85,7 +86,7 @@ def category_to_doc(p: PremodularData, *, provenance: dict | None = None) -> dic
         "N": [[names[a], names[b], names[c], m] for (a, b, c), m in p.fusion.nonzero()],
         "theta": theta,
         "dims": dict(zip(names, p.dims.tolist())),
-        "sprime": np.stack((p.sprime.real, p.sprime.imag), -1).tolist(),
+        "sprime": p.sprime.view(float).reshape(len(names), len(names), 2).tolist(),  # S' is C-ordered
     }
     if provenance is not None:
         doc["provenance"] = provenance
@@ -122,9 +123,9 @@ def _numbers(values, field: str, shape: tuple, integral: bool = False) -> np.nda
     flat = values
     for _ in shape[1:]:
         flat = chain.from_iterable(flat)
-    if bool in set(map(type, flat)):
+    if bool in map(type, flat):
         raise CategoryFormatError(f"{field} must be numbers, not booleans")
-    if a.dtype.kind == "f" and not np.isfinite(a).all():
+    if a.dtype.kind == "f" and np.count_nonzero(np.isfinite(a)) < a.size:
         raise CategoryFormatError(f"{field} must be finite")
     if integral and a.dtype.kind == "f" and not ((a == np.trunc(a)) & (abs(a) < 2**53)).all():
         raise CategoryFormatError(f"{field} must be integers")
@@ -147,15 +148,15 @@ def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
             and all(isinstance(entry, dict) for entry in theta_doc.values())):
         raise CategoryFormatError("theta, its twists and dims must be JSON objects")
     entries = [theta_doc.get(name, {"rational": [0, 1]}) for name in labels]
-    turns = None
-    if all("rational" in entry for entry in entries):  # every twist read at once
-        try:
-            turns = _numbers([entry["rational"] for entry in entries], "theta", (n, 2), True).tolist()
-        except CategoryFormatError:
-            pass
-    if turns is not None and all(q for _, q in turns):
+    try:  # every twist at once when each is [p, q] in JSON integers within int64, q nonzero
+        turns = [entry["rational"] for entry in entries]
+        exact = all(type(x) is int and type(y) is int and y != 0 and -(2**63) <= min(x, y) and max(x, y) < 2**63
+                    for x, y in turns)
+    except (KeyError, TypeError, ValueError):  # a complex twist, or a pair that is no pair
+        exact = False
+    if exact:
         twists = [Twist.from_turns(x, y) for x, y in turns]
-    else:  # label by label, so that an error names the first label at fault
+    else:  # label by label, by `_numbers`' rule, so that an error names the first label at fault
         twists = [_twist(entry, f"theta of {name!r}", tol) for name, entry in zip(labels, entries)]
     dims = _numbers([dims_doc.get(name) for name in labels], "dims", (n,)) if dims_doc else None
     sprime = doc.get("sprime") or None

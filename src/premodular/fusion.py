@@ -178,7 +178,7 @@ class FusionData:
             raise FusionError(f"multiplicity tensor has shape {t.shape}, expected {(n, n, n)}")
         if t.dtype.kind == "u" and t.max() >= 2**63:
             _as_int(t.max().item(), "multiplicity")  # raises: astype(int) would wrap it
-        elif not np.issubdtype(t.dtype, np.integer):
+        elif t.dtype.kind not in "iu":  # np.issubdtype(t.dtype, np.integer)
             # `_as_int`'s rule: integral and within int64 (NaN and inf fail both)
             bad = ~((t == np.round(t)) & (t >= -(2.0**63)) & (t < 2.0**63))
             if bad.any():
@@ -231,15 +231,18 @@ class FusionData:
         mult = np.array(mults)
         if mult.dtype.kind != "i" or mult.ndim != 1:
             mult = np.array([_as_int(m, "multiplicity") for m in mults], dtype=np.int64)
-        if (mult < 0).any():
+        if mult.size and mult.min() < 0:
             raise FusionError(f"negative multiplicity at {_cell_names(names, cells[mult.argmin()])}")
-        ordered = np.sort(cells)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeated.size:
+        # as many distinct cells as entries, or the first repeated cell is named
+        hit = np.zeros(n**3, dtype=bool)
+        hit[cells] = True
+        if np.count_nonzero(hit) < len(cells):
+            ordered = np.sort(cells)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
             raise FusionError(f"repeated entry for {_cell_names(names, repeated[0])}")
-        tensor = np.zeros((n, n, n), dtype=int)
-        tensor.flat[cells] = mult
-        return cls(names=names, unit=resolve(unit), dual=tuple(dual_idx), tensor=tensor)
+        tensor = np.zeros(n**3, dtype=int)
+        tensor[cells] = mult
+        return cls(names=names, unit=resolve(unit), dual=tuple(dual_idx), tensor=tensor.reshape(n, n, n))
 
     # -- basic queries ------------------------------------------------------
 
@@ -491,7 +494,7 @@ def global_dim(f: FusionData, dims: np.ndarray) -> float:
     dims = np.asarray(dims, dtype=float)
     if dims.shape != (f.rank,):
         raise FusionError("dimension vector does not match the label set")
-    return float(np.sum(dims**2))
+    return float((dims * dims).sum())
 
 
 # -- constructions -----------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -214,7 +215,7 @@ class PremodularData:
 
     @cached_property
     def theta_values(self) -> np.ndarray:
-        v = np.array([t.value for t in self.theta], dtype=complex)
+        v = np.array([t.approx for t in self.theta], dtype=complex)
         v.setflags(write=False)
         return v
 
@@ -256,15 +257,16 @@ class PremodularData:
 
     @cached_property
     def _gauss_sums(self) -> GaussSums:
-        d2 = self.dims**2
+        d2 = self.dims * self.dims
         th = self.theta_values
         dim = self.total_dim
-        return GaussSums(
-            delta_plus=complex(np.sum(_over_twists(d2, th, th))),
-            delta_minus=complex(np.sum(d2 * th)),
-            total=float(np.sqrt(dim)),
-            dim=dim,
-        )
+        with _twist_arithmetic(th):
+            return GaussSums(
+                delta_plus=complex((d2 / th).sum()),
+                delta_minus=complex((d2 * th).sum()),
+                total=math.sqrt(dim),
+                dim=dim,
+            )
 
     def gauss_sums(self) -> GaussSums:
         return self._gauss_sums
@@ -306,7 +308,8 @@ class PremodularData:
         """The worst row-multiplicativity deviation of S' and the first ``(a, b, c)`` where it occurs."""
         dev = np.abs(_row_multiplicativity_dev(self.fusion._float_tensor, self.dims, self.sprime))
         i = int(dev.argmax())  # the first NaN, when there is one, as max() returns NaN
-        return float(dev.flat[i]), np.unravel_index(i, dev.shape)
+        a, bc = divmod(i, self.rank**2)
+        return float(dev.flat[i]), (a, *divmod(bc, self.rank))
 
     # -- derived data ---------------------------------------------------------
 
@@ -369,22 +372,27 @@ def _twist_powers(p: PremodularData, framings: Sequence[int]) -> np.ndarray:
 # -- S' construction ----------------------------------------------------------
 
 
-def _over_twists(num: np.ndarray, den: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """``num / den`` for a ``den`` formed from the twist vector ``th``.
+_NO_CONTEXT = nullcontext()  # stateless, so one instance serves every caller
 
-    A NaN twist, which the data constructor takes as ``Twist(turns=None,
-    approx=nan)``, raises the invalid flag in complex division: its quotients
-    are NaN, and fail the checks that read them, without a warning.
+
+def _twist_arithmetic(th: np.ndarray):
+    """The float-error context for arithmetic on the twist vector ``th``.
+
+    A twist that is not finite, which the data constructor takes as
+    ``Twist(turns=None, approx=nan)`` or ``approx=inf``, raises the invalid
+    flag in complex products, quotients and differences: under this context
+    its results are NaN, and fail the checks that read them, without a
+    warning.  Finite twists take no context.
     """
-    if not np.count_nonzero(np.isnan(th)):
-        return num / den
-    with np.errstate(invalid="ignore"):
-        return num / den
+    if np.count_nonzero(np.isfinite(th)) == th.size:
+        return _NO_CONTEXT
+    return np.errstate(invalid="ignore")
 
 
 def _balanced_sprime(t: np.ndarray, dual: list[int], th: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The balancing identity on a float multiplicity tensor ``t``."""
-    return _over_twists(np.einsum("abc,c->ab", t.take(dual, 0), th * d), th[:, None] * th, th)
+    with _twist_arithmetic(th):
+        return np.einsum("abc,c->ab", t.take(dual, 0), th * d) / (th[:, None] * th)
 
 
 def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> np.ndarray:
@@ -393,7 +401,8 @@ def _row_multiplicativity_dev(t: np.ndarray, d: np.ndarray, sp: np.ndarray) -> n
     fused = (t.reshape(n * n, n) @ sp.T).reshape(n, n, n).transpose(2, 0, 1)
     # in place: two fewer complex n^3 temporaries, the same operations per entry
     dev = sp[:, :, None] * sp[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero dimension fails the check
+    # a zero dimension fails the check, without a warning
+    with _NO_CONTEXT if np.count_nonzero(d) == d.size else np.errstate(divide="ignore", invalid="ignore"):
         dev /= d[:, None, None]
     dev -= fused
     return dev
@@ -430,7 +439,7 @@ def premodular_from_twists(
     if abs(theta[f.unit].value - 1.0) > tol:
         raise PremodularityError("unit twist must be 1")
     d = perron_frobenius_dims(f) if dims is None else np.asarray(dims, dtype=float)
-    th = _readonly(np.array([t.value for t in theta], dtype=complex))
+    th = _readonly(np.array([t.approx for t in theta], dtype=complex))
     balanced = _readonly(_balanced_sprime(f._float_tensor, list(f.dual), th, d))
     scale = max(1.0, float(np.abs(balanced).max()))
     sp = balanced
@@ -468,25 +477,26 @@ def verify_premodular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> Validat
     d, th, sp = p.dims, p.theta_values, p.sprime
     u, dual = p.unit, list(p.fusion.dual)
     lim = tol * max(1.0, float(np.abs(sp).max()))
-    g = p.gauss_sums()
-    modular = p.sprime_invertible(tol=tol)
+    g = p._gauss_sums
+    modular = p._svd[0] > tol  # p.sprime_invertible(tol=tol)
 
     # (name, deviation, its label axes); row multiplicativity enters evaluated:
     # its residual, as a scalar, and its worst entry row_ix
-    entries = [
-        ("dims:unit", d[u] - 1.0, 0),
-        ("dims:dual", d[dual] - d, 1),
-        ("dims:positive", np.minimum(d - 1.0, 0.0), 1),
-        ("dims:multiplicative", d[:, None] * d - np.einsum("abc,c->ab", p.fusion._float_tensor, d), 2),
-        ("twist:unit_modulus", np.abs(th) - 1.0, 1),
-        ("twist:unit", th[u] - 1.0, 0),
-        ("twist:dual", th[dual] - th, 1),
-        ("sprime:symmetric", sp - sp.T, 2),
-        ("sprime:unit_row", sp[u] - d, 1),
-        ("sprime:conjugate_row", sp[dual] - sp.conj(), 2),
-        ("sprime:row_multiplicative", row_resid, 0),
-        ("sprime:balancing", sp - p._balanced, 2),
-    ]
+    with _twist_arithmetic(th):
+        entries = [
+            ("dims:unit", d[u] - 1.0, 0),
+            ("dims:dual", d.take(dual) - d, 1),
+            ("dims:positive", np.minimum(d - 1.0, 0.0), 1),
+            ("dims:multiplicative", d[:, None] * d - np.einsum("abc,c->ab", p.fusion._float_tensor, d), 2),
+            ("twist:unit_modulus", np.abs(th) - 1.0, 1),
+            ("twist:unit", th[u] - 1.0, 0),
+            ("twist:dual", th.take(dual) - th, 1),
+            ("sprime:symmetric", sp - sp.T, 2),
+            ("sprime:unit_row", sp[u] - d, 1),
+            ("sprime:conjugate_row", sp.take(dual, 0) - sp.conj(), 2),
+            ("sprime:row_multiplicative", row_resid, 0),
+            ("sprime:balancing", sp - p._balanced, 2),
+        ]
     if modular:
         entries.append(("gauss:product", g.delta_plus * g.delta_minus - g.dim, 0))
         entries.append(("gauss:modulus", abs(g.delta_plus) - g.total, 0))
@@ -544,25 +554,28 @@ def is_modular(p: PremodularData, *, tol: float = DEFAULT_TOL) -> ModularityRepo
             singular_ratio=ratio, kernel=kernel,
         )
 
-    g = p.gauss_sums()
+    g = p._gauss_sums
     s = p._s
     # modular data has |delta_plus| = D; a vanishing Gauss sum has no phase, and any
     # normalisation of T then fails (S T)^3 = C
     phase = g.delta_plus / abs(g.delta_plus) if g.delta_plus else 1.0
-    tau = phase ** (1.0 / 3.0) * p.theta_values
-    t = np.diag(tau)
-    st = s @ t
-    # T is diagonal: T C - C T and T T^dagger - 1 entrywise on tau, as the
-    # matrix products' other terms are exact zeros
-    residuals = (
-        float(np.abs(s @ s - c).max()),
-        float(np.abs(st @ st @ st - c).max()),
-        float(np.abs(tau - tau[list(p.fusion.dual)]).max()),
-        float(np.abs(s @ s.conj().T - np.eye(n)).max()),
-        float(np.abs(tau * tau.conj() - 1.0).max()),
-    )
-    # max() passes over a NaN that is not first; their sum does not (a NaN twist)
-    resid = math.nan if math.isnan(sum(residuals)) else max(residuals)
+    th = p.theta_values
+    with _twist_arithmetic(th):
+        tau = phase ** (1.0 / 3.0) * th
+        t = np.diag(tau)
+        st = s @ t
+        # S^2 - C, (S T)^3 - C and S S^dagger - 1 in place (matmul's results are
+        # C-contiguous, so ravel is a view); T is diagonal: T C - C T and
+        # T T^dagger - 1 entrywise on tau, as the matrix products' other terms are exact zeros
+        s2 = s @ s
+        s2 -= c
+        st3 = st @ st @ st
+        st3 -= c
+        unitary = s @ s.conj().T
+        unitary.ravel()[:: n + 1] -= 1.0
+        deviations = (s2, st3, tau - tau.take(p.fusion.dual), unitary, tau * tau.conj() - 1.0)
+        # the largest of all, or NaN when there is one (a NaN twist)
+        resid = float(np.abs(np.concatenate(deviations, axis=None)).max())
     return ModularityReport(
         modular=resid <= tol * max(1.0, g.total),
         s=s, t=t, c=c, residual=resid, singular_ratio=ratio,
@@ -591,28 +604,34 @@ class CenterReport:
         return len(self.degenerate) == 1
 
 
-def _degenerate_labels(p: PremodularData, tol: float, cols=slice(None), rows=slice(None)) -> tuple[int, ...]:
+def _degenerate_labels(p: PremodularData, tol: float, cols=None, rows=None) -> tuple[int, ...]:
     """Labels ``a`` in ``rows`` with ``S'(a, b) = d_a d_b`` for every ``b`` in ``cols`` (all by
     default), cut at ``tol * max(1, sum of d_a^2 over the rows)``."""
-    d = p.dims[rows]
-    dev = np.abs(p.sprime[rows][:, cols] - np.outer(d, p.dims[cols])).max(axis=1)
-    cut = tol * max(1.0, float(np.sum(d**2)))
-    return tuple(int(a) for a in np.arange(len(p.dims))[rows][dev <= cut])
+    sp, d, dc = p.sprime, p.dims, p.dims
+    if rows is not None:
+        sp, d = sp.take(rows, 0), d.take(rows)
+    if cols is not None:
+        sp, dc = sp.take(cols, 1), dc.take(cols)
+    dev = np.abs(sp - d[:, None] * dc).max(axis=1)
+    cut = tol * max(1.0, float((d * d).sum()))
+    hit = (dev <= cut).nonzero()[0].tolist()
+    return tuple(hit) if rows is None else tuple(int(rows[i]) for i in hit)
 
 
 def _center_report(p: PremodularData, deg: tuple[int, ...], tol: float) -> CenterReport:
     """Evenness and pointedness of the transparent labels ``deg``, and their group table when pointed."""
-    th = p.theta_values
+    th, d = p.theta_values, p.dims
     is_even = all(abs(th[a] - 1.0) <= tol for a in deg)
-    is_pointed = all(abs(p.dims[a] - 1.0) <= tol for a in deg)
+    is_pointed = all(abs(d[a] - 1.0) <= tol for a in deg)
     table = None
     if is_pointed:
-        # a ⊗ b must be a single label of multiplicity 1 that is itself degenerate
-        idx = list(deg)
-        prods = p.fusion.tensor[idx][:, idx]
-        inside = prods[..., idx]
-        group_like = ((prods != 0).sum(-1) == 1) & (inside.sum(-1) == 1)
-        if not group_like.all():
+        # a ⊗ b must be a single label of multiplicity 1 that is itself degenerate: each
+        # row of `inside` sums to 1, and `prods` has no other nonzero entry than one per row
+        ix = np.array(deg, dtype=np.intp)
+        prods = p.fusion.tensor.take(ix, 0).take(ix, 1)
+        inside = prods.take(ix, 2)
+        if np.count_nonzero(prods) != len(deg) ** 2 or not (inside.sum(-1) == 1).all():
+            group_like = ((prods != 0).sum(-1) == 1) & (inside.sum(-1) == 1)
             a, b = (deg[i] for i in np.argwhere(~group_like)[0])
             raise InconsistentDataError(
                 "pointed degenerate labels do not fuse like a group at "

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import itertools
 import os
@@ -121,29 +122,54 @@ class TestOrbitDecomposition:
         assert shapes == [((0, 4), 1), ((1, 3), 1), ((2,), 2)]
 
 
-def muger_center_per_entry(p, tol=1e-9):
-    """Oracle: the center's group table read one product at a time."""
-    deg = _degenerate_labels(p, tol)
-    is_even = all(abs(p.theta_values[a] - 1.0) <= tol for a in deg)
-    is_pointed = all(abs(p.dims[a] - 1.0) <= tol for a in deg)
+def _center_per_entry(p, tol):
+    """The transparent labels read one S' entry at a time, evenness and
+    pointedness one label at a time, and the group table one product at a time."""
+    n, names = p.rank, p.names
+    dims, sprime = p.dims.tolist(), p.sprime.tolist()
+    cut = tol * max(1.0, float(np.sum(p.dims**2)))
+    deg = tuple(a for a in range(n) if max(abs(sprime[a][b] - dims[a] * dims[b]) for b in range(n)) <= cut)
+    is_even = all(abs(p.theta[a].approx - 1.0) <= tol for a in deg)
+    is_pointed = all(abs(dims[a] - 1.0) <= tol for a in deg)
     table = None
     if is_pointed:
         pos = {a: i for i, a in enumerate(deg)}
         table = np.zeros((len(deg), len(deg)), dtype=int)
         for a in deg:
             for b in deg:
-                prods = p.fusion.product_labels(a, b)
-                if (
-                    len(prods) != 1
-                    or prods[0] not in pos
-                    or p.fusion.multiplicity(a, b, prods[0]) != 1
-                ):
+                row = p.fusion.tensor[a, b].tolist()
+                prods = [c for c, m in enumerate(row) if m != 0]
+                if len(prods) != 1 or prods[0] not in pos or row[prods[0]] != 1:
                     raise InconsistentDataError(
-                        "pointed degenerate labels do not fuse like a group at "
-                        f"({p.names[a]}, {p.names[b]})"
+                        f"pointed degenerate labels do not fuse like a group at ({names[a]}, {names[b]})"
                     )
                 table[pos[a], pos[b]] = pos[prods[0]]
+    return deg, is_even, is_pointed, table
+
+
+def muger_center_per_entry(p, tol=1e-9):
+    """Oracle for `muger_center`."""
+    deg, is_even, is_pointed, table = _center_per_entry(p, tol)
     return deg, is_even, is_pointed, _table(table)
+
+
+def degenerate_group_per_entry(p, tol=1e-9):
+    """Oracle for `degenerate_group`: the center, then each precondition's error in turn."""
+    deg, _, _, table = _center_per_entry(p, tol)
+    if p.unit not in deg:
+        raise InconsistentDataError(
+            f"the unit {p.names[p.unit]!r} is not transparent (its dimension is "
+            f"{p.dims[p.unit]:.6g}): S' and the dimensions are inconsistent"
+        )
+    odd = [p.names[a] for a in deg if not abs(p.theta[a].approx - 1) <= tol]
+    if odd:
+        raise ModularizationError(
+            f"transparent subcategory is not even (twist != 1 at {', '.join(odd)}); modularization is undefined"
+        )
+    large = [p.names[a] for a in deg if not abs(p.dims[a] - 1) <= tol]
+    if large:
+        raise ModularizationError(f"transparent subcategory is not pointed (dimension > 1 at {', '.join(large)})")
+    return deg, table
 
 
 def _table(table):
@@ -155,20 +181,32 @@ def _center(p):
     return c.degenerate, c.is_even, c.is_pointed, _table(c.group_table)
 
 
+def _group(p):
+    group, table = degenerate_group(p)
+    return group, _table(table)
+
+
+def _group_per_entry(p):
+    group, table = degenerate_group_per_entry(p)
+    return group, _table(table)
+
+
 def _orbits(p):
-    return [(o.representative, o.members, o.stabilizer) for o in orbit_decomposition(p).orbits]
+    dec = orbit_decomposition(p)
+    return dec.group_labels, _table(dec.group_table), [(o.representative, o.members, o.stabilizer) for o in dec.orbits]
 
 
 def orbits_per_entry(p, tol=1e-9):
     """Oracle: the group action read one product at a time, and the twist and
     S' rows compared one orbit member at a time."""
-    group, _ = degenerate_group(p, tol=tol)
+    group, table = degenerate_group_per_entry(p, tol=tol)
     act = {}
     for g in group:
         row_targets = []
         for x in range(p.rank):
-            targets = p.fusion.product_labels(g, x)
-            if len(targets) != 1 or p.fusion.multiplicity(g, x, targets[0]) != 1:
+            row = p.fusion.tensor[g, x].tolist()
+            targets = [c for c, m in enumerate(row) if m != 0]
+            if len(targets) != 1 or row[targets[0]] != 1:
                 raise InconsistentDataError(
                     f"invertible label {p.names[g]} does not permute the label set"
                 )
@@ -189,14 +227,14 @@ def orbits_per_entry(p, tol=1e-9):
         orbits.append((members[0], tuple(members), stab))
     for r, members, _ in orbits:
         for m in members:
-            if abs(p.theta_values[m] - p.theta_values[r]) > tol:
+            if abs(p.theta[m].approx - p.theta[r].approx) > tol:
                 raise InconsistentDataError(f"twist not constant on the orbit of {p.names[r]}")
-            dev = float(np.abs(p.sprime[m] - p.sprime[r]).max())
-            if dev > tol * max(1.0, p.total_dim):
+            dev = max(abs(x - y) for x, y in zip(p.sprime[m].tolist(), p.sprime[r].tolist()))
+            if dev > tol * max(1.0, float(np.sum(p.dims**2))):
                 raise InconsistentDataError(
                     f"S' rows differ across the orbit of {p.names[r]} (deviation {dev:.3g})"
                 )
-    return orbits
+    return group, _table(table), orbits
 
 
 def _outcome(fn, p):
@@ -211,6 +249,7 @@ def _oracle_inputs():
     even4 = _even(4)
     yield from ((f"even(su2:{k})", _even(k)) for k in range(2, 17))
     yield from families.builtin_suite()
+    yield from ((f"conj({name})", p.conjugate()) for name, p in families.builtin_suite())
     for expr in ("pointed:6:0", "pointed:6:3", "pointed:8:4", "prod(pointed:2:0,ising)",
                  "prod(pointed:4:0,su2:2)", "prod(su2:4,pointed:3:0)"):
         yield expr, families.builtin(expr)
@@ -218,10 +257,20 @@ def _oracle_inputs():
     yield "prod(even(su2:8),su2:1)", families.product(_even(8), families.su2(1))
 
 
+def _assert_center_and_orbits_match_oracles(p, name=None):
+    assert _outcome(_center, p) == _outcome(muger_center_per_entry, p), name
+    assert _outcome(_group, p) == _outcome(_group_per_entry, p), name
+    assert _outcome(_orbits, p) == _outcome(orbits_per_entry, p), name
+
+
 def test_orbits_and_group_table_match_per_entry_oracle():
     for name, p in _oracle_inputs():
-        assert _outcome(_orbits, p) == _outcome(orbits_per_entry, p), name
-        assert _outcome(_center, p) == _outcome(muger_center_per_entry, p), name
+        _assert_center_and_orbits_match_oracles(p, name)
+        # a transparent label's S' row moved to either side of the cut
+        cut = DEFAULT_TOL * max(1.0, float(np.sum(p.dims**2)))
+        for g in muger_center_per_entry(p)[0]:
+            for by in (0.5 * cut, 2 * cut):
+                _assert_center_and_orbits_match_oracles(_mutated(p, sprime=[((g, p.rank - 1), by)]), name)
 
 
 def _mutated(p, *, cells=(), twists=(), sprime=()):
@@ -247,47 +296,43 @@ _NOT_A_GROUP = "pointed degenerate labels do not fuse like a group at (4, 4)"
     [
         (4, {"cells": [((2, 1, 0), 1)]}, "invertible label 4 does not permute the label set"),
         (4, {"cells": [((2, 1, 1), 2)]}, "invertible label 4 does not permute the label set"),
+        (4, {"cells": [((2, 1, 0), 1), ((2, 1, 2), -1)]}, "invertible label 4 does not permute the label set"),
         (8, {"twists": [(3, Twist.from_turns(1, 3))]}, "twist not constant on the orbit of 2"),
         (8, {"sprime": [((3, 1), 0.5)]}, "S' rows differ across the orbit of 2 (deviation 0.5)"),
         (4, {"cells": [((2, 2, 1), 1)]}, _NOT_A_GROUP),
         (4, {"cells": [((2, 2, 0), 0), ((2, 2, 1), 1)]}, _NOT_A_GROUP),
     ],
-    ids=["two-targets", "multiplicity-2", "twist", "sprime", "two-products", "leaves-the-group"],
+    ids=["two-targets", "multiplicity-2", "three-targets-summing-to-1", "twist", "sprime", "two-products",
+         "leaves-the-group"],
 )
 def test_inconsistent_orbit_data_keeps_its_error(k, change, text):
     p = _mutated(_even(k), **change)
     with pytest.raises(InconsistentDataError) as err:
         orbit_decomposition(p)
     assert str(err.value) == text
-    assert _outcome(_orbits, p) == _outcome(orbits_per_entry, p)
+    _assert_center_and_orbits_match_oracles(p)
 
 
-_ORBIT_BASES = {
-    "even(su2:4)": _even(4),
-    "even(su2:8)": _even(8),
-    "even(su2:12)": _even(12),
-    "pointed:4:0": families.builtin("pointed:4:0"),
-    "prod(pointed:2:0,ising)": families.builtin("prod(pointed:2:0,ising)"),
-    "prod(even(su2:4),even(su2:4))": families.product(_even(4), _even(4)),
-}
+_ORBIT_BASES = dict(_oracle_inputs())
 
 
 @given(st.sampled_from(sorted(_ORBIT_BASES)), st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_mutated_orbit_data_raises_what_the_oracle_raises(name, data):
     p = _ORBIT_BASES[name]
     label = st.integers(0, p.rank - 1)
     cell = st.tuples(label, label, label)
-    twist = st.integers(0, 5).map(lambda j: Twist.from_turns(j, 6))
-    shift = st.sampled_from([0.0, 1.0, -2.5, 1j])
+    # sixth roots of unity, and twists and shifts on either side of the tolerances
+    twist = st.integers(0, 5).map(lambda j: Twist.from_turns(j, 6)) | st.sampled_from(
+        [Twist.from_complex(cmath.exp(1j * x)) for x in (1e-12, 1e-6)])
+    shift = st.sampled_from([0.0, 1.0, -2.5, 1j, 1e-12, 5e-8, 1e-6])
     change = data.draw(st.fixed_dictionaries({}, optional={
         "cells": st.lists(st.tuples(cell, st.integers(-1, 2)), max_size=2),
         "twists": st.lists(st.tuples(label, twist), max_size=2),
         "sprime": st.lists(st.tuples(st.tuples(label, label), shift), max_size=2),
     }))
     q = _mutated(p, **change)
-    assert _outcome(_orbits, q) == _outcome(orbits_per_entry, q)
-    assert _outcome(_center, q) == _outcome(muger_center_per_entry, q)
+    _assert_center_and_orbits_match_oracles(q)
 
 
 def condensed_sprime_per_entry(c):
@@ -312,6 +357,22 @@ def test_condensed_sprime_matches_per_entry_oracle(source):
     c = condense(p)
     assert c.status == "unique"
     assert c.solutions[0].sprime.tobytes() == condensed_sprime_per_entry(c).tobytes()
+
+
+@pytest.mark.parametrize("source", [4, 8, 12, 16, 20, 24, "pointed:2:0", "pointed:8:4", "prod(pointed:2:0,ising)",
+                                    "prod(pointed:4:0,su2:2)"])  # an integer k is even(su2:k)
+def test_condensed_data_holds_what_fresh_data_computes(source):
+    # the candidate's cached slots are filled from the values its assembly holds
+    p = _even(source) if isinstance(source, int) else families.builtin(source)
+    q = condense(p).data
+    f = q.fusion
+    fresh = PremodularData(fusion=FusionData(names=q.names, unit=q.unit, dual=f.dual, tensor=f.tensor),
+                           dims=q.dims, theta=q.theta, sprime=q.sprime)
+    for held, computed in ((q.__dict__["_s"], fresh._s), (q.__dict__["theta_values"], fresh.theta_values),
+                           (f.__dict__["_float_tensor"], fresh.fusion._float_tensor)):
+        assert (held.dtype, held.shape, held.tobytes()) == (computed.dtype, computed.shape, computed.tobytes())
+        assert not held.flags.writeable
+    assert q.__dict__["total_dim"].hex() == fresh.total_dim.hex()
 
 
 class TestCondense:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,20 @@ _JSON = st.recursive(
 def test_doc_sha256_is_the_sha256_of_the_canonical_blob(doc):
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
     assert doc_sha256(doc) == hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_doc_sha256_of_a_literal_document_is_pinned():
+    # source_sha256 is part of format 1: the hash of a document may not move with the
+    # encoder.  The Fraction goes through default=str; -0.0, 1e-17 and non-ASCII text
+    # through the encoder's own rules; keys are sorted at every level.
+    doc = {
+        "format": 1, "labels": ["1", "x"], "unit": "1", "dual": {"1": "1", "x": "x"},
+        "N": [["1", "1", "1", 1], ["1", "x", "x", 1], ["x", "1", "x", 1], ["x", "x", "1", 1]],
+        "theta": {"x": {"complex": [-0.0, 1.0]}, "1": {"rational": [0, 1]}},
+        "dims": {"x": 1.0, "1": 1.0}, "sprime": [[[1.0, 0.0], [1.0, -0.0]], [[1.0, 0.0], [-1.0, 1e-17]]],
+        "provenance": {"note": Fraction(1, 3), "café": "é∞", "group_order": 2},
+    }
+    assert doc_sha256(doc) == "b00a6f4902d91675ce84688208c636a9121bb13668c5a904e6a7e2cb45dd87fb"
 
 
 def test_hashing_a_document_leaves_openssl_unloaded():

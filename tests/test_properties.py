@@ -423,8 +423,7 @@ def verify_premodular_per_entry(p, tol=DEFAULT_TOL):
     entry("sprime:unit_row", sp[p.unit] - d, 1)
     entry("sprime:conjugate_row", sp[dual, :] - sp.conj(), 2)
     record("sprime:row_multiplicative", row_resid, lambda: row_ix, 3)
-    with np.errstate(invalid="ignore"):  # the oracle's own division by a NaN twist
-        balanced = np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th)
+    balanced = np.einsum("abc,c->ab", t[dual], th * d) / np.outer(th, th)
     entry("sprime:balancing", sp - balanced, 2)
     g = p.gauss_sums()
     if p.sprime_invertible(tol=tol):
@@ -502,9 +501,12 @@ def _mutated(p, kind, data):
 
 
 def _assert_reports_match_oracles(q):
-    assert _report_bits(verify_premodular(q)) == verify_premodular_per_entry(q)
-    assert _report_bits(validate_fusion(q.fusion))[:6] == fusion_structure_per_entry(q.fusion)
-    r, oracle = is_modular(q), modularity_per_root(q)
+    # the library first, with nothing cached, under the session's warning filters
+    report, fusion_report, r = verify_premodular(q), validate_fusion(q.fusion), is_modular(q)
+    with np.errstate(invalid="ignore"):  # the oracles' own arithmetic on a twist that is not finite
+        expected, oracle = verify_premodular_per_entry(q), modularity_per_root(q)
+    assert _report_bits(report) == expected
+    assert _report_bits(fusion_report)[:6] == fusion_structure_per_entry(q.fusion)
     assert (r.modular, r.residual.hex(), r.singular_ratio) == (oracle[0], oracle[1].hex(), oracle[2])
 
 
@@ -527,6 +529,23 @@ def test_a_nan_twist_fails_without_a_witness():
         assert all(not c.passed and c.witness is None for c in nan)
         r = is_modular(q)
         assert math.isnan(r.residual) and not r.modular
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(0.0, math.inf),
+                               complex(math.inf, math.inf), complex(math.inf, math.nan)])
+def test_an_infinite_twist_fails_without_a_warning(z):
+    # inf * 0 and inf - inf raise the invalid flag in the twists' products and differences
+    p = suite_rings()["ising"]
+    assert p.names[2] == "sigma"
+    q = replace(p, theta=(*p.theta[:2], Twist(turns=None, approx=z)))
+    _assert_reports_match_oracles(q)
+    failed = {c.name: c for c in verify_premodular(q) if not c.passed}
+    assert set(failed) == {"twist:unit_modulus", "twist:dual", "sprime:balancing", "gauss:product", "gauss:modulus"}
+    assert (failed["twist:unit_modulus"].residual, failed["twist:unit_modulus"].witness) == (math.inf, ("sigma",))
+    assert all(c.witness is None for c in failed.values() if math.isnan(c.residual))
+    r = is_modular(q)
+    assert math.isnan(r.residual) and not r.modular
 
 
 def test_a_vanishing_gauss_sum_is_not_modular():
