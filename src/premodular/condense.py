@@ -37,6 +37,7 @@ from .fusion import (
 from .modular import (
     MinimalityReport,
     PremodularData,
+    _center_faults,
     _require_transparent_unit,
     check_minimal_extension,
     is_modular,
@@ -151,16 +152,6 @@ class CondensedData:
             for m in orb.members:
                 out[names[m]] = target[0] if len(target) == 1 else list(target)
         return out
-
-
-def _center_faults(p: PremodularData, labels: tuple[int, ...], tol: float) -> list[str]:
-    """``twist != 1 at ...`` for transparent ``labels`` not even, then ``dimension > 1 at ...``."""
-    faults = []
-    for what, values in (("twist != 1", p.theta_values), ("dimension > 1", p.dims)):
-        bad = [p.names[a] for a in labels if not abs(values[a] - 1) <= tol]
-        if bad:
-            faults.append(f"{what} at {', '.join(bad)}")
-    return faults
 
 
 def degenerate_group(p: PremodularData, *, tol: float = DEFAULT_TOL):
@@ -472,8 +463,8 @@ def double_data(
     (Muger, Adv. Math. 150 (2000)).  ``dim R = dim(hat)^2 / |G|``, ``dim(double) = dim(sub)^2``.
     """
     pb = pairing_bracket(hat, delta, tol=tol)
-    faults = _center_faults(hat, pb.report.degenerate_labels, tol)
-    if faults:
+    if not (pb.report.center_even and pb.report.center_pointed):
+        faults = _center_faults(hat, pb.report.degenerate_labels, tol)
         raise MinimalityError("transparent part of the subcategory must be even and pointed "
                               f"for the double ({'; '.join(faults)})")
 

@@ -26,7 +26,7 @@ except ImportError:
         from hashlib import sha256
 
 from .condense import CondensedData
-from .fusion import FusionData
+from .fusion import DEFAULT_TOL, FusionData
 from .modular import PremodularData, Twist, premodular_from_twists
 from .plumbing import PlumbingGraph
 
@@ -140,7 +140,7 @@ def _twist(entry: dict, field: str, tol: float) -> Twist:
     return Twist.from_turns(x, y) if rational else Twist.from_complex(complex(x, y), tol=tol)
 
 
-def category_from_doc(doc: dict, *, tol: float = 1e-9) -> PremodularData:
+def category_from_doc(doc: dict, *, tol: float = DEFAULT_TOL) -> PremodularData:
     fusion = fusion_from_doc(doc)
     labels, n = fusion.names, fusion.rank
     theta_doc, dims_doc = doc.get("theta", {}), doc.get("dims") or {}
@@ -209,7 +209,7 @@ def _load(path) -> dict:
         raise CategoryFormatError(f"invalid JSON in {path}: {exc}") from None
 
 
-def load_category(path, *, tol: float = 1e-9) -> PremodularData:
+def load_category(path, *, tol: float = DEFAULT_TOL) -> PremodularData:
     return category_from_doc(_load(path), tol=tol)
 
 

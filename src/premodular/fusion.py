@@ -267,14 +267,6 @@ class FusionData:
         cells = np.nonzero(self.tensor)
         return zip(zip(*(i.tolist() for i in cells)), self.tensor[cells].tolist())
 
-    def fusion_matrix(self, a) -> np.ndarray:
-        """The matrix ``(N_a)[b, c] = N[a, b, c]``."""
-        return self.tensor[self.index(a)].copy()
-
-    def product_labels(self, a, b) -> tuple[int, ...]:
-        """Indices appearing in ``a ⊗ b`` with nonzero multiplicity."""
-        return tuple(int(c) for c in np.nonzero(self.tensor[self.index(a), self.index(b)])[0])
-
     def same_ring(self, other: "FusionData") -> bool:
         """Equality of the underlying data, ignoring display names."""
         return (

@@ -599,10 +599,6 @@ class CenterReport:
     is_pointed: bool
     group_table: np.ndarray | None  # indices into `degenerate`, when pointed
 
-    @property
-    def trivial(self) -> bool:
-        return len(self.degenerate) == 1
-
 
 def _degenerate_labels(p: PremodularData, tol: float, cols=None, rows=None) -> tuple[int, ...]:
     """Labels ``a`` in ``rows`` with ``S'(a, b) = d_a d_b`` for every ``b`` in ``cols`` (all by
@@ -618,11 +614,22 @@ def _degenerate_labels(p: PremodularData, tol: float, cols=None, rows=None) -> t
     return tuple(hit) if rows is None else tuple(int(rows[i]) for i in hit)
 
 
+def _off_one(p: PremodularData, labels: Sequence[int], tol: float) -> tuple[list[int], list[int]]:
+    """The ``labels`` whose twist is not 1 within ``tol``, and those whose dimension is not; NaN is not 1."""
+    th, d = p.theta_values, p.dims
+    return [a for a in labels if not abs(th[a] - 1.0) <= tol], [a for a in labels if not abs(d[a] - 1.0) <= tol]
+
+
+def _center_faults(p: PremodularData, labels: Sequence[int], tol: float) -> list[str]:
+    """``twist != 1 at ...``, then ``dimension > 1 at ...``, for each of `_off_one`'s lists that is not empty."""
+    return [f"{what} at {', '.join(p.names[a] for a in bad)}"
+            for what, bad in zip(("twist != 1", "dimension > 1"), _off_one(p, labels, tol)) if bad]
+
+
 def _center_report(p: PremodularData, deg: tuple[int, ...], tol: float) -> CenterReport:
     """Evenness and pointedness of the transparent labels ``deg``, and their group table when pointed."""
-    th, d = p.theta_values, p.dims
-    is_even = all(abs(th[a] - 1.0) <= tol for a in deg)
-    is_pointed = all(abs(d[a] - 1.0) <= tol for a in deg)
+    odd, large = _off_one(p, deg, tol)
+    is_even, is_pointed = not odd, not large
     table = None
     if is_pointed:
         # a ⊗ b must be a single label of multiplicity 1 that is itself degenerate: each
@@ -666,10 +673,14 @@ def centralizer(
     asserted; failure means the numerical data is inconsistent.
     """
     cols = list(full_subcategory(p.fusion, sub).members)
+    return _centralizer(p, cols, float(np.sum(p.dims[cols] ** 2)), tol)
+
+
+def _centralizer(p: PremodularData, cols: list[int], dim_sub: float, tol: float) -> tuple[int, ...]:
+    """`centralizer` of the subcategory on the labels ``cols``, whose squared dimensions sum to ``dim_sub``."""
     result = _degenerate_labels(p, tol, cols)
     if p.sprime_invertible(tol=tol):
         dim_res = float(np.sum(p.dims[list(result)] ** 2))
-        dim_sub = float(np.sum(p.dims[cols] ** 2))
         expected = p.total_dim / dim_sub
         if abs(dim_res - expected) > 1e3 * tol * max(1.0, p.total_dim):
             raise InconsistentDataError(
@@ -718,9 +729,9 @@ def check_minimal_extension(
     sub_center = _center_report(hat, _degenerate_labels(hat, tol, members, members), tol)
     _require_transparent_unit(hat, sub_center)
     deg = sub_center.degenerate
-    cent = centralizer(hat, delta, tol=tol)
-    dim_total = hat.total_dim
     dim_sub = float(np.sum(hat.dims[members] ** 2))
+    cent = _centralizer(hat, members, dim_sub, tol)
+    dim_total = hat.total_dim
     dim_center = float(np.sum(hat.dims[list(deg)] ** 2))
     minimal = set(cent) == set(deg)
     dim_ok = abs(dim_total - dim_sub * dim_center) <= 1e3 * tol * max(1.0, dim_total)

@@ -313,6 +313,17 @@ def test_inconsistent_orbit_data_keeps_its_error(k, change, text):
     _assert_center_and_orbits_match_oracles(p)
 
 
+def test_action_that_is_not_a_group_action_fails_the_orbit_size_gate():
+    # on pointed:3:0 every label is transparent; label 1 made to fix every label
+    # still permutes them, but 0's orbit {0, 2} and stabilizer {0, 1} miss |G| = 3
+    cells = [(cell, m) for x in range(3) for cell, m in (((1, x, (x + 1) % 3), 0), ((1, x, x), 1))]
+    p = _mutated(families.pointed_cyclic(3, 0), cells=cells)
+    with pytest.raises(InconsistentDataError) as err:
+        orbit_decomposition(p)
+    assert str(err.value) == "orbit of 0 has size 2 with stabilizer 2 in a group of order 3"
+    _assert_center_and_orbits_match_oracles(p)
+
+
 _ORBIT_BASES = dict(_oracle_inputs())
 
 
@@ -465,9 +476,54 @@ class TestCondense:
         with pytest.raises(ResolutionError, match="modularity gate"):
             c.data
 
+    @pytest.mark.parametrize("a, b, gate", [
+        (1, cmath.exp(1j * cmath.pi / 3), "Verlinde integrality"),
+        (-2, 2, "positivity"),
+        (-2, 0, "dual pairing"),
+        (1, -1, "premodular checks (sprime:balancing)"),
+    ])
+    def test_each_candidate_gate_is_named(self, even_su2_4, monkeypatch, a, b, gate):
+        # the sheet block (a S'_ff ones + b x eps eps^T) / 4 in place of the resolved one (a = b = 1)
+        resolved = premodular.condense._fixed_point_block
+
+        def block(p, f, dim_new):
+            s_ff = p.sprime[f, f]
+            x = 4 * resolved(p, f, dim_new)[0, 0] - s_ff
+            return np.array([[a * s_ff + b * x, a * s_ff - b * x], [a * s_ff - b * x, a * s_ff + b * x]]) / 4
+
+        monkeypatch.setattr(premodular.condense, "_fixed_point_block", block)
+        c = condense(even_su2_4)
+        assert (c.status, c.reason) == ("unresolved", f"candidate rejected by the {gate} gate")
+
+    def test_sheet_names_that_repeat_a_label_fail_the_assembly_gate(self, even_su2_4):
+        # the unit named "2#1" keeps that name on its free orbit, and the fixed label 2's sheets are 2#1 and 2#2
+        p = dataclasses.replace(even_su2_4, fusion=dataclasses.replace(even_su2_4.fusion, names=("2#1", "2", "4")))
+        c = condense(p)
+        assert c.reason == "candidate rejected by the fusion assembly (duplicate label names) gate"
+
+    def test_condensed_dimension_gate(self):
+        # even(su2:8) with d(6) raised by 1/2, and the S' rows of the group {0, 8} raised to match:
+        # every orbit check passes, but the condensed labels read d(2) for the orbit {2, 6}
+        p = _even(8)
+        d, sp = p.dims.copy(), p.sprime.copy()
+        d[3] += 0.5
+        sp[[0, 4], 3] += 0.5
+        with pytest.raises(InconsistentDataError,
+                           match=r"^condensed dimension 13.0901699437 times group order 2 deviates from 29.0483738762$"):
+            condense(dataclasses.replace(p, dims=d, sprime=sp))
+
     def test_orbit_map(self, even_su2_4):
         c = condense(even_su2_4)
         assert c.orbit_map() == {"0": "0", "4": "0", "2": ["2#1", "2#2"]}
+
+
+def _heavier_simple_current(su2_4, by):
+    """su2:4 with d(4) raised by ``by`` and S'(4, b) = d(4) d(b) on the even labels, which
+    keeps 4 transparent to them."""
+    d, sp = su2_4.dims.copy(), su2_4.sprime.copy()
+    d[4] += by
+    sp[4, [0, 2, 4]] = sp[[0, 2, 4], 4] = d[4] * d[[0, 2, 4]]
+    return dataclasses.replace(su2_4, dims=d, sprime=sp)
 
 
 class TestDoubleData:
@@ -532,6 +588,52 @@ class TestDoubleData:
             double_data(bad, [0, 2, 4])
         with pytest.raises(InconsistentDataError, match=gate):
             tau_double(bad, [0, 2, 4], plumbing([]))
+
+    @pytest.mark.parametrize("by, calls, error, message", [
+        (2e-6, (pairing_bracket,), MinimalityError,
+         "extension is not minimal: dimension 12.000004 differs from "
+         "dim(sub) * dim(transparent part) = 6.000004 * 2.000004"),
+        (1e-5, (pairing_bracket, centralizer), InconsistentDataError,
+         "centralizer dimension 2.0000200001 deviates from dim/dim(sub) = 1.99999666666"),
+    ], ids=["dimension-identity", "centralizer-dimension-law"])
+    def test_heavier_simple_current_fails_a_dimension_gate(self, su2_4, by, calls, error, message):
+        # the centralizer is still the transparent part, but its dimension is off by about
+        # 2 by, which the dimension identity measures times dim(sub) = 6
+        hat = _heavier_simple_current(su2_4, by)
+        for call in calls:
+            with pytest.raises(error) as err:
+                call(hat, [0, 2, 4])
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("by, pointed", [(2e-9, False), (3e-10, True)])
+    def test_pointedness_is_cut_at_tol(self, su2_4, by, pointed):
+        # the transparent part {0, 4} stays even and is pointed while |d(4) - 1| <= tol;
+        # R's group label (4,4) has d(4)^2, also within tol at 3e-10
+        hat = _heavier_simple_current(su2_4, by)
+        assert check_minimal_extension(hat, [0, 2, 4]).center_pointed is pointed
+        if pointed:
+            assert double_data(hat, [0, 2, 4]).status == "unique"
+            assert degenerate_group(hat.restrict([0, 2, 4]))[0] == (0, 2)
+            return
+        with pytest.raises(MinimalityError) as err:
+            double_data(hat, [0, 2, 4])
+        assert str(err.value) == ("transparent part of the subcategory must be even and pointed "
+                                  "for the double (dimension > 1 at 4)")
+        with pytest.raises(ModularizationError) as err:
+            degenerate_group(hat.restrict([0, 2, 4]))
+        assert str(err.value) == "transparent subcategory is not pointed (dimension > 1 at 4)"
+
+    @pytest.mark.parametrize("cells, message", [
+        ([((1, 3, 0), 1)], "pairing table is not symmetric (deviation 0.0833)"),
+        ([((1, 1, 2), -1)], "pairing table has a negative entry"),
+    ], ids=["symmetry", "negativity"])
+    def test_pairing_table_gates_are_named(self, su2_4, cells, message):
+        # 1 x 3 given a unit channel, or 1 x 1 a negative channel 2: table[1, 3] or table[1, 1]
+        hat = _mutated(su2_4, cells=cells)
+        for call in (pairing_bracket, double_data):
+            with pytest.raises(InconsistentDataError) as err:
+                call(hat, [0, 2, 4])
+            assert str(err.value) == message
 
     def test_centralizer_dimension_gate(self, su2_4, monkeypatch):
         # a transparent part of one label expects dim R = dim(hat)^2 = 144; R has 144 / 2

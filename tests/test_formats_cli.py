@@ -313,6 +313,18 @@ def workdir(tmp_path):
     return tmp_path
 
 
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["verify", "--builtin", "fibonacci"], 0, "stdout", "modular: true"),
+    (["verify", "--builtin", "fibonacci", "--no-such-flag"], 2, "stderr", "unrecognized arguments: --no-such-flag"),
+], ids=["verify", "unknown-flag"])
+def test_module_run_as_a_script_exits_with_the_command_code(argv, code, stream, text):
+    src = str(Path(premodular.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-m", "premodular.cli", *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == code
+    assert text in getattr(run, stream)
+
+
 class TestCLI:
     def test_verify_builtin_su2_level_4(self, capsys):
         assert main(["verify", "--builtin", "su2:4"]) == 0
@@ -410,6 +422,13 @@ class TestCLI:
         path.write_text(json.dumps({"format": 1, "vertices": [{"id": "u", "framing": framing}]}))
         assert main(["rt", "--builtin", "su2:2", "-g", str(path)]) == 2
         assert "framing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kind", [(["verify"], "category"), (["rt", "--builtin", "su2:2", "-g"], "plumbing")])
+    def test_document_that_is_not_a_json_object_exits_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main([*command, str(path)]) == 2
+        assert f"error: {kind} document must be a JSON object" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self):
         assert main(["verify", "/no/such/file.json"]) == 2
@@ -673,6 +692,19 @@ class TestCLI:
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert not (workdir / "o.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify"], "error: a category file or --builtin expression is required"),
+        (["compare", "--builtin", "su2:4", "--mode", "double", "-g", "hopf.json"],
+         "error: --delta is required for --mode double"),
+        (["verify", "--builtin", "ising", "--tolerance", "small"], "argument --tolerance: invalid float value: 'small'"),
+    ], ids=["no-category", "double-without-delta", "tolerance-not-a-float"])
+    def test_missing_or_malformed_input_exits_2(self, workdir, capsys, argv, message):
+        args = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_category_file_and_builtin_together_exit_2(self, workdir, capsys):
         # the file was ignored, even one that does not exist

@@ -193,7 +193,7 @@ class TestPerronFrobenius:
     def test_su2_matches_eigenvalue_oracle(self, su2_4):
         d = perron_frobenius_dims(su2_4.fusion)
         for a in range(su2_4.rank):
-            top = max(np.linalg.eigvals(su2_4.fusion.fusion_matrix(a)).real)
+            top = max(np.linalg.eigvals(su2_4.fusion.tensor[a]).real)
             assert abs(d[a] - top) < 1e-9
         assert np.abs(d - su2_4.dims).max() < 1e-9
 
@@ -357,3 +357,26 @@ def test_unsigned_multiplicities_beyond_int64_are_rejected_not_wrapped(dtype, va
     else:
         with pytest.raises(FusionError, match=f"multiplicity {value} does not fit in int64"):
             FusionData(names=("0",), unit=0, dual=(0,), tensor=t)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"names": (), "dual": (), "tensor": np.zeros((0, 0, 0), dtype=int)}, "label set is empty"),
+        ({"unit": 2}, "unit index 2 out of range"),
+        ({"dual": (0,)}, "dual map is not an index map on the label set"),
+        ({"dual": (0, 2)}, "dual map is not an index map on the label set"),
+        ({"tensor": np.zeros((2, 2), dtype=int)}, r"multiplicity tensor has shape \(2, 2\), expected \(2, 2, 2\)"),
+    ],
+    ids=["empty", "unit", "short-dual", "dual-out-of-range", "tensor-shape"],
+)
+def test_malformed_ring_is_named(fields, message):
+    z2 = z2_ring()
+    ring = {"names": z2.names, "unit": z2.unit, "dual": z2.dual, "tensor": z2.tensor, **fields}
+    with pytest.raises(FusionError, match=f"^{message}$"):
+        FusionData(**ring)
+
+
+def test_global_dim_needs_one_dimension_per_label():
+    with pytest.raises(FusionError, match="^dimension vector does not match the label set$"):
+        global_dim(z2_ring(), [1.0, 1.0, 1.0])

@@ -252,6 +252,21 @@ class TestGaussSums:
         assert report["gauss:product"].witness == "skipped: S' singular"
 
 
+class TestDataShapes:
+    @pytest.mark.parametrize("field", ["dims", "theta", "sprime"])
+    def test_field_of_another_size_is_rejected(self, field):
+        p = families.su2(2)
+        fields = {"fusion": p.fusion, "dims": p.dims, "theta": p.theta, "sprime": p.sprime}
+        fields[field] = getattr(families.su2(1), field)
+        with pytest.raises(PremodularityError, match="^field shapes do not match the label set$"):
+            PremodularData(**fields)
+
+    def test_unit_twist_must_be_1(self):
+        p = families.ising()
+        with pytest.raises(PremodularityError, match="^unit twist must be 1$"):
+            premodular_from_twists(p.fusion, [-1.0, *p.theta[1:]])
+
+
 class TestMugerCenter:
     def test_su2_4_center_trivial(self, su2_4):
         assert muger_center(su2_4).degenerate == (0,)
@@ -368,6 +383,14 @@ class TestBuiltins:
     def test_inadmissible_quadratic_exponent(self):
         with pytest.raises(ValueError, match="inadmissible"):
             families.pointed_cyclic(3, 1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: families.pointed_cyclic(0, 0), "order must be >= 1, got 0"),
+        (lambda: families.builtin("pointed:3"), "pointed requires order and exponent, e.g. pointed:3:2"),
+    ], ids=["order-0", "no-exponent"])
+    def test_pointed_parameters_are_named(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 """The README's Python examples run and print what their comments say, its command lines
-parse, and it has a note for the package's version."""
+parse, it has a note for the package's version, and nothing in its list of removals
+resolves."""
 
 import contextlib
+import importlib
+import inspect
 import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -51,3 +55,62 @@ def test_readme_command_line_parses(line):
 def test_readme_has_a_note_for_the_version():
     # test_settings.py pins the package version to pyproject.toml's
     assert f"\nVersion {premodular.__version__} " in README
+
+
+# the first cell of each row of the "## Removed" table: flags, ``f(params)``, ``f()`` for a
+# name that is no longer a function, ``"state"`` for a result state, and dotted names
+REMOVED = [entry for row in re.search(r"\n## Removed\n(.*?)\n## ", README, re.S)[1].splitlines()
+           if row.startswith("| `") for entry in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
+MODULES = {m.name: importlib.import_module(f"premodular.{m.name}") for m in pkgutil.iter_modules(premodular.__path__)}
+# the flags each subcommand reads, from the table under "Command line"
+FLAGS = {sub: set(re.findall(r"--[a-z-]+", row.split(" | ")[1]))
+         for row in README.split("\n## Removed\n")[0].splitlines() if row.startswith("| `")
+         for sub in re.findall(r"`([a-z-]+)`", row.split(" | ")[0])}
+
+
+def _resolve(name: str):
+    """The package, one of its modules, or what ``name`` names in either."""
+    head, *rest = name.split(".")
+    if head == "premodular":
+        obj = premodular
+    elif head in MODULES:
+        obj = MODULES[head]
+    else:
+        obj = next(getattr(m, head) for m in (premodular, *MODULES.values()) if hasattr(m, head))
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_lists_removals_of_each_kind():
+    assert len(REMOVED) >= 35
+    assert {"--level", "bracket(tol)", "premodular.condense()", '"multiple"', "CenterReport.trivial"} <= set(REMOVED)
+    assert set(FLAGS) == {line.split()[1] for line in COMMAND_LINES}
+
+
+@pytest.mark.parametrize("entry", REMOVED)
+def test_readme_removed_entry_does_not_resolve(entry):
+    call = re.fullmatch(r"([\w.]+)\((.*)\)", entry)
+    if entry.startswith("--"):
+        # every subcommand that does not read the flag rejects it, on its README command line
+        lines = {line.split()[1]: line for line in COMMAND_LINES}
+        rejecting = [sub for sub in FLAGS if entry not in FLAGS[sub]]
+        assert rejecting
+        for sub in rejecting:
+            with pytest.raises(SystemExit) as exc:
+                premodular.cli.build_parser().parse_args(shlex.split(lines[sub])[1:] + [entry, "1"])
+            assert exc.value.code == 2, sub
+    elif call and call[2]:
+        params = inspect.signature(_resolve(call[1])).parameters
+        assert not {p.strip() for p in call[2].split(",")} & set(params)
+    elif call:
+        assert not callable(_resolve(call[1]))
+    elif entry.startswith('"'):
+        assert not any(entry in inspect.getsource(m) for m in MODULES.values())
+    elif "." in entry:
+        owner, member = entry.rsplit(".", 1)
+        owner = _resolve(owner)
+        # a dataclass field without a default is no class attribute
+        assert not hasattr(owner, member) and member not in getattr(owner, "__dataclass_fields__", {})
+    else:
+        assert not any(hasattr(m, entry) for m in (premodular, *MODULES.values()))

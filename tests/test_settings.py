@@ -1,13 +1,17 @@
 """The repository's settings: pytest's, as a test session under them meets
-them, and the package version."""
+them, the package version, and the package's default tolerances."""
 
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import shutil
 import subprocess
 import sys
 
 import premodular
+from premodular.fusion import DEFAULT_TOL
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -62,3 +66,20 @@ def test_the_package_version_is_the_project_version():
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
     version = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
     assert premodular.__version__ == version.group(1)
+
+
+def test_default_tolerances_are_the_one_constant():
+    # the same object, not an equal literal; the two invariant comparisons default to 1e-8
+    defaults = {}
+    for info in pkgutil.iter_modules(premodular.__path__):
+        module = importlib.import_module(f"premodular.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for f in (getattr(f, "__func__", f) for f in (obj, *members)):
+                if inspect.isfunction(f) and f.__module__ == module.__name__:
+                    tol = inspect.signature(f).parameters.get("tol")
+                    if tol is not None and tol.default is not tol.empty:
+                        defaults[f"{info.name}.{f.__qualname__}"] = tol.default
+    assert len(defaults) == 20
+    looser = {name: tol for name, tol in defaults.items() if tol is not DEFAULT_TOL}
+    assert looser == {"double_rt.factorization_check": 1e-8, "plumbing.bracket_descent_check": 1e-8}
