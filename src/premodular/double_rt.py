@@ -9,9 +9,10 @@ where the pairing ``[lambda, mu] = (1/dim_hat) * sum_{nu in sub} N[lambda, dual 
 vanishes unless every fusion channel of ``lambda ⊗ dual(mu)`` lies in the
 subcategory.  The double sum is evaluated as one contraction over label
 pairs, pruned to the support of ``condense.pairing_bracket``, the check
-that ``double_data`` starts from too.  Its edges carry ``s ⊗ conj(s)``, for
-the unitary ``s = S'/D`` a ``1/dim_hat`` each, and each tree one more: the
-pairings' ``dim_hat^(-k)`` on a tree of ``k`` vertices.
+that ``double_data`` starts from too.  Its edges carry ``n ⊗ conj(n)``, for
+``n(a, b) = s(a, b) / (d_a d_b)`` and the unitary ``s = S'/D`` a ``1/dim_hat``
+each, and each tree one more: the pairings' ``dim_hat^(-k)`` on a tree of
+``k`` vertices.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .plumbing import (
     PlumbingGraph,
     _check_term_cap,
     _contract_forest,
-    _vertex_keys,
     _vertex_weights,
     rt_invariant,
 )
@@ -57,24 +57,24 @@ def tau_double(
     Evaluated as a forest contraction over label pairs ``(lambda, mu)``
     restricted to the pairing's support, with per-vertex weight
     ``F(lambda) * conj(F(mu))`` (``F`` the vertex's row of the bracket's
-    weight block ``theta^m d^(2-deg)``, so that
+    weight block ``theta^m d^2``, so that
     ``[lambda, mu] = d_lambda d_mu / dim_hat`` on the support is folded in),
-    per-edge weight ``s(lambda, lambda') * conj(s(mu, mu'))`` and ``1/dim_hat``
-    per tree; the sum is divided by ``dim_sub``.
+    per-edge weight ``n(lambda, lambda') * conj(n(mu, mu'))``, ``n = s/(d d)``,
+    and ``1/dim_hat`` per tree; the sum is divided by ``dim_sub``.
     """
     _check_term_cap(hat.rank, 2 * g.n, term_cap)
     pb = pairing_bracket(hat, delta, tol=tol)
 
     ia, ib = np.nonzero(pb.support)
+    bound = hat._contraction_bound
     edge = None
     if g.edges:  # then n >= 2, and the term cap's rank^(2n) >= |pairs|^2 bounds this matrix
-        s = hat._s
+        s = bound.rt_edge
         edge = s[ia[:, None], ia] * s[ib[:, None], ib].conj()
 
-    w = np.reshape(_vertex_weights(hat, _vertex_keys(g)), (g.n, hat.rank))
-    # a pair's weight and edge entries are products of two: W^2 and max |s|^2 bound them
-    bound = hat._contraction_bound
-    limit = _overflow_free_size(len(ia), bound.s_max**2, 2 * bound.log_w)
+    w = np.reshape(_vertex_weights(hat, [m for _, m in g.vertices]), (g.n, hat.rank))
+    # a pair's weight and edge entries are products of two: W^4 and E^2 bound them
+    limit = _overflow_free_size(len(ia), bound.e**2, 2 * bound.log_w)
     value = _contract_forest(g, w[:, ia] * w[:, ib].conj(), edge, 1 / hat.total_dim, limit) / pb.dim_sub
     return InvariantValue(value, tol)
 

@@ -151,27 +151,26 @@ def _overflow_free_size(r: int, e: float, log_w: float) -> float:
     """The most vertices a plumbing forest may have for its contraction to stay in float range.
 
     The contraction sums over ``r`` colours per vertex, with edge entries of
-    modulus at most ``e`` and vertex weights of modulus at most ``W^|2 - deg|``
-    for ``log_w = log W``, ``W >= 1`` (exact rational twists have modulus 1).
-    A message sent up an edge is then at most ``r max(e, 1)`` times its
-    vertex's weight times its children's messages, and since
-    ``sum |2 - deg| <= 4n``, every product and sum of an ``n``-vertex
-    contraction is below ``exp(n (log(r max(e, 1)) + 4 log W))``; the trees'
-    factors are applied to Python floats, outside numpy.  An infinite
-    ``log_w`` (no such ``W``) gives 0, and a contraction that cannot grow has
-    no limit.
+    modulus at most ``e`` and vertex weights of modulus at most ``W^2`` for
+    ``log_w = log W``, ``W >= 1`` (exact rational twists have modulus 1).
+    A message sent up an edge is then at most ``r max(e, 1) W^2`` times its
+    children's messages, so every product and sum of an ``n``-vertex
+    contraction is below ``exp(n (log(r max(e, 1)) + 2 log W))``; the trees'
+    factors are applied to Python floats, outside numpy.  An infinite ``e``
+    or ``log_w`` gives 0, and a contraction that cannot grow has no limit.
     """
-    rate = math.log(max(r, 1) * max(e, 1.0)) + 4 * log_w
+    rate = math.log(max(r, 1) * max(e, 1.0)) + 2 * log_w
     return math.floor(_LOG_FLOAT_RANGE / rate) if rate > 0 else math.inf
 
 
 class _ContractionBound(NamedTuple):
-    """The overflow-free forest sizes of one category's plumbing contractions."""
+    """One category's dimension-normalized plumbing edges and their overflow-free forest size."""
 
-    rt: float  # rt_invariant's: the rank, max |s| on the edges
-    bracket: float  # bracket's: the rank, max |S'| on the edges
-    log_w: float  # log W bounding the vertex weights; inf for a complex twist or a zero dimension
-    s_max: float  # max |s|, which tau_double squares for its pairs
+    bracket_edge: np.ndarray  # S'(a, b) / (d_a d_b), read-only
+    rt_edge: np.ndarray  # s(a, b) / (d_a d_b), read-only
+    e: float  # E, the largest modulus of both edges' entries; inf for a zero dimension
+    log_w: float  # log W, W = max(1, max |d|), so theta^m d^2 is at most W^2; inf for a complex twist
+    size: float  # rt_invariant's and bracket's size: the rank, E and W
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +235,14 @@ class PremodularData:
         return nums, denom, approx
 
     @cached_property
-    def _weight_rows(self) -> dict[tuple[int, int], np.ndarray]:
-        # plumbing vertex weights theta^m d^(2-deg) by (m, deg), read-only rows
+    def _weight_rows(self) -> dict[int, np.ndarray]:
+        # plumbing vertex weights theta^m d^2 by framing m, read-only rows
         return {}
 
     @cached_property
-    def _leaf_parts(self) -> dict[tuple[int, int], np.ndarray | complex]:
-        # rt_invariant's contraction: by (m, 1) a leaf's message s @ row sent to
-        # its parent, by (m, 0) an isolated vertex's sum of its row (_contract_forest)
+    def _leaf_parts(self) -> dict[tuple[int, bool], np.ndarray | complex]:
+        # rt_invariant's contraction, by (m, is-root) of a childless vertex: a
+        # leaf's message sent to its parent, an isolated vertex's sum of its row
         return {}
 
     @cached_property
@@ -273,19 +272,17 @@ class PremodularData:
 
     @cached_property
     def _contraction_bound(self) -> _ContractionBound:
-        # W, the largest of |d| and 1/|d|, bounds theta^m d^(2-deg) by W^|2-deg|
-        # while every twist is an exact rational: |z**m| of a complex twist drifts from 1
-        a = [abs(d) for d in self.dims.tolist()]
-        log_w = math.inf
-        if not self._twist_table[2] and min(a) > 0:
-            log_w = math.log(max(max(a), 1 / min(a)))
-        s_max = float(np.abs(self._s).max())
-        return _ContractionBound(
-            rt=_overflow_free_size(self.rank, s_max, log_w),
-            bracket=_overflow_free_size(self.rank, float(np.abs(self.sprime).max()), log_w),
-            log_w=log_w,
-            s_max=s_max,
-        )
+        # each vertex's d^(-deg) goes onto its edges, one 1/(d_a d_b) per edge;
+        # a zero dimension makes the edges, and E, infinite or NaN without a warning
+        d = self.dims
+        outer = d[:, None] * d
+        with _NO_CONTEXT if np.count_nonzero(d) == d.size else np.errstate(divide="ignore", invalid="ignore"):
+            edges = _readonly(self.sprime / outer), _readonly(self._s / outer)
+        e = max(float(np.abs(a).max()) for a in edges)  # NaN in both edges or in neither
+        e = math.inf if math.isnan(e) else e
+        # W bounds theta^m d^2 by W^2 while every twist is an exact rational: |z**m| of a complex twist drifts from 1
+        log_w = math.inf if self._twist_table[2] else math.log(max(1.0, *map(abs, d.tolist())))
+        return _ContractionBound(*edges, e, log_w, _overflow_free_size(self.rank, e, log_w))
 
     @cached_property
     def _s(self) -> np.ndarray:

@@ -5,13 +5,14 @@ For a coloring ``c`` the framed-link invariant is the closed contraction
 
     F(g; c) = prod_v theta_{c(v)}^{m_v} d(c(v))^{1 - deg(v)} * prod_{(u,v)} S'(c(u), c(v)),
 
-and the bracket sums ``prod_v d(c(v)) F(g; c)`` over all colorings.  The
-Reshetikhin-Turaev invariant contracts the same vertex weights with the
-unitary ``s = S'/D`` on the edges (``D`` the square root of the global
-dimension) and ``1/D`` per tree, so it never forms a huge bracket times a
-tiny power of ``D`` (see ``rt_invariant``).  The coloring sum is an exact
-factorized contraction along the forest (deterministic order); the
-coloring-space size guard ``|labels|^n`` is still enforced as the term cap.
+and the bracket sums ``prod_v d(c(v)) F(g; c)`` over all colorings.  As
+``sum_v deg(v)`` is twice the edge count, it contracts the vertex weights
+``theta^m d^2`` with ``S'(a, b) / (d_a d_b)`` on the edges, the same sum term
+by term.  The Reshetikhin-Turaev invariant takes the unitary ``s = S'/D``
+alike (``D`` the square root of the global dimension) and ``1/D`` per tree,
+so it never forms a huge bracket times a tiny power of ``D``.  The coloring
+sum is an exact factorized contraction along the forest (deterministic
+order); the term cap bounds its size ``|labels|^n``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_TERM_CAP = 10**8
-_WEIGHT_ROW_LIMIT = 1024  # vertex weight rows kept per category, by (framing, degree)
+_WEIGHT_ROW_LIMIT = 1024  # vertex weight rows kept per category, by framing
 
 
 class PlumbingError(ValueError):
@@ -337,32 +338,26 @@ def _forest_signature(g: PlumbingGraph) -> int:
 # -- colored evaluation ---------------------------------------------------------
 
 
-def _vertex_keys(g: PlumbingGraph) -> list[tuple[int, int]]:
-    """The ``(framing, degree)`` of each vertex in ``g.ids`` order: all that its
-    weight row, and a leaf's message, depend on."""
-    return list(zip([m for _, m in g.vertices], g._walk.degrees))
+def _vertex_weights(p: PremodularData, framings: list[int]) -> list[np.ndarray]:
+    """Per-color weights ``theta^m d^2``, one read-only row per framing ``m`` in ``framings``.
 
-
-def _vertex_weights(p: PremodularData, keys: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Per-color weights ``theta^m d^(2-deg)``, one read-only row per ``(m, deg)`` in ``keys``.
-
-    The coloring's own ``d`` factor is folded in with the ``1 - deg`` exponent
-    of the framed-link rule.  A row depends on its key alone, so the rows
-    are kept on ``p``, up to ``_WEIGHT_ROW_LIMIT`` of them; the missing rows of
-    a call are computed in one block.
+    The coloring's own ``d`` and the framed-link rule's ``d^(1 - deg)`` leave
+    ``d^(-deg)``, which the edges carry (``PremodularData._contraction_bound``),
+    so a row depends on its framing alone.  The rows are kept on ``p``, up to
+    ``_WEIGHT_ROW_LIMIT`` of them; the missing rows of a call are computed in
+    one block.
     """
     rows = p._weight_rows
     try:
-        return [rows[k] for k in keys]
+        return [rows[m] for m in framings]
     except KeyError:
         pass
-    missing = [k for k in dict.fromkeys(keys) if k not in rows]
-    framings, degrees = zip(*missing)
-    block = _twist_powers(p, framings) * p.dims.astype(complex) ** (2 - np.array(degrees))[:, None]
+    missing = [m for m in dict.fromkeys(framings) if m not in rows]
+    block = _twist_powers(p, missing) * p.dims**2
     block.setflags(write=False)
     fresh = dict(zip(missing, block))
     rows.update(itertools.islice(fresh.items(), max(0, _WEIGHT_ROW_LIMIT - len(rows))))
-    return [fresh[k] if k in fresh else rows[k] for k in keys]
+    return [fresh[m] if m in fresh else rows[m] for m in framings]
 
 
 def _contract_forest(
@@ -372,7 +367,7 @@ def _contract_forest(
     tree_factor: float,
     limit: float,
     memo: dict | None = None,
-    keys: Sequence[tuple[int, int]] = (),
+    framings: Sequence[int] = (),
 ) -> complex:
     """Sum over colorings of a forest, factorized along the trees.
 
@@ -391,13 +386,14 @@ def _contract_forest(
     invalid-value warnings off, as its value is checked at the end.
 
     A leaf's sent message and an isolated vertex's sum depend only on its
-    ``(framing, degree)`` key ``keys[v]``, when ``weights`` and ``edge_matrix``
-    come from one category: ``memo`` then keeps them by that key, read-only,
-    up to ``_WEIGHT_ROW_LIMIT`` of them, and is read before they are computed.
+    framing ``framings[v]`` and on whether it is a root, when ``weights`` and
+    ``edge_matrix`` come from one category: ``memo`` then keeps them by that
+    pair, read-only, up to ``_WEIGHT_ROW_LIMIT`` of them, and is read before
+    they are computed.
     """
     if g.n > limit:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _contract_forest(g, weights, edge_matrix, tree_factor, math.inf, memo, keys)
+            return _contract_forest(g, weights, edge_matrix, tree_factor, math.inf, memo, framings)
     walk = g._walk
     children_of, degrees = walk.children, walk.degrees
     total = 1.0 + 0.0j
@@ -407,7 +403,7 @@ def _contract_forest(
         root = len(children) == degrees[v]
         key = part = None
         if memo is not None and not children:
-            key = keys[v]
+            key = framings[v], root
             part = memo.get(key)
         if part is None:
             msg = weights[v]
@@ -436,8 +432,9 @@ def bracket(
 ) -> InvariantValue:
     """Sum of ``prod_v d(c(v)) * F(g; c)`` over all colorings of the forest."""
     _check_term_cap(p.rank, g.n, term_cap)
-    limit = p._contraction_bound.bracket
-    return InvariantValue(_contract_forest(g, _vertex_weights(p, _vertex_keys(g)), p.sprime, 1.0, limit))
+    bound = p._contraction_bound
+    weights = _vertex_weights(p, [m for _, m in g.vertices])
+    return InvariantValue(_contract_forest(g, weights, bound.bracket_edge, 1.0, bound.size))
 
 
 def rt_invariant(
@@ -451,15 +448,15 @@ def rt_invariant(
 
     ``tau = (delta_plus/D)^sigma * D^(-1) * prod_T (Z_T / D)``, with ``sigma``
     the signature of the linking matrix and ``Z_T`` tree ``T``'s contraction
-    with ``s = S'/D`` on its edges; that is ``delta_plus^sigma D^(-sigma-n-1)``
-    times the bracket.  Requires modular data (S' invertible).
+    with ``s = S'/D`` over ``d_a d_b`` on its edges; that is ``delta_plus^sigma
+    D^(-sigma-n-1)`` times the bracket.  Requires modular data (S' invertible).
     """
     if not p._svd[0] > tol:  # p.sprime_invertible(tol=tol)
         raise ValueError("Reshetikhin-Turaev invariant requires modular data")
     _check_term_cap(p.rank, g.n, term_cap)
-    gauss, keys = p._gauss_sums, _vertex_keys(g)
-    total = _contract_forest(g, _vertex_weights(p, keys), p._s, 1 / gauss.total, p._contraction_bound.rt,
-                             p._leaf_parts, keys)
+    gauss, bound, framings = p._gauss_sums, p._contraction_bound, [m for _, m in g.vertices]
+    total = _contract_forest(g, _vertex_weights(p, framings), bound.rt_edge, 1 / gauss.total, bound.size,
+                             p._leaf_parts, framings)
     phase = (gauss.delta_plus / gauss.total) ** g._sigma
     return InvariantValue(phase * total / gauss.total, tol)
 

@@ -8,12 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from premodular import double_rt, families, plumbing as plumbing_module
 from premodular.condense import MinimalityError, double_data
 from premodular.double_rt import factorization_check, pairing_bracket, tau_double
-from premodular.fusion import full_subcategory
-from premodular.modular import Twist, centralizer, check_minimal_extension, premodular_from_twists
+from premodular.fusion import InconsistentDataError, full_subcategory
+from premodular.modular import Twist, _twist_powers, centralizer, check_minimal_extension, premodular_from_twists
 from premodular.plumbing import (
     TermCapExceeded,
     bracket,
@@ -259,9 +260,14 @@ def test_gauss_sum_power_of_450_vertices_is_finite_and_a_connected_sum():
     assert abs(math.remainder(diff.imag, 2 * math.pi)) <= 1e-12 * 450
 
 
+def hub(framing, leaf_framings):
+    """A vertex ``c`` framed ``framing`` with a leaf for each of ``leaf_framings``."""
+    return plumbing([("c", framing), *((f"l{i}", e) for i, e in enumerate(leaf_framings))],
+                    [("c", f"l{i}") for i in range(len(leaf_framings))])
+
+
 def star(leaves, framing=-2):
-    return plumbing([("c", framing), *((f"l{i}", framing) for i in range(leaves))],
-                    [("c", f"l{i}") for i in range(leaves)])
+    return hub(framing, [framing] * leaves)
 
 
 HIGH_DEGREE = {**NOT_FINITE, "rt_invariant": lambda p, g: rt_invariant(p, g, term_cap=math.inf)}
@@ -270,14 +276,69 @@ HIGH_DEGREE = {**NOT_FINITE, "rt_invariant": lambda p, g: rt_invariant(p, g, ter
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", sorted(HIGH_DEGREE))
 def test_high_degree_vertex_that_overflows_is_named(su2_4, entry):
-    # the hub's weight d^(2 - deg) and the product of 5,000 leaf messages leave the float range
+    # the product of 5,000 leaf messages at the hub leaves the float range
     with pytest.raises(OverflowError, match="^the invariant of the 5001-vertex plumbing is not finite"):
         HIGH_DEGREE[entry](su2_4, star(5000))
 
 
+KIRBY_RT = ("su2:4", "su2:8", "fibonacci", "ising")
+KIRBY_DOUBLE = (("su2:4", (0, 2, 4)), ("su2:4", None), ("fibonacci", None), ("su2:8", (0, 2, 4, 6, 8)))
+
+
+def _blow_down_deviation(evaluate, framing, leaf_framings):
+    """How far a hub's value is from that of its blow-down, one vertex framed
+    ``framing - sum(leaf_framings)``, relative to ``max(1, |blow-down|)``."""
+    v = evaluate(plumbing([("c", framing - sum(leaf_framings))]))
+    return abs(evaluate(hub(framing, leaf_framings)) - v) / max(1.0, abs(v))
+
+
+def _evaluator(case):
+    """``rt_invariant`` on the category named ``case``, or ``tau_double`` on a
+    ``(name, subcategory)`` pair, ``None`` for the whole category."""
+    if isinstance(case, str):
+        p = families.builtin(case)
+        return lambda g: rt_invariant(p, g, term_cap=math.inf).value
+    name, delta = case
+    p = families.builtin(name)
+    delta = range(p.rank) if delta is None else delta
+    return lambda g: tau_double(p, delta, g, term_cap=math.inf).value
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", KIRBY_RT)
+@pytest.mark.parametrize("leaves", [800, 1500, 3000, 5000])
+@pytest.mark.parametrize("e", [1, -1])
+def test_blowing_down_the_leaves_of_a_high_degree_hub_keeps_rt_invariant(name, leaves, e):
+    # L(k, 1): a 0-framed hub with k leaves framed e is one vertex framed -k e (Neumann 1981)
+    assert _blow_down_deviation(_evaluator(name), 0, [e] * leaves) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", KIRBY_DOUBLE, ids=lambda case: f"{case[0]}-{'all' if case[1] is None else 'even'}")
+@pytest.mark.parametrize("leaves", [400, 800, 1500])
+@pytest.mark.parametrize("e", [1, -1])
+def test_blowing_down_the_leaves_of_a_high_degree_hub_keeps_tau_double(case, leaves, e):
+    assert _blow_down_deviation(_evaluator(case), 0, [e] * leaves) <= 1e-10
+
+
+@given(
+    case=st.sampled_from(KIRBY_RT + KIRBY_DOUBLE),
+    framing=st.integers(-3, 3),
+    leaves=st.integers(300, 3000),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_blowing_down_leaves_of_mixed_signs_keeps_the_invariant(case, framing, leaves, data):
+    positive = data.draw(st.integers(0, leaves), label="positive")
+    signs = [1] * positive + [-1] * (leaves - positive)
+    data.draw(st.randoms(use_true_random=False), label="order").shuffle(signs)
+    assert _blow_down_deviation(_evaluator(case), framing, signs) <= 1e-10
+
+
 @pytest.mark.filterwarnings("error")
 def test_double_of_a_300_leaf_star_is_finite(su2_4):
-    # the weight rows carry d^(2 - deg) without 1/D; the hub's (d/D)^(2 - deg) would overflow here
+    # the edges carry s/(d d), 1/D included; with S'/(d d) on them and dim^(-edges)
+    # applied after, the product of the hub's 300 leaf messages would overflow here
     value = tau_double(su2_4, range(su2_4.rank), star(300), term_cap=math.inf).value
     assert value.real == pytest.approx(5.4313e259, rel=1e-4)
 
@@ -347,8 +408,12 @@ def test_forests_up_to_the_overflow_free_size_raise_no_float_error(entry):
 def test_overflow_free_sizes_of_rt_invariant():
     limits = {name: overflow_free_size("rt_invariant", p) for name, p in _categories("rt_invariant")}
     assert {name: limits[name] for name in ("su2:4", "su2:8", "ising", "fibonacci", "prod(fibonacci,ising)")} == {
-        "su2:4": 159, "su2:8": 101, "ising": 281, "fibonacci": 267, "prod(fibonacci,ising)": 137}
+        "su2:4": 233, "su2:8": 153, "ising": 390, "fibonacci": 422, "prod(fibonacci,ising)": 203}
     assert limits["yang-lee"] == limits["fibonacci"]
+    # the edges carry the dimensions, so rt_invariant and bracket share one size
+    for name, p in families.builtin_suite():
+        if p.sprime_invertible():
+            assert overflow_free_size("bracket", p) == limits[name], name
 
 
 def test_a_complex_twist_or_a_zero_dimension_is_always_guarded():
@@ -358,3 +423,22 @@ def test_a_complex_twist_or_a_zero_dimension_is_always_guarded():
     zero = replace(su2_4, dims=np.where(np.arange(5) == 2, 0.0, su2_4.dims))
     assert overflow_free_size("rt_invariant", complex_twists) == 0
     assert overflow_free_size("bracket", zero) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_dimension_gives_no_warning():
+    # a copy of su2:4 with d(2) = 0, which no category document can carry:
+    # forests without edges keep their values, and an edge's 1/(d d) is not finite
+    su2_4 = families.su2(4)
+    zero = replace(su2_4, dims=np.where(np.arange(5) == 2, 0.0, su2_4.dims))
+    weights = _twist_powers(zero, [1])[0] * zero.dims**2
+    assert bracket(zero, plumbing([1])).value == pytest.approx(weights.sum(), abs=1e-12)
+    assert cmath.isfinite(rt_invariant(zero, plumbing([1])).value)
+    for g in (plumbing([1, -2], [("v0", "v1")]), star(3)):
+        for evaluate in (rt_invariant, bracket):
+            with pytest.raises(OverflowError, match=f"^the invariant of the {g.n}-vertex plumbing is not finite"):
+                evaluate(zero, g)
+    for g in (plumbing([1]), plumbing([1, -2], [("v0", "v1")]), star(3)):
+        # the pairing refuses first: S'(0, 2) is no longer d(0) d(2)
+        with pytest.raises(InconsistentDataError, match="the unit '0' is not transparent"):
+            tau_double(zero, range(5), g)

@@ -156,7 +156,7 @@ class TestPlumbingGraph:
 
 class TestWeightRows:
     def test_rows_past_the_limit_are_not_kept(self, monkeypatch):
-        # five isolated vertices: five (framing, degree) pairs against a limit of three
+        # five isolated vertices: five framings against a limit of three
         g = plumbing([("a", 1), ("b", 2), ("c", 3), ("d", -1), ("e", -2)])
         expected = rt_invariant(families.su2(4), g).value
         monkeypatch.setattr(plumbing_module, "_WEIGHT_ROW_LIMIT", 3)
@@ -166,12 +166,12 @@ class TestWeightRows:
             assert len(p._weight_rows) == 3
 
     def test_kept_rows_are_read_only(self, su2_4):
-        row = plumbing_module._vertex_weights(su2_4, plumbing_module._vertex_keys(chain([-2, 1])))[0]
+        row = plumbing_module._vertex_weights(su2_4, [-2, 1])[0]
         with pytest.raises(ValueError):
             row[0] = 0
 
     def test_leaf_parts_past_the_limit_are_not_kept(self, monkeypatch):
-        # three leaves and two isolated vertices: five (framing, degree) keys against a limit of three
+        # three leaves and two isolated vertices: five (framing, is-root) keys against a limit of three
         g = plumbing([("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", -1), ("f", -2)],
                      [("a", "b"), ("a", "c"), ("a", "d")])
         expected = rt_invariant(families.su2(4), g).value
@@ -182,11 +182,11 @@ class TestWeightRows:
             assert len(p._leaf_parts) == 3
 
     def test_kept_leaf_messages_are_read_only(self):
-        # c1 is c0's leaf, framed 1: its message to c0 is kept by (1, 1)
+        # c1 is c0's leaf, framed 1: its message to c0 is kept by (1, False)
         p = families.su2(4)
         rt_invariant(p, chain([-2, 1]))
         with pytest.raises(ValueError):
-            p._leaf_parts[(1, 1)][0] = 0
+            p._leaf_parts[(1, False)][0] = 0
 
 
 class TestLinkingMatrix:

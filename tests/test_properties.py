@@ -988,11 +988,10 @@ def schedule_by_ids(g):
 
 
 def weights_and_contraction_by_schedule(p, g):
-    """Oracle: the weight block ``theta^m d^(2-deg)`` built whole on every call,
-    rows by id, and the contraction along ``schedule_by_ids`` with messages by id."""
-    schedule, degrees = schedule_by_ids(g)
-    exponents = np.array([2 - degrees[v] for v in g.ids], dtype=int)
-    block = _twist_powers(p, [m for _, m in g.vertices]) * p.dims.astype(complex) ** exponents[:, None]
+    """Oracle: the weight block ``theta^m d^2`` built whole on every call, rows
+    by id, and the contraction along ``schedule_by_ids`` with messages by id."""
+    schedule, _ = schedule_by_ids(g)
+    block = _twist_powers(p, [m for _, m in g.vertices]) * (p.dims * p.dims)
 
     def contract(weights, edge_matrix, tree_factor):
         total, message = 1.0 + 0.0j, {}
@@ -1011,13 +1010,15 @@ def weights_and_contraction_by_schedule(p, g):
 
 def invariants_by_schedule(p, delta, g):
     """Oracle: ``rt_invariant``, ``bracket`` and ``tau_double`` as evaluated with
-    ``schedule_by_ids``, the pairing from a fresh copy of ``p``; ``rt_invariant``
-    and ``tau_double`` contract with the unitary ``s = S'/D``."""
+    ``schedule_by_ids``, the pairing from a fresh copy of ``p``; the edges carry
+    ``S'/(d d)``, and for ``rt_invariant`` and ``tau_double`` the unitary
+    ``s = S'/D`` normalized alike."""
     block, contract = weights_and_contraction_by_schedule(p, g)
     weights = dict(zip(g.ids, block))
-    br = contract(weights, p.sprime, 1.0)
+    outer = np.outer(p.dims, p.dims)
+    br = contract(weights, p.sprime / outer, 1.0)
     gauss, sigma = p.gauss_sums(), signature(linking_matrix(g))
-    s = p.sprime / gauss.total
+    s = p.sprime / gauss.total / outer
     rt = (gauss.delta_plus / gauss.total) ** sigma * contract(weights, s, 1 / gauss.total) / gauss.total
     pb = double_rt.pairing_bracket(replace(p), delta)
     ia, ib = np.nonzero(pb.support)
