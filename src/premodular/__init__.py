@@ -72,4 +72,4 @@ from .plumbing import (
 )
 from .double_rt import FactorizationCheck, factorization_check, tau_double
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

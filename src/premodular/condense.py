@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -33,11 +34,13 @@ from .fusion import (
     SubcategorySelection,
     _closed_selection,
     _member_indices,
+    _readonly,
 )
 from .modular import (
     MinimalityReport,
     PremodularData,
     _center_faults,
+    _overflow_free_size,
     _require_transparent_unit,
     check_minimal_extension,
     is_modular,
@@ -380,6 +383,14 @@ class PairingBracket:
     def dim_sub(self) -> float:
         return self.report.dim_sub
 
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, float]:
+        # the support's label pairs (ia, ib) in row-major order, read-only, and the overflow-free
+        # forest size of tau_double's contraction over them, which `pairing_bracket` fills in;
+        # a copy it did not make (`dataclasses.replace`) has size 0, which guards every contraction
+        ia, ib = map(_readonly, np.nonzero(self.support))
+        return ia, ib, 0
+
 
 def pairing_bracket(
     hat: PremodularData,
@@ -447,7 +458,12 @@ def _pairing_bracket(hat: PremodularData, delta: SubcategorySelection, tol: floa
         )
     table.setflags(write=False)
     support.setflags(write=False)
-    return PairingBracket(table=table, support=support, report=report)
+    pb = PairingBracket(table=table, support=support, report=report)
+    ia, ib, _ = pb._pairs
+    # a pair's weight and edge entries are products of two: W^4 and E^2 bound them
+    bound = hat._contraction_bound
+    object.__setattr__(pb, "_pairs", (ia, ib, _overflow_free_size(len(ia), bound.e**2, 2 * bound.log_w)))
+    return pb
 
 
 def double_data(
@@ -468,7 +484,7 @@ def double_data(
         raise MinimalityError("transparent part of the subcategory must be even and pointed "
                               f"for the double ({'; '.join(faults)})")
 
-    ia, ib = np.nonzero(pb.support)
+    ia, ib, _ = pb._pairs
     restricted = hat._on_pairs(hat.conjugate(), ia, ib)
     expected = hat.total_dim**2 / len(pb.report.degenerate_labels)
     if abs(restricted.total_dim - expected) > 1e3 * tol * max(1.0, hat.total_dim**2):

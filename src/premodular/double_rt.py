@@ -24,7 +24,7 @@ import numpy as np
 
 from .condense import PairingBracket, pairing_bracket
 from .fusion import DEFAULT_TOL, SubcategorySelection
-from .modular import PremodularData, _overflow_free_size
+from .modular import PremodularData
 from .plumbing import (
     DEFAULT_TERM_CAP,
     InvariantValue,
@@ -64,18 +64,14 @@ def tau_double(
     """
     _check_term_cap(hat.rank, 2 * g.n, term_cap)
     pb = pairing_bracket(hat, delta, tol=tol)
-
-    ia, ib = np.nonzero(pb.support)
-    bound = hat._contraction_bound
+    ia, ib, limit = pb._pairs
     edge = None
     if g.edges:  # then n >= 2, and the term cap's rank^(2n) >= |pairs|^2 bounds this matrix
-        s = bound.rt_edge
-        edge = s[ia[:, None], ia] * s[ib[:, None], ib].conj()
+        s = hat._contraction_bound.rt_edge
+        edge = s.take(ia, 1).take(ia, 0) * s.take(ib, 1).take(ib, 0).conj()
 
     w = np.reshape(_vertex_weights(hat, [m for _, m in g.vertices]), (g.n, hat.rank))
-    # a pair's weight and edge entries are products of two: W^4 and E^2 bound them
-    limit = _overflow_free_size(len(ia), bound.e**2, 2 * bound.log_w)
-    value = _contract_forest(g, w[:, ia] * w[:, ib].conj(), edge, 1 / hat.total_dim, limit) / pb.dim_sub
+    value = _contract_forest(g, w.take(ia, 1) * w.take(ib, 1).conj(), edge, 1 / hat.total_dim, limit) / pb.dim_sub
     return InvariantValue(value, tol)
 
 

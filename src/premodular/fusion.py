@@ -539,7 +539,9 @@ def _member_indices(f: FusionData, members: Iterable | SubcategorySelection) -> 
     """The sorted label indices of ``members``: names, indices, or a selection by index."""
     if isinstance(members, SubcategorySelection):
         members = members.members
-    return tuple(sorted({f.index(x) for x in members}))
+    n, index = f.rank, f.index
+    # an in-range Python int is its own index; bools, numpy integers, floats and names resolve
+    return tuple(sorted({x if type(x) is int and 0 <= x < n else index(x) for x in members}))
 
 
 def full_subcategory(f: FusionData, members: Iterable | SubcategorySelection) -> SubcategorySelection:

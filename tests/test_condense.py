@@ -536,6 +536,14 @@ class TestDoubleData:
         assert sorted(np.round(d.dims, 6)) == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0]
         assert is_modular(d).modular
 
+    @pytest.mark.parametrize("k, digest", [
+        (4, "fe47b1398d4b72347119c0dc1e95f915df49956966ed32bb95a249d580f1212a"),
+        (8, "272967a46215bfb32f5f00d25f6cae4e11fa4cccbeca462106984218d6a7cc06"),
+    ])
+    def test_document_of_the_even_part_is_pinned(self, k, digest):
+        # the digests of 0.18.0's documents, from the pairs it took by np.nonzero(support)
+        assert doc_sha256(condensed_to_doc(double_data(families.su2(k), range(0, k + 1, 2)))) == digest
+
     def test_whole_category_reproduces_product_exactly(self):
         hat = families.su2(3)
         dd = double_data(hat, range(hat.rank))

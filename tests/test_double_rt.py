@@ -63,7 +63,8 @@ class TestPairingBracket:
 
     def test_kept_per_subcategory_and_read_only(self, su2_4):
         pb = pairing_bracket(su2_4, [0, 2, 4])
-        assert pairing_bracket(su2_4, (4, "2", 0)) is pb
+        for delta in ((4, "2", 0), ["0", "2", "4"], range(0, 5, 2), np.array([0, 2, 4]), (4, 0, 2, 2)):
+            assert pairing_bracket(su2_4, delta) is pb
         assert pairing_bracket(su2_4, [0, 2, 4], tol=1e-8) is not pb
         with pytest.raises(ValueError):
             pb.table[0, 0] = 1.0
@@ -76,6 +77,36 @@ class TestPairingBracket:
             with pytest.raises(MinimalityError, match=r"^extension is not minimal: centralizer \['0', '1', '2', '3', '4'\] differs"):
                 pairing_bracket(hat, [0])
         assert not hat._pairings
+
+    def test_kept_pairs_are_the_read_only_support(self, su2_4):
+        # sizes: floor(700 / (log |pairs| + 4 log 2)), as E = 1 and W = d_max = 2 on su2:4 to rounding
+        for delta, pairs, expected_size in (([0, 2, 4], 13, 131), (range(5), 25, 116)):
+            pb = pairing_bracket(su2_4, delta)
+            ia, ib, size = pb._pairs
+            np.testing.assert_array_equal(ia, np.nonzero(pb.support)[0])
+            np.testing.assert_array_equal(ib, np.nonzero(pb.support)[1])
+            assert not ia.flags.writeable and not ib.flags.writeable
+            assert pb._pairs[0] is ia  # computed once per pairing
+            assert (len(ia), size) == (pairs, expected_size)
+
+    @pytest.mark.parametrize("name, delta", [("su2:4", (0, 2, 4)), ("su2:4", range(5)), ("su2:8", range(0, 9, 2))])
+    def test_pairing_keeps_no_pair_by_pair_array(self, name, delta):
+        # the pair edge is |pairs|^2 entries: 6,561^2 with every label of prod(su2:8,conj(su2:8))
+        hat = families.builtin(name)
+        tau_double(hat, delta, chain([2, -1, 3]))
+        pb = pairing_bracket(hat, delta)
+        limit = max(hat.rank**2, len(pb._pairs[0]))
+        assert len(pb._pairs[0]) ** 2 > limit
+        arrays = [x for x in [*vars(pb).values(), *pb._pairs, *vars(pb.report).values()] if isinstance(x, np.ndarray)]
+        assert len(arrays) == 4 and max(a.size for a in arrays) <= limit
+
+    def test_replaced_copy_finds_its_pairs_and_guards_every_contraction(self, su2_4):
+        pb = pairing_bracket(su2_4, [0, 2, 4])
+        copy = replace(pb)
+        ia, ib, size = copy._pairs
+        np.testing.assert_array_equal(ia, pb._pairs[0])
+        np.testing.assert_array_equal(ib, pb._pairs[1])
+        assert size == 0
 
 
 class TestTauDouble:

@@ -15,6 +15,7 @@ from premodular.fusion import (
     FusionData,
     FusionError,
     InconsistentDataError,
+    _member_indices,
     deligne_product,
     full_subcategory,
     global_dim,
@@ -300,10 +301,17 @@ def _resolved_by_from_entries(f, x):
     return g.unit
 
 
+def _resolved_by_member_indices(f, x):
+    # a subcategory's labels, which take an in-range Python int as its own index
+    (i,) = _member_indices(f, [x])
+    return i
+
+
 @pytest.mark.parametrize(
     "x, expect",
     [
         ("0", 0), ("2", 2), (1, 1), (np.int64(2), 2), (np.int32(0), 0), (2.0, 2), (np.float64(1.0), 1),
+        (True, 1), (False, 0), (np.uint8(2), 2), (np.int64(3), "label index 3 out of range"),
         ("x", "unknown label 'x'"), ("", "unknown label ''"),
         (1.5, "label index 1.5 is not an integer"), (float("inf"), "is not a finite integer"),
         (float("nan"), "is not a finite integer"), (3, "label index 3 out of range"),
@@ -316,14 +324,14 @@ def _resolved_by_from_entries(f, x):
 def test_index_and_from_entries_resolve_labels_alike(x, expect):
     f = FusionData(names=("0", "1", "2"), unit=0, dual=(0, 2, 1), tensor=np.zeros((3, 3, 3), int))
     outcomes = []
-    for resolve in (_resolved_by_index, _resolved_by_from_entries):
+    for resolve in (_resolved_by_index, _resolved_by_from_entries, _resolved_by_member_indices):
         try:
             outcomes.append(resolve(f, x))
         except FusionError as exc:
             outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     if isinstance(expect, int):
-        assert outcomes[0] == expect
+        assert outcomes[0] == expect and all(type(i) is int for i in outcomes)  # True resolves to 1
     else:
         assert expect in outcomes[0]
 
